@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import McEstimate, sample_haar_states
+from .haar import McEstimate, blocked_mean, sample_haar_states
 from .protocol import AliceMeasurement
 from .qcore import _freeze, check_schmidt_coefficients
 
@@ -122,18 +122,24 @@ def estimation_fidelity_mc(
     """Monte-Carlo estimation fidelity over Haar-random inputs.
 
     Averages sum_r p_r(psi) |<psi|guess_r>|^2 with outcome probabilities
-    p_r(psi) = sum_k lambda_k^2 |<phi_r^k|psi>|^2.
+    p_r(psi) = sum_k lambda_k^2 |<phi_r^k|psi>|^2. Every overlap of a block
+    of inputs comes from one matrix product: the R d measurement bras
+    <phi_r^k| stacked over the R guess bras <guess_r|, times the inputs as
+    columns. All n inputs are drawn first, in one call, and the blocks keep
+    the intermediates at a fixed size (``MC_BLOCK_ENTRIES`` complex
+    entries), so memory does not grow with n beyond the inputs themselves.
     """
     lam = _check_inputs(meas, lambdas, strategy)
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
     psi = sample_haar_states(meas.d, n, rng)
-    overlaps = np.einsum("rkj,nj->rkn", meas.phi.conj(), psi)
-    probs = np.einsum("k,rkn->rn", lam**2, np.abs(overlaps) ** 2)
-    guess_fid = np.abs(np.einsum("nj,rj->rn", psi.conj(), strategy.guesses)) ** 2
-    f = np.sum(probs * guess_fid, axis=0)
-    return McEstimate(
-        value=float(f.mean()),
-        std_error=float(f.std(ddof=1) / np.sqrt(n)),
-        n_samples=n,
-    )
+    n_meas = meas.n_outcomes * meas.d
+    bras = np.concatenate([meas.phi.reshape(n_meas, meas.d), strategy.guesses]).conj()
+    weights = lam**2
+
+    def integrand(block: np.ndarray) -> np.ndarray:
+        sq = np.abs(bras @ block.T) ** 2
+        probs = weights @ sq[:n_meas].reshape(meas.n_outcomes, meas.d, -1)
+        return np.sum(probs * sq[n_meas:], axis=0)
+
+    return blocked_mean(psi, integrand, bras.shape[0])

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import McEstimate, m_kl_exact, sample_haar_states
-from .protocol import AliceMeasurement, Protocol
+from .haar import McEstimate, blocked_mean, m_kl_exact, sample_haar_states
+from .protocol import AliceMeasurement, Protocol, _a_matrices
 from .qcore import _freeze, check_schmidt_coefficients
 
 
@@ -61,29 +61,28 @@ def compute_a_operators(meas: AliceMeasurement, lambdas) -> AOperators:
     lam = check_schmidt_coefficients(lambdas)
     if lam.size != meas.d:
         raise ValueError(f"got {lam.size} Schmidt coefficients for dimension {meas.d}")
-    return AOperators(lam[None, :, None] * meas.phi.conj())
+    return AOperators(_a_matrices(meas.phi, lam))
 
 
 def mean_fidelity_exact(proto: Protocol) -> float:
     """Exact Haar-average fidelity of a protocol.
 
-    Uses the reduced form
+    Written on the Kraus operators C_rs of the protocol's channel
+    (:attr:`Protocol.channel`), the Haar average of |<psi|C|psi>|^2 is
+    (||C||_F^2 + |Tr C|^2) / (d (d + 1)), so
 
-        (1 / (d (d + 1))) * sum_r [ sum_k lambda_k^2 |phi_r^k|^2
-                                    + sum_s |Tr(B_rs A_r)|^2 ],
+        F = sum_rs (||C_rs||_F^2 + |Tr C_rs|^2) / (d (d + 1)).
 
-    which equals the moment-operator sandwich of
-    :func:`mean_fidelity_mkl_form` at O(R d^3) instead of O(R d^5) cost.
+    For a trace-preserving channel the first sum is d, which gives the
+    paper's link F = (d F_e + 1) / (d + 1) with the entanglement fidelity
+    F_e = sum_rs |Tr C_rs|^2 / d^2. This equals the moment-operator
+    sandwich of :func:`mean_fidelity_mkl_form` at O(R d^3) instead of
+    O(R d^5) cost, and never builds the channel's Gram operator.
     """
-    lam = proto.schmidt.lambdas
-    phi = proto.measurement.phi
+    c = proto.channel.kraus
     d = proto.d
-    weight = float(np.sum(lam**2 * np.sum(np.abs(phi) ** 2, axis=2)))
-    a = lam[None, :, None] * phi.conj()
-    coherent = 0.0
-    for r, block in enumerate(proto.corrections.kraus):
-        traces = np.einsum("sij,ji->s", block, a[r])
-        coherent += float(np.sum(np.abs(traces) ** 2))
+    weight = float(np.vdot(c, c).real)
+    coherent = float(np.sum(np.abs(np.trace(c, axis1=1, axis2=2)) ** 2))
     return (weight + coherent) / (d * (d + 1))
 
 
@@ -112,24 +111,18 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     """Monte-Carlo mean fidelity over Haar-random inputs.
 
     For each sampled input the full conditional fidelity
-    sum_{r,s} |<psi| B_rs |b_r>|^2 is accumulated (no outcome or branch
-    sampling), so the only statistical noise left is the Haar average.
+    sum_{r,s} |<psi| B_rs A_r |psi>|^2 is taken (no outcome or branch
+    sampling), so the only statistical noise left is the Haar average. It
+    is evaluated as the quadratic form y† G y of the channel's Gram
+    operator (:class:`TeleportChannel`), one matrix product per block of
+    inputs. All n inputs are drawn first, in one call, and the blocks keep
+    the intermediates at a fixed size (``MC_BLOCK_ENTRIES`` complex
+    entries), so memory does not grow with n beyond the inputs themselves.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
     psi = sample_haar_states(proto.d, n, rng)
-    overlaps = np.einsum("rkj,nj->rnk", proto.measurement.phi.conj(), psi)
-    b = overlaps * proto.schmidt.lambdas[None, None, :]
-    f = np.zeros(n)
-    for r, block in enumerate(proto.corrections.kraus):
-        corrected = np.einsum("sij,nj->sni", block, b[r])
-        amp = np.einsum("ni,sni->sn", psi.conj(), corrected)
-        f += np.sum(np.abs(amp) ** 2, axis=0)
-    return McEstimate(
-        value=float(f.mean()),
-        std_error=float(f.std(ddof=1) / np.sqrt(n)),
-        n_samples=n,
-    )
+    return blocked_mean(psi, proto.channel.fidelities, proto.d**2)
 
 
 def fidelity_bound(lambdas) -> float:

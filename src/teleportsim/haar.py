@@ -16,11 +16,15 @@ fidelity formula in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .qcore import Operator, PureState
+
+#: complex entries that one block of a Monte-Carlo estimator's widest
+#: intermediate may hold (32 MiB); bounds memory independently of n
+MC_BLOCK_ENTRIES = 2**21
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -78,6 +82,29 @@ class McEstimate:
         if mean.ndim == 0:
             return McEstimate(mean.item(), float(std_error), int(n))
         return McEstimate(mean, std_error, int(n))
+
+
+def blocked_mean(
+    psi: np.ndarray, integrand: Callable[[np.ndarray], np.ndarray], width: int
+) -> McEstimate:
+    """Mean and standard error of ``integrand`` over the rows of ``psi``.
+
+    ``integrand`` maps a block of rows to one real value per row, using
+    intermediates of at most ``width`` complex entries per row. Blocks hold
+    at most ``MC_BLOCK_ENTRIES`` such entries. The block size changes the
+    per-row values by rounding at most, since a matrix product may sum in
+    another order for another number of rows.
+    """
+    n = psi.shape[0]
+    step = max(1, MC_BLOCK_ENTRIES // width)
+    f = np.empty(n)
+    for start in range(0, n, step):
+        f[start : start + step] = integrand(psi[start : start + step])
+    return McEstimate(
+        value=float(f.mean()),
+        std_error=float(f.std(ddof=1) / np.sqrt(n)),
+        n_samples=n,
+    )
 
 
 def sample_haar_state(d: int, rng: np.random.Generator) -> PureState:

@@ -9,14 +9,18 @@ POVM is equivalent to the block conditions
 
 which is what :func:`validate_completeness` checks. After learning r, Bob
 applies a correction channel with Kraus operators B_rs; the conditional
-state of his particle before correction is b_r = sum_k lambda_k
-<phi_r^k|psi> |k>.
+state of his particle before correction is b_r = A_r |psi> with
+A_r = sum_k lambda_k |k><phi_r^k|. A whole protocol is therefore one
+channel with Kraus operators C_rs = B_rs A_r, held by
+:class:`TeleportChannel`, from which the fidelity evaluators and the
+single-shot simulation read.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +163,49 @@ class Protocol:
     def n_outcomes(self) -> int:
         return self.measurement.n_outcomes
 
+    @cached_property
+    def channel(self) -> "TeleportChannel":
+        """The protocol's effective channel, built on first use and kept."""
+        return TeleportChannel(self)
+
+
+def _a_matrices(phi: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+    """A_r = sum_k lambda_k |k><phi_r^k| for every outcome, as an (R, d, d) array."""
+    return lambdas[None, :, None] * phi.conj()
+
+
+class TeleportChannel:
+    """A protocol as one channel rho -> sum_rs C_rs rho C_rs†.
+
+    ``a`` stacks the per-outcome maps A_r, so b_r = A_r |psi> is Bob's
+    unnormalized state after outcome r. ``kraus`` stacks C_rs = B_rs A_r
+    over outcomes and correction branches, and ``outcome[i]`` is the outcome
+    r of ``kraus[i]``. The fidelity of an input psi is
+
+        f(psi) = sum_rs |<psi| C_rs |psi>|^2 = y† G y,   y = psi* (x) psi,
+
+    where the Gram operator G = sum_rs conj(c_rs) c_rs^T is built from the
+    row-major vectorizations c_rs[i d + j] = C_rs[i, j]. G is d^2 x d^2 and
+    is built only when a Monte-Carlo evaluation first needs it.
+    """
+
+    def __init__(self, proto: Protocol) -> None:
+        blocks = proto.corrections.kraus
+        self.a = _freeze(_a_matrices(proto.measurement.phi, proto.schmidt.lambdas))
+        self.outcome = _freeze(np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks]))
+        self.kraus = _freeze(np.concatenate(blocks) @ self.a[self.outcome])
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = sum_rs conj(c_rs) c_rs^T, Hermitian and positive semidefinite."""
+        vecs = self.kraus.reshape(self.kraus.shape[0], -1)
+        return _freeze(vecs.conj().T @ vecs)
+
+    def fidelities(self, psi: np.ndarray) -> np.ndarray:
+        """Fidelity y† G y of every input, for inputs given as rows of an (n, d) array."""
+        y = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(psi.shape[0], -1)
+        return np.einsum("na,na->n", y.conj(), y @ self.gram.T).real
+
 
 @dataclass(frozen=True)
 class TeleportOutcome:
@@ -200,11 +247,16 @@ class CompletenessReport:
 def validate_completeness(
     meas: AliceMeasurement, tol: float = COMPLETENESS_ATOL
 ) -> CompletenessReport:
-    """Check sum_r |phi_r^k><phi_r^l| = delta_kl * I entrywise against tol."""
+    """Check sum_r |phi_r^k><phi_r^l| = delta_kl * I entrywise against tol.
+
+    The blocks are read off one joint-space product: with the outcomes as
+    rows of Phi (column k d + i holding phi_r^k[i]), Phi^T Phi* - I is the
+    d^2 x d^2 error, and block (k, l) of it is the error of pair (k, l).
+    """
     d = meas.d
-    gram = np.einsum("rki,rlj->klij", meas.phi, meas.phi.conj())
-    gram[np.arange(d), np.arange(d)] -= np.eye(d)
-    err = np.abs(gram).reshape(d, d, -1).max(axis=2)
+    joint = meas.phi.reshape(meas.n_outcomes, d * d)
+    gram = joint.T @ joint.conj() - np.eye(d * d)
+    err = np.abs(gram).reshape(d, d, d, d).max(axis=(1, 3))
     k, l = np.unravel_index(int(np.argmax(err)), err.shape)
     worst = float(err[k, l])
     return CompletenessReport(worst <= tol, worst, (int(k), int(l)), tol)
@@ -277,7 +329,7 @@ def optimal_bob_corrections(
     """
     if meas.d != schmidt.dim:
         raise ValueError(f"measurement dimension {meas.d} != resource dimension {schmidt.dim}")
-    a = schmidt.lambdas[None, :, None] * meas.phi.conj()
+    a = _a_matrices(meas.phi, schmidt.lambdas)
     if not np.any(a):
         raise ValueError(
             "every outcome has zero weight; measurement and Schmidt coefficients "
@@ -301,9 +353,9 @@ def standard_protocol(lambdas) -> Protocol:
 
 
 def _conditional_vectors(proto: Protocol, psi: PureState) -> np.ndarray:
-    """Unnormalized conditional states b_r, as rows of an (R, d) array."""
-    overlaps = np.einsum("rkj,j->rk", proto.measurement.phi.conj(), psi.amplitudes)
-    return proto.schmidt.lambdas[None, :] * overlaps
+    """Unnormalized conditional states b_r = A_r psi, as rows of an (R, d) array."""
+    a = proto.channel.a
+    return (a.reshape(-1, proto.d) @ psi.amplitudes).reshape(a.shape[:2])
 
 
 def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
@@ -342,10 +394,11 @@ def _pairs(arr: np.ndarray) -> list:
 
 
 def _unpairs(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    """Inverse of :func:`_pairs`; reinterprets the pairs' bits, so signed zeros survive."""
+    arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError("complex data must be nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(np.complex128)[..., 0]
 
 
 def protocol_to_dict(proto: Protocol) -> dict:

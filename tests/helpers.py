@@ -46,3 +46,27 @@ def random_optimal_measurement(d, n_blocks, rng):
         phases = np.exp(2j * np.pi * rng.random(d))
         blocks.append(w * phases[None, :, None] * std @ u.T)
     return AliceMeasurement(np.concatenate(blocks, axis=0))
+
+
+def loop_fidelity_samples(proto, psi):
+    """Per-input fidelity by the per-outcome loop over phi, lambdas and Kraus blocks.
+
+    Reference for the Gram-form evaluator: for each row of psi it sums
+    |<psi| B_rs b_r>|^2 with b_r = sum_k lambda_k <phi_r^k|psi> |k>.
+    """
+    overlaps = np.einsum("rkj,nj->rnk", proto.measurement.phi.conj(), psi)
+    b = overlaps * proto.schmidt.lambdas[None, None, :]
+    f = np.zeros(psi.shape[0])
+    for r, block in enumerate(proto.corrections.kraus):
+        corrected = np.einsum("sij,nj->sni", block, b[r])
+        amp = np.einsum("ni,sni->sn", psi.conj(), corrected)
+        f += np.sum(np.abs(amp) ** 2, axis=0)
+    return f
+
+
+def einsum_estimation_samples(meas, lambdas, strategy, psi):
+    """Per-input estimation fidelity by separate einsum contractions (reference)."""
+    overlaps = np.einsum("rkj,nj->rkn", meas.phi.conj(), psi)
+    probs = np.einsum("k,rkn->rn", np.asarray(lambdas) ** 2, np.abs(overlaps) ** 2)
+    guess_fid = np.abs(np.einsum("nj,rj->rn", psi.conj(), strategy.guesses)) ** 2
+    return np.sum(probs * guess_fid, axis=0)

@@ -1,0 +1,195 @@
+"""The effective-channel core: Gram-form Monte Carlo, the one-product estimator,
+the exact fidelity on the channel's Kraus operators, laziness and block memory."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from teleportsim import (
+    AliceMeasurement,
+    BobCorrections,
+    EstimationStrategy,
+    Protocol,
+    SchmidtDecomposition,
+    check_optimality,
+    estimation_fidelity_mc,
+    make_rng,
+    mean_fidelity_exact,
+    mean_fidelity_mkl_form,
+    mean_fidelity_monte_carlo,
+    optimal_estimates,
+    protocol_from_json,
+    protocol_to_json,
+    random_povm,
+    sample_haar_states,
+    standard_measurement,
+    standard_protocol,
+    validate_completeness,
+)
+from teleportsim import haar
+from helpers import (
+    einsum_estimation_samples,
+    loop_fidelity_samples,
+    random_kraus_set,
+    random_lambdas,
+)
+
+AGREE_TOL = 1e-13
+SPECTRA = ("full_rank", "rank_deficient", "product")
+
+
+def spectrum(kind, d, rng):
+    if kind == "full_rank":
+        return random_lambdas(d, rng)
+    lam = np.zeros(d)
+    if kind == "product":
+        lam[0] = 1.0
+    else:
+        lam[: (d + 1) // 2] = random_lambdas((d + 1) // 2, rng)
+    return lam
+
+
+def multi_kraus_protocol(d, kind, rng):
+    """Random complete measurement with random non-unitary multi-Kraus corrections."""
+    meas = random_povm(d, d * d, rng)
+    blocks = tuple(random_kraus_set(d, 1 + r % 3, rng) for r in range(meas.n_outcomes))
+    lam = spectrum(kind, d, rng)
+    return Protocol(SchmidtDecomposition.from_lambdas(lam), meas, BobCorrections(blocks))
+
+
+def cases():
+    return [(d, kind) for d in (2, 3, 5) for kind in SPECTRA]
+
+
+class TestGramMonteCarlo:
+    @pytest.mark.parametrize("d,kind", cases())
+    def test_matches_per_outcome_loop_on_identical_samples(self, d, kind):
+        rng = make_rng(200 + d, stream=SPECTRA.index(kind))
+        proto = multi_kraus_protocol(d, kind, rng)
+        est = mean_fidelity_monte_carlo(proto, 3000, make_rng(201, stream=d))
+        psi = sample_haar_states(d, 3000, make_rng(201, stream=d))
+        ref = loop_fidelity_samples(proto, psi)
+        assert np.max(np.abs(proto.channel.fidelities(psi) - ref)) <= AGREE_TOL
+        assert abs(est.value - ref.mean()) <= AGREE_TOL
+        assert abs(est.std_error - ref.std(ddof=1) / np.sqrt(ref.size)) <= AGREE_TOL
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_standard_protocol_matches_loop(self, d):
+        proto = standard_protocol(random_lambdas(d, make_rng(210 + d)))
+        psi = sample_haar_states(d, 2000, make_rng(211))
+        ref = loop_fidelity_samples(proto, psi)
+        assert np.max(np.abs(proto.channel.fidelities(psi) - ref)) <= AGREE_TOL
+
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch):
+        proto = multi_kraus_protocol(3, "full_rank", make_rng(220))
+        whole = mean_fidelity_monte_carlo(proto, 5000, make_rng(221))
+        monkeypatch.setattr(haar, "MC_BLOCK_ENTRIES", 9 * 7)
+        blocked = mean_fidelity_monte_carlo(proto, 5000, make_rng(221))
+        assert blocked.value == pytest.approx(whole.value, abs=AGREE_TOL)
+        assert blocked.std_error == pytest.approx(whole.std_error, abs=AGREE_TOL)
+
+
+def random_strategy(d, n_outcomes, rng):
+    z = rng.standard_normal((n_outcomes, d)) + 1j * rng.standard_normal((n_outcomes, d))
+    return EstimationStrategy(z / np.linalg.norm(z, axis=1, keepdims=True))
+
+
+class TestEstimationProduct:
+    @pytest.mark.parametrize("d,kind", cases())
+    def test_matches_einsum_form_on_identical_samples(self, d, kind):
+        rng = make_rng(230 + d, stream=SPECTRA.index(kind))
+        meas = random_povm(d, d * d + 1, rng)
+        lam = spectrum(kind, d, rng)
+        for strategy in (random_strategy(d, meas.n_outcomes, rng), optimal_estimates(meas)):
+            est = estimation_fidelity_mc(meas, lam, strategy, 3000, make_rng(231, stream=d))
+            psi = sample_haar_states(d, 3000, make_rng(231, stream=d))
+            ref = einsum_estimation_samples(meas, lam, strategy, psi)
+            assert abs(est.value - ref.mean()) <= AGREE_TOL
+            assert abs(est.std_error - ref.std(ddof=1) / np.sqrt(ref.size)) <= AGREE_TOL
+
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch):
+        meas = standard_measurement(3)
+        lam = random_lambdas(3, make_rng(240))
+        strategy = optimal_estimates(meas)
+        whole = estimation_fidelity_mc(meas, lam, strategy, 4000, make_rng(241))
+        monkeypatch.setattr(haar, "MC_BLOCK_ENTRIES", 36 * 5)
+        blocked = estimation_fidelity_mc(meas, lam, strategy, 4000, make_rng(241))
+        assert blocked.value == pytest.approx(whole.value, abs=AGREE_TOL)
+        assert blocked.std_error == pytest.approx(whole.std_error, abs=AGREE_TOL)
+
+
+class TestExactOnChannel:
+    @pytest.mark.parametrize("d,kind", cases())
+    def test_matches_moment_operator_form(self, d, kind):
+        proto = multi_kraus_protocol(d, kind, make_rng(250 + d, stream=SPECTRA.index(kind)))
+        assert mean_fidelity_exact(proto) == pytest.approx(mean_fidelity_mkl_form(proto), abs=1e-12)
+
+    def test_kraus_operators_are_corrections_after_a(self):
+        proto = multi_kraus_protocol(2, "full_rank", make_rng(260))
+        channel = proto.channel
+        assert channel.kraus.shape[0] == sum(b.shape[0] for b in proto.corrections.kraus)
+        total = np.einsum("kij,kil->jl", channel.kraus.conj(), channel.kraus)
+        assert np.allclose(total, np.eye(2), atol=1e-12)  # the channel is trace preserving
+        for i, r in enumerate(channel.outcome):
+            s = i - int(np.searchsorted(channel.outcome, r))
+            assert np.allclose(channel.kraus[i], proto.corrections.kraus[r][s] @ channel.a[r])
+
+
+class TestLaziness:
+    def test_exact_paths_never_build_the_gram_operator(self):
+        proto = standard_protocol(random_lambdas(4, make_rng(270)))
+        mean_fidelity_exact(proto)
+        check_optimality(proto.measurement, proto.schmidt)
+        restored = protocol_from_json(protocol_to_json(proto))
+        mean_fidelity_exact(restored)
+        for p in (proto, restored):
+            assert "gram" not in vars(p.channel)
+        mean_fidelity_monte_carlo(proto, 1000, make_rng(271))
+        assert "gram" in vars(proto.channel)  # built once, on the cached channel
+
+
+class TestBlockMemory:
+    """Traced peak of one d = 16 call with n = 20000: blocks keep it bounded."""
+
+    LIMIT_MB = 160
+
+    @pytest.fixture(scope="class")
+    def proto(self):
+        return standard_protocol(random_lambdas(16, make_rng(280)))
+
+    def peak_mb(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_fidelity(self, proto):
+        mean_fidelity_monte_carlo(proto, 1000, make_rng(281))  # build the Gram operator first
+        peak = self.peak_mb(lambda: mean_fidelity_monte_carlo(proto, 20000, make_rng(282)))
+        assert peak < self.LIMIT_MB
+
+    def test_estimation(self, proto):
+        strategy = optimal_estimates(proto.measurement)
+        peak = self.peak_mb(lambda: estimation_fidelity_mc(
+            proto.measurement, proto.schmidt.lambdas, strategy, 20000, make_rng(283)))
+        assert peak < self.LIMIT_MB
+
+
+class TestCompletenessBlocks:
+    def test_worst_pair_and_error_match_per_pair_reference(self):
+        d = 3
+        phi = np.array(standard_measurement(d).phi)
+        phi[4, 1] *= 1.001  # error 2e-3 / 3 in block (1, 1), 1e-3 / 3 in (k, 1) and (1, k)
+        meas = AliceMeasurement(phi)
+        report = validate_completeness(meas, 1e-10)
+        err = np.zeros((d, d))
+        for k in range(d):
+            for l in range(d):
+                block = sum(np.outer(p[k], p[l].conj()) for p in phi)
+                err[k, l] = np.max(np.abs(block - (k == l) * np.eye(d)))
+        assert not report.passed
+        assert report.worst_pair == (1, 1)
+        assert report.max_error == pytest.approx(err.max(), abs=1e-15)

@@ -296,6 +296,21 @@ class TestSerialization:
         for a, b in zip(restored.corrections.kraus, proto.corrections.kraus):
             assert np.array_equal(a, b)
 
+    def test_round_trip_keeps_every_bit(self):
+        # the standard protocol's arrays carry signed zeros, which value equality ignores
+        proto = standard_protocol(random_lambdas(8, make_rng(71)))
+        restored = protocol_from_json(protocol_to_json(proto))
+        pairs = [(proto.schmidt.lambdas, restored.schmidt.lambdas),
+                 (proto.measurement.phi, restored.measurement.phi)]
+        pairs += list(zip(proto.corrections.kraus, restored.corrections.kraus))
+        assert len(pairs) == 2 + proto.n_outcomes
+        bits = [(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+                for a, b in pairs]
+        assert any(np.signbit(k.view(float)).any() for k, _ in bits[2:])
+        for (a, b), (a_bits, b_bits) in zip(pairs, bits):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a_bits, b_bits)
+
     def test_dict_schema_fields(self):
         proto = standard_protocol([0.8, 0.6])
         data = protocol_to_dict(proto)
