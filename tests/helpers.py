@@ -70,3 +70,30 @@ def einsum_estimation_samples(meas, lambdas, strategy, psi):
     probs = np.einsum("k,rkn->rn", np.asarray(lambdas) ** 2, np.abs(overlaps) ** 2)
     guess_fid = np.abs(np.einsum("nj,rj->rn", psi.conj(), strategy.guesses)) ** 2
     return np.sum(probs * guess_fid, axis=0)
+
+
+def loop_check_optimality(meas, schmidt, tol):
+    """Optimality conditions by a Python loop over (r, k, l) (reference).
+
+    Returns the violations as (outcome, k, l, error, kind) tuples in loop
+    order and the largest error over every checked pair.
+    """
+    m1 = schmidt.effective_rank
+    blocks = meas.phi[:, :m1]
+    violations = []
+    max_err = 0.0
+    for r in range(meas.n_outcomes):
+        gram = blocks[r] @ blocks[r].conj().T
+        ref = float(gram[0, 0].real)
+        for k in range(m1):
+            for l in range(k, m1):
+                if k == l:
+                    err = abs(float(gram[k, k].real) - ref)
+                    kind = "unequal_norm"
+                else:
+                    err = float(abs(gram[k, l]))
+                    kind = "non_orthogonal"
+                max_err = max(max_err, err)
+                if err > tol:
+                    violations.append((r, k, l, err, kind))
+    return violations, max_err

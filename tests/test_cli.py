@@ -215,6 +215,28 @@ class TestCheckProtocol:
         report = json.loads(out)
         assert report["results"]["completeness"]["pass"] is False
 
+    def test_broken_correction_exits_one(self, capsys, tmp_path):
+        data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
+        data["corrections"][2] = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert code == 1
+        res = json.loads(out)["results"]
+        assert res["corrections"]["pass"] is False
+        assert res["corrections"]["max_error"] == 0.75  # |0.25 I - I|
+        assert res["completeness"]["pass"] is True
+
+    def test_missing_phi_exits_two(self, capsys, tmp_path):
+        data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
+        del data["phi"]
+        path = tmp_path / "no_phi.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert code == 2
+        assert out == ""
+        assert "phi" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "check-protocol", "/nonexistent/proto.json")
         assert code == 2

@@ -25,6 +25,7 @@ from teleportsim import (
     validate_completeness,
 )
 from helpers import (
+    loop_check_optimality,
     random_kraus_set,
     random_lambdas,
     random_optimal_measurement,
@@ -115,6 +116,37 @@ class TestCheckOptimality:
         schmidt = SchmidtDecomposition.from_lambdas([1.0, 0.0])
         assert schmidt.effective_rank == 1
         assert check_optimality(AliceMeasurement(phi), schmidt).passed
+
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_loop_reference(self, d):
+        rng = make_rng(80 + d)
+        lam = random_lambdas(d, rng)
+        rank_deficient = np.concatenate([lam[:-1], [0.0]]) / np.linalg.norm(lam[:-1])
+        duplicated = np.array(standard_measurement(d).phi)
+        duplicated[1, d - 1] = duplicated[1, 0]
+        scaled = np.array(standard_measurement(d).phi)
+        scaled[d, 1] *= 1.3
+        cases = [
+            (random_povm(d, d * d, rng), lam),
+            (random_povm(d, d * d + 3, rng), rank_deficient),
+            (AliceMeasurement(duplicated), lam),
+            (AliceMeasurement(scaled), lam),
+            (standard_measurement(d), lam),
+        ]
+        for meas, spectrum in cases:
+            schmidt = SchmidtDecomposition.from_lambdas(spectrum)
+            for tol in (1e-10, 1e-3):
+                report = check_optimality(meas, schmidt, tol)
+                ref, ref_max = loop_check_optimality(meas, schmidt, tol)
+                assert [(v.outcome, v.k, v.l, v.kind) for v in report.violations] == [
+                    (r, k, l, kind) for r, k, l, _, kind in ref
+                ]
+                for v, (*_, err, _) in zip(report.violations, ref):
+                    assert abs(v.error - err) <= 1e-15
+                assert abs(report.max_error - ref_max) <= 1e-15
+                assert report.passed == (not ref)
+                assert report.effective_rank == schmidt.effective_rank
 
 
 class TestOptimalBobCorrections:
@@ -310,6 +342,13 @@ class TestSerialization:
         for (a, b), (a_bits, b_bits) in zip(pairs, bits):
             assert a.dtype == b.dtype
             assert np.array_equal(a_bits, b_bits)
+
+    @pytest.mark.parametrize("field", ["d", "lambdas", "phi", "corrections"])
+    def test_missing_field_raises_value_error(self, field):
+        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
+        del data[field]
+        with pytest.raises(ValueError, match=field):
+            protocol_from_json(json.dumps(data))
 
     def test_dict_schema_fields(self):
         proto = standard_protocol([0.8, 0.6])
