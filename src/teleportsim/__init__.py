@@ -14,9 +14,7 @@ from .qcore import (
     check_schmidt_coefficients,
     maximally_entangled,
     nuclear_norm,
-    project_alice,
     schmidt_decompose,
-    tensor_product,
 )
 from .haar import (
     McEstimate,
@@ -104,7 +102,6 @@ __all__ = [
     "optimal_estimates",
     "optimal_fidelity_given_measurement",
     "outcome_distribution",
-    "project_alice",
     "protocol_from_dict",
     "protocol_from_json",
     "protocol_to_dict",
@@ -117,6 +114,5 @@ __all__ = [
     "standard_measurement",
     "standard_protocol",
     "teleport_once",
-    "tensor_product",
     "validate_completeness",
 ]

@@ -29,15 +29,14 @@ from .fidelity import (
 )
 from .haar import McEstimate, m_kl_exact, m_kl_monte_carlo, make_rng
 from .protocol import (
-    AliceMeasurement,
-    _unpairs,
+    _kraus_error,
+    _protocol_parts,
     check_optimality,
-    optimal_bob_corrections,
     standard_measurement,
     standard_protocol,
     validate_completeness,
 )
-from .qcore import SchmidtDecomposition, check_schmidt_coefficients
+from .qcore import check_schmidt_coefficients
 from .search import search_best_protocol
 
 REPORT_SCHEMA = 1
@@ -265,33 +264,17 @@ def _cmd_verify_mkl(args) -> int:
 def _cmd_check_protocol(args) -> int:
     if args.protocol == "standard":
         lam, flags = _resolve_lambdas(args)
-        meas = standard_measurement(args.d)
-        schmidt = SchmidtDecomposition.from_lambdas(lam)
-        kraus = [np.asarray(block) for block in optimal_bob_corrections(meas, schmidt).kraus]
+        proto = standard_protocol(lam)
+        schmidt, meas, kraus = proto.schmidt, proto.measurement, proto.corrections.kraus
         source = "standard"
     else:
         with open(args.protocol, encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            lam = check_schmidt_coefficients(np.asarray(data["lambdas"], dtype=float))
-            meas = AliceMeasurement(_unpairs(data["phi"]))
-            kraus = [_unpairs(block) for block in data["corrections"]]
-        except KeyError as exc:
-            raise ValueError(f"protocol file is missing field {exc}")
-        if int(data.get("d", meas.d)) != meas.d or lam.size != meas.d:
-            raise ValueError("protocol file dimensions are inconsistent")
-        flags = {}
+            schmidt, meas, kraus = _protocol_parts(json.load(fh))
+        lam, flags = schmidt.lambdas, {}
         source = args.protocol
-    schmidt = SchmidtDecomposition.from_lambdas(lam)
     completeness = validate_completeness(meas, args.tol)
     optimality = check_optimality(meas, schmidt, args.tol)
-    kraus_err = 0.0
-    for block in kraus:
-        arr = np.asarray(block, dtype=complex)
-        if arr.ndim == 2:
-            arr = arr[None]
-        total = np.einsum("sij,sik->jk", arr.conj(), arr)
-        kraus_err = max(kraus_err, float(np.max(np.abs(total - np.eye(meas.d)))))
+    kraus_err = max((_kraus_error(block, meas.d) for block in kraus), default=0.0)
     corrections_ok = kraus_err <= args.tol and len(kraus) == meas.n_outcomes
     ok = completeness.passed and optimality.passed and corrections_ok
     report = {

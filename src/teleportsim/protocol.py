@@ -24,12 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import (
-    BipartiteVector,
-    PureState,
-    SchmidtDecomposition,
-    _freeze,
-)
+from .qcore import PureState, SchmidtDecomposition, _freeze
 
 #: completeness and Kraus-normalization tolerance for assembled protocols
 COMPLETENESS_ATOL = 1e-10
@@ -57,6 +52,8 @@ class AliceMeasurement:
             raise ValueError(f"phi must have shape (R, d, d), got {phi.shape}")
         if phi.shape[1] < 2:
             raise ValueError("dimension must be at least 2")
+        if not np.isfinite(phi).all():
+            raise ValueError("measurement blocks must be finite")
         object.__setattr__(self, "phi", _freeze(phi))
 
     @property
@@ -67,9 +64,15 @@ class AliceMeasurement:
     def n_outcomes(self) -> int:
         return self.phi.shape[0]
 
-    def joint_vector(self, r: int) -> BipartiteVector:
-        """Outcome r as an (unnormalized) vector on the joint 1 x 2 space."""
-        return BipartiteVector(self.phi[r].T, normalized=False)
+
+def _kraus_error(block: np.ndarray, d: int) -> float:
+    """Largest entry of |sum_s B_s† B_s - I| for one outcome's Kraus operators B_s.
+
+    ``block`` is an (S, d, d) stack or a bare (d, d) operator.
+    """
+    block = block.reshape(-1, *block.shape[-2:])
+    total = np.einsum("sij,sik->jk", block.conj(), block)
+    return float(np.max(np.abs(total - np.eye(d))))
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,9 @@ class BobCorrections:
                 d = arr.shape[1]
             elif arr.shape[1] != d:
                 raise ValueError(f"outcome {r}: dimension {arr.shape[1]} != {d}")
-            total = np.einsum("sij,sik->jk", arr.conj(), arr)
-            if np.max(np.abs(total - np.eye(d))) > KRAUS_ATOL:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"outcome {r}: Kraus operators must be finite")
+            if _kraus_error(arr, d) > KRAUS_ATOL:
                 raise ValueError(
                     f"outcome {r}: Kraus operators do not compose to the identity"
                 )
@@ -297,23 +301,19 @@ def check_optimality(
         raise ValueError(f"measurement dimension {meas.d} != resource dimension {schmidt.dim}")
     m1 = schmidt.effective_rank
     blocks = meas.phi[:, :m1]
-    violations = []
-    max_err = 0.0
-    for r in range(meas.n_outcomes):
-        gram = blocks[r] @ blocks[r].conj().T
-        ref = float(gram[0, 0].real)
-        for k in range(m1):
-            for l in range(k, m1):
-                if k == l:
-                    err = abs(float(gram[k, k].real) - ref)
-                    kind = "unequal_norm"
-                else:
-                    err = float(abs(gram[k, l]))
-                    kind = "non_orthogonal"
-                max_err = max(max_err, err)
-                if err > tol:
-                    violations.append(OptimalityViolation(r, k, l, err, kind))
-    return OptimalityReport(not violations, max_err, tuple(violations), m1, tol)
+    gram = blocks @ blocks.conj().transpose(0, 2, 1)
+    norms = gram.real.diagonal(axis1=1, axis2=2)
+    k, l = np.triu_indices(m1)
+    # errors of the pairs k <= l of each outcome, in row-major (k, l) order
+    err = np.where(k == l, np.abs(norms[:, k] - norms[:, :1]), np.abs(gram[:, k, l]))
+    violations = tuple(
+        OptimalityViolation(
+            int(r), int(k[p]), int(l[p]), float(err[r, p]),
+            "unequal_norm" if k[p] == l[p] else "non_orthogonal",
+        )
+        for r, p in np.argwhere(err > tol)
+    )
+    return OptimalityReport(not violations, float(err.max()), violations, m1, tol)
 
 
 def optimal_bob_corrections(
@@ -398,6 +398,8 @@ def _unpairs(data) -> np.ndarray:
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError("complex data must be nested [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("complex data must be finite")
     return arr.view(np.complex128)[..., 0]
 
 
@@ -417,15 +419,31 @@ def protocol_to_dict(proto: Protocol) -> dict:
     }
 
 
+def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement, list]:
+    """Resource, measurement and raw per-outcome Kraus blocks of a protocol dict.
+
+    Neither completeness nor Kraus normalization is checked, so that a broken
+    protocol can still be diagnosed; :func:`protocol_from_dict` enforces both.
+    """
+    try:
+        d = int(data["d"])
+        schmidt = SchmidtDecomposition.from_lambdas(np.asarray(data["lambdas"], dtype=float))
+        meas = AliceMeasurement(_unpairs(data["phi"]))
+        kraus = [_unpairs(block) for block in data["corrections"]]
+    except KeyError as exc:
+        raise ValueError(f"protocol is missing field {exc}") from None
+    if schmidt.dim != d or meas.d != d:
+        raise ValueError(
+            f"declared dimension {d} does not match {schmidt.dim} Schmidt coefficients "
+            f"and measurement blocks of dimension {meas.d}"
+        )
+    return schmidt, meas, kraus
+
+
 def protocol_from_dict(data: dict) -> Protocol:
-    d = int(data["d"])
-    schmidt = SchmidtDecomposition.from_lambdas(np.asarray(data["lambdas"], dtype=float))
-    meas = AliceMeasurement(_unpairs(data["phi"]))
-    corrections = BobCorrections(tuple(_unpairs(block) for block in data["corrections"]))
-    proto = Protocol(schmidt, meas, corrections)
-    if proto.d != d:
-        raise ValueError(f"declared dimension {d} does not match measurement blocks ({proto.d})")
-    return proto
+    """Inverse of :func:`protocol_to_dict`; raises ValueError unless the protocol is valid."""
+    schmidt, meas, kraus = _protocol_parts(data)
+    return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))
 
 
 def protocol_to_json(proto: Protocol) -> str:

@@ -36,7 +36,7 @@ class PureState:
         if amps.size < 2:
             raise ValueError(f"state dimension must be at least 2, got {amps.size}")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # also rejects NaN and inf
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -74,6 +74,8 @@ class Operator:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("operator entries must be finite")
         object.__setattr__(self, "matrix", _freeze(mat))
 
     @property
@@ -83,31 +85,22 @@ class Operator:
 
 @dataclass(frozen=True)
 class BipartiteVector:
-    """Coefficient matrix c[j, k] of a two-particle vector sum_jk c[j, k] |j>|k>.
-
-    Physical shared states are unit vectors; measurement vectors may be left
-    unnormalized by passing ``normalized=False``.
-    """
+    """Unit vector sum_jk c[j, k] |j>|k> of two particles, held as the matrix c."""
 
     coeffs: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coeffs, dtype=complex)
         if coeffs.ndim != 2:
             raise ValueError(f"coefficients must form a matrix, got shape {coeffs.shape}")
-        if self.normalized:
-            norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-            if abs(norm_sq - 1.0) > NORM_ATOL:
-                raise ValueError(f"bipartite state is not normalized: |c|^2 = {norm_sq}")
+        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # also rejects NaN and inf
+            raise ValueError(f"bipartite state is not normalized: |c|^2 = {norm_sq}")
         object.__setattr__(self, "coeffs", _freeze(coeffs))
 
     @property
     def dims(self) -> tuple[int, int]:
         return self.coeffs.shape
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 def maximally_entangled(d: int) -> BipartiteVector:
@@ -196,35 +189,8 @@ def schmidt_decompose(state: BipartiteVector) -> SchmidtDecomposition:
     d_a, d_b = state.dims
     if d_a != d_b:
         raise ValueError(f"subsystem dimensions must match, got {state.dims}")
-    if not state.normalized:
-        raise ValueError("Schmidt decomposition requires a normalized state")
     u, s, vh = np.linalg.svd(state.coeffs)
     return SchmidtDecomposition(s, u.T, vh)
-
-
-def tensor_product(a: PureState, b: PureState) -> BipartiteVector:
-    """Product state with coefficients c[j, k] = a_j * b_k."""
-    return BipartiteVector(np.outer(a.amplitudes, b.amplitudes))
-
-
-def project_alice(
-    phi: BipartiteVector, psi: PureState, tele: BipartiteVector
-) -> tuple[np.ndarray, float]:
-    """Contract a joint measurement vector against the input and shared state.
-
-    Computes b = <phi| (|psi> x |tele>), the unnormalized conditional state
-    of the receiving particle, where ``phi`` lives on particles 1 and 2,
-    ``psi`` on particle 1 and ``tele`` on particles 2 and 3. Returns the
-    vector together with its squared norm, which is the probability weight
-    of the outcome.
-    """
-    d = psi.dim
-    if phi.dims != (d, d) or tele.dims != (d, d):
-        raise ValueError(
-            f"dimension mismatch: psi has dim {d}, phi {phi.dims}, tele {tele.dims}"
-        )
-    b = np.einsum("jk,j,kl->l", phi.coeffs.conj(), psi.amplitudes, tele.coeffs)
-    return b, float(np.sum(np.abs(b) ** 2))
 
 
 def nuclear_norm(a) -> float:

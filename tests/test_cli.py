@@ -237,6 +237,15 @@ class TestCheckProtocol:
         assert out == ""
         assert "phi" in err
 
+    def test_non_finite_correction_exits_two(self, capsys, tmp_path):
+        data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
+        data["corrections"][0][0][0][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert code == 2
+        assert "finite" in err
+
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "check-protocol", "/nonexistent/proto.json")
         assert code == 2

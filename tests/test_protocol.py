@@ -117,7 +117,6 @@ class TestCheckOptimality:
         assert schmidt.effective_rank == 1
         assert check_optimality(AliceMeasurement(phi), schmidt).passed
 
-
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_loop_reference(self, d):
         rng = make_rng(80 + d)
@@ -215,6 +214,17 @@ class TestBobCorrections:
         corr = BobCorrections.from_unitaries([np.eye(2)] * 4)
         assert corr.unitary
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        block = np.eye(2, dtype=complex)
+        block[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BobCorrections((np.eye(2), block))
+        phi = np.array(standard_measurement(2).phi)
+        phi[3, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AliceMeasurement(phi)
+
 
 class TestProtocol:
     def test_incomplete_measurement_rejected(self):
@@ -254,6 +264,19 @@ class TestTeleportOnce:
                 out = teleport_once(proto, psi, rng)
                 assert out.output_state.fidelity(psi) == pytest.approx(1.0, abs=1e-12)
                 assert out.probability == pytest.approx(1 / d**2, abs=1e-12)
+
+    def test_product_resource_pins_output_direction(self):
+        # with lambda = (1, 0, 0) only the k = 0 block of any measurement
+        # reaches Bob, so before correction his state is along |0>
+        rng = make_rng(65)
+        meas = random_povm(3, 11, rng)
+        schmidt = SchmidtDecomposition.from_lambdas([1.0, 0.0, 0.0])
+        proto = Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
+        zero = basis_state(3, 0)
+        for _ in range(50):
+            out = teleport_once(proto, haar_input(3, rng), rng)
+            b = proto.corrections.kraus[out.outcome][0] @ zero.amplitudes
+            assert out.output_state.fidelity(PureState(b)) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_resource_ignores_input(self):
         rng = make_rng(61)
@@ -309,12 +332,19 @@ class TestOutcomeDistribution:
         assert np.allclose(probs, [0.5, 0.5, 0.0, 0.0], atol=1e-14)
 
     def test_normalization_and_positivity(self):
+        # completeness alone fixes the total, for any measurement and resource
         rng = make_rng(64)
-        proto = standard_protocol(random_lambdas(3, rng))
-        for _ in range(100):
-            probs = outcome_distribution(proto, haar_input(3, rng))
-            assert np.all(probs >= 0)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        meas = random_povm(3, 11, rng)
+        schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(3, rng))
+        protos = [
+            standard_protocol(random_lambdas(3, rng)),
+            Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt)),
+        ]
+        for proto in protos:
+            for _ in range(100):
+                probs = outcome_distribution(proto, haar_input(3, rng))
+                assert np.all(probs >= 0)
+                assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSerialization:
@@ -342,6 +372,16 @@ class TestSerialization:
         for (a, b), (a_bits, b_bits) in zip(pairs, bits):
             assert a.dtype == b.dtype
             assert np.array_equal(a_bits, b_bits)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["phi", "corrections"])
+    def test_non_finite_entry_raises_value_error(self, field, bad):
+        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
+        entries = np.array(data[field])
+        entries[1, 0, 0, 0] = bad
+        data[field] = entries.tolist()
+        with pytest.raises(ValueError, match="finite"):
+            protocol_from_json(json.dumps(data))
 
     @pytest.mark.parametrize("field", ["d", "lambdas", "phi", "corrections"])
     def test_missing_field_raises_value_error(self, field):

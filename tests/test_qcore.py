@@ -10,10 +10,7 @@ from teleportsim import (
     make_rng,
     maximally_entangled,
     nuclear_norm,
-    project_alice,
     schmidt_decompose,
-    standard_measurement,
-    tensor_product,
 )
 from helpers import random_unitary
 
@@ -39,8 +36,15 @@ class TestTypes:
     def test_bipartite_norm_flag(self):
         with pytest.raises(ValueError, match="not normalized"):
             BipartiteVector([[1.0, 0.0], [0.0, 1.0]])
-        vec = BipartiteVector([[1.0, 0.0], [0.0, 1.0]], normalized=False)
-        assert vec.norm_squared() == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState([bad, 0.0])
+        with pytest.raises(ValueError, match="not normalized"):
+            BipartiteVector([[bad, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Operator([[bad, 0.0], [0.0, 1.0]])
 
     def test_states_are_immutable(self):
         psi = basis_state(2, 0)
@@ -70,11 +74,6 @@ class TestSchmidtDecompose:
         with pytest.raises(ValueError, match="dimensions must match"):
             schmidt_decompose(BipartiteVector(np.eye(2, 3) / np.sqrt(2)))
 
-    def test_unnormalized_rejected(self):
-        vec = BipartiteVector(2 * np.eye(2), normalized=False)
-        with pytest.raises(ValueError, match="normalized"):
-            schmidt_decompose(vec)
-
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_reconstruction(self, d):
         rng = make_rng(10 + d)
@@ -96,73 +95,6 @@ class TestSchmidtDecompose:
             lam0 = schmidt_decompose(state).lambdas
             lam1 = schmidt_decompose(rotated).lambdas
             assert np.max(np.abs(lam0 - lam1)) <= 1e-10
-
-
-class TestTensorProduct:
-    def test_basis_kets(self):
-        vec = tensor_product(basis_state(2, 0), basis_state(2, 1))
-        assert np.allclose(vec.coeffs, [[0, 1], [0, 0]])
-
-    def test_plus_zero(self):
-        plus = PureState(np.array([1, 1]) / np.sqrt(2))
-        vec = tensor_product(plus, basis_state(2, 0))
-        assert np.allclose(vec.coeffs, [[1 / np.sqrt(2), 0], [1 / np.sqrt(2), 0]])
-
-    def test_norm_preserved(self):
-        rng = make_rng(3)
-        for d in (2, 3, 4):
-            for _ in range(20):
-                a = PureState(
-                    (z := rng.standard_normal(d) + 1j * rng.standard_normal(d))
-                    / np.linalg.norm(z)
-                )
-                b = PureState(
-                    (w := rng.standard_normal(d) + 1j * rng.standard_normal(d))
-                    / np.linalg.norm(w)
-                )
-                assert tensor_product(a, b).norm_squared() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestProjectAlice:
-    def test_bell_projection_weight(self):
-        # phi = standard r=0 vector, tele maximally entangled, psi = |0>
-        meas = standard_measurement(2)
-        phi = meas.joint_vector(0)
-        b, weight = project_alice(phi, basis_state(2, 0), maximally_entangled(2))
-        assert weight == pytest.approx(0.25, abs=1e-12)
-        assert np.allclose(b, [0.5, 0.0])
-
-    def test_product_resource_pins_output_direction(self):
-        tele = tensor_product(basis_state(2, 0), basis_state(2, 0))
-        meas = standard_measurement(2)
-        rng = make_rng(4)
-        z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi = PureState(z / np.linalg.norm(z))
-        for r in range(4):
-            b, weight = project_alice(meas.joint_vector(r), psi, tele)
-            # only the k=0 term survives, so b is along |0>
-            assert abs(b[1]) <= 1e-14
-
-    def test_weights_sum_to_one(self):
-        rng = make_rng(5)
-        meas = standard_measurement(3)
-        tele = BipartiteVector(
-            (c := rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            / np.linalg.norm(c)
-        )
-        for _ in range(10):
-            z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            psi = PureState(z / np.linalg.norm(z))
-            total = sum(
-                project_alice(meas.joint_vector(r), psi, tele)[1] for r in range(9)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            project_alice(
-                maximally_entangled(2), basis_state(3, 0), maximally_entangled(3)
-            )
 
 
 class TestNuclearNorm:
