@@ -332,19 +332,23 @@ class TestOutcomeDistribution:
         assert np.allclose(probs, [0.5, 0.5, 0.0, 0.0], atol=1e-14)
 
     def test_normalization_and_positivity(self):
-        # completeness alone fixes the total, for any measurement and resource
         rng = make_rng(64)
+        proto = standard_protocol(random_lambdas(3, rng))
+        for _ in range(100):
+            probs = outcome_distribution(proto, haar_input(3, rng))
+            assert np.all(probs >= 0)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_weights_sum_to_one(self):
+        # completeness alone fixes the total, for any measurement and resource
+        rng = make_rng(5)
         meas = random_povm(3, 11, rng)
         schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(3, rng))
-        protos = [
-            standard_protocol(random_lambdas(3, rng)),
-            Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt)),
-        ]
-        for proto in protos:
-            for _ in range(100):
-                probs = outcome_distribution(proto, haar_input(3, rng))
-                assert np.all(probs >= 0)
-                assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        proto = Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
+        for _ in range(100):
+            probs = outcome_distribution(proto, haar_input(3, rng))
+            assert np.all(probs >= 0)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSerialization:
