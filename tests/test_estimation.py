@@ -10,6 +10,7 @@ from teleportsim import (
     estimation_fidelity_mc,
     make_rng,
     optimal_estimates,
+    optimal_fidelity_given_measurement,
     standard_measurement,
 )
 from teleportsim.protocol import AliceMeasurement
@@ -117,6 +118,30 @@ class TestEstimationFidelityMc:
         meas = standard_measurement(2)
         with pytest.raises(ValueError, match="1000"):
             estimation_fidelity_mc(meas, [1.0, 0.0], optimal_estimates(meas), 5, make_rng(0))
+
+
+EVALUATORS = {
+    "optimal_fidelity": lambda meas, lam, strategy: optimal_fidelity_given_measurement(meas, lam),
+    "estimation_exact": estimation_fidelity_exact,
+    "estimation_mc": lambda meas, lam, strategy: estimation_fidelity_mc(
+        meas, lam, strategy, 1000, make_rng(0)
+    ),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_too_many_coefficients_rejected(self, name):
+        meas = standard_measurement(2)
+        with pytest.raises(ValueError, match="coefficients"):
+            EVALUATORS[name](meas, [1.0, 0.0, 0.0], optimal_estimates(meas))
+
+    @pytest.mark.parametrize("name", ["estimation_exact", "estimation_mc"])
+    def test_wrong_outcome_count_rejected(self, name):
+        meas = standard_measurement(2)
+        strategy = EstimationStrategy(np.eye(2, dtype=complex)[[0, 1, 0]])
+        with pytest.raises(ValueError, match="strategy shape"):
+            EVALUATORS[name](meas, [0.8, 0.6], strategy)
 
 
 class TestOptimalityOfStrategy:

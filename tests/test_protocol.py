@@ -117,6 +117,11 @@ class TestCheckOptimality:
         assert schmidt.effective_rank == 1
         assert check_optimality(AliceMeasurement(phi), schmidt).passed
 
+    def test_dimension_mismatch_rejected(self):
+        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
+        with pytest.raises(ValueError, match="dimension"):
+            check_optimality(standard_measurement(3), schmidt)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_loop_reference(self, d):
         rng = make_rng(80 + d)
@@ -185,6 +190,11 @@ class TestOptimalBobCorrections:
             assert achieved == pytest.approx(nuclear_norm(a[r]), abs=1e-10)
             best_random = np.max(np.abs(np.einsum("nij,ji->n", candidates, a[r])))
             assert best_random <= achieved + 1e-10
+
+    def test_dimension_mismatch_rejected(self):
+        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
+        with pytest.raises(ValueError, match="dimension"):
+            optimal_bob_corrections(standard_measurement(3), schmidt)
 
     def test_unitarity(self):
         rng = make_rng(44)
@@ -300,6 +310,10 @@ class TestTeleportOnce:
         se = np.sqrt(0.25 * 0.75 / n)
         assert np.all(np.abs(counts / n - 0.25) <= 5 * se)
 
+    def test_wrong_input_dimension_rejected(self):
+        with pytest.raises(ValueError, match="input dimension"):
+            teleport_once(standard_protocol([0.8, 0.6]), basis_state(3, 0), make_rng(0))
+
     def test_sampled_mean_fidelity_attains_bound(self):
         # single-shot average over Haar inputs ties the sampled path to the
         # closed-form optimum of the standard protocol
@@ -349,6 +363,11 @@ class TestOutcomeDistribution:
             probs = outcome_distribution(proto, haar_input(3, rng))
             assert np.all(probs >= 0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_wrong_input_dimension_rejected(self):
+        with pytest.raises(ValueError, match="input dimension"):
+            outcome_distribution(standard_protocol([0.8, 0.6]), basis_state(3, 0))
 
 
 class TestSerialization:
