@@ -13,7 +13,6 @@ from .qcore import (
     basis_state,
     check_schmidt_coefficients,
     maximally_entangled,
-    nuclear_norm,
     schmidt_decompose,
 )
 from .haar import (
@@ -45,8 +44,6 @@ from .protocol import (
     validate_completeness,
 )
 from .fidelity import (
-    AOperators,
-    compute_a_operators,
     fidelity_bound,
     max_singlet_fraction,
     mean_fidelity_exact,
@@ -66,7 +63,6 @@ from .search import SearchResult, random_povm, search_best_protocol
 __version__ = "0.1.0"
 
 __all__ = [
-    "AOperators",
     "AliceMeasurement",
     "BipartiteVector",
     "BobCorrections",
@@ -84,7 +80,6 @@ __all__ = [
     "basis_state",
     "check_optimality",
     "check_schmidt_coefficients",
-    "compute_a_operators",
     "estimation_fidelity_bound",
     "estimation_fidelity_exact",
     "estimation_fidelity_mc",
@@ -97,7 +92,6 @@ __all__ = [
     "mean_fidelity_exact",
     "mean_fidelity_mkl_form",
     "mean_fidelity_monte_carlo",
-    "nuclear_norm",
     "optimal_bob_corrections",
     "optimal_estimates",
     "optimal_fidelity_given_measurement",

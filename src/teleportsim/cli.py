@@ -126,7 +126,9 @@ def _emit_report(args, report: dict) -> None:
 
 def _pooled_mc(args, run_chunk: Callable[[np.random.Generator, int], McEstimate]) -> McEstimate:
     """Split the sample budget across (seed, stream) substreams and pool."""
-    threads = max(1, args.threads)
+    threads = args.threads
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
     if args.n // threads < 1000:
         raise ValueError(f"need at least 1000 samples per thread, got {args.n} over {threads}")
     base, extra = divmod(args.n, threads)
@@ -196,6 +198,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.d != 2:
         raise ValueError("sweep scans the d=2 angle parameterization; --d must be 2")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     thetas = np.linspace(0.0, np.pi / 2, args.steps + 1)
     rows = []
     for theta in thetas:
@@ -230,6 +234,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_mkl(args) -> int:
     d = args.d
+    if d < 2:
+        raise ValueError(f"--d must be at least 2, got {d}")
+    if not 0.0 < args.sigmas < np.inf:
+        raise ValueError(f"--sigmas must be a positive finite number, got {args.sigmas}")
     pairs = []
     worst = 0.0
     for k in range(d):
@@ -280,7 +288,7 @@ def _cmd_check_protocol(args) -> int:
     report = {
         "schema": REPORT_SCHEMA,
         "command": "check-protocol",
-        "config": {"source": source, **_base_config(args, lam, flags)},
+        "config": {"source": source, **_base_config(args, lam, flags), "d": meas.d},
         "results": {
             "completeness": {
                 "pass": completeness.passed,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .haar import McEstimate, blocked_mean, sample_haar_states
-from .protocol import AliceMeasurement
+from .protocol import AliceMeasurement, _matched_lambdas
 from .qcore import _freeze, check_schmidt_coefficients
 
 #: leading blocks with norm at or below this have no well-defined guess
@@ -78,9 +78,7 @@ def optimal_estimates(meas: AliceMeasurement) -> EstimationStrategy:
 
 
 def _check_inputs(meas: AliceMeasurement, lambdas, strategy: EstimationStrategy) -> np.ndarray:
-    lam = check_schmidt_coefficients(lambdas)
-    if lam.size != meas.d:
-        raise ValueError(f"got {lam.size} Schmidt coefficients for dimension {meas.d}")
+    lam = _matched_lambdas(meas, lambdas)
     if strategy.n_outcomes != meas.n_outcomes or strategy.d != meas.d:
         raise ValueError("strategy shape does not match the measurement")
     return lam

@@ -12,56 +12,11 @@ and the standard protocol attains that value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .haar import McEstimate, blocked_mean, m_kl_exact, sample_haar_states
-from .protocol import AliceMeasurement, Protocol, _a_matrices
-from .qcore import _freeze, check_schmidt_coefficients
-
-
-@dataclass(frozen=True)
-class AOperators:
-    """Per-outcome matrices A_r = sum_k lambda_k |k><phi_r^k|.
-
-    Row k of A_r is lambda_k * conj(phi_r^k); column k is the image of |k>.
-    Under completeness the total weight sum_r Tr(A_r† A_r) equals the
-    dimension d.
-    """
-
-    matrices: np.ndarray
-
-    def __post_init__(self) -> None:
-        mats = np.array(self.matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"expected shape (R, d, d), got {mats.shape}")
-        object.__setattr__(self, "matrices", _freeze(mats))
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.matrices.shape[1]
-
-    def nuclear_norms(self) -> np.ndarray:
-        """Sum of singular values of each A_r."""
-        return np.sum(np.linalg.svd(self.matrices, compute_uv=False), axis=1)
-
-    @property
-    def total_weight(self) -> float:
-        """sum_r Tr(A_r† A_r); equals d when the measurement is complete."""
-        return float(np.sum(np.abs(self.matrices) ** 2))
-
-
-def compute_a_operators(meas: AliceMeasurement, lambdas) -> AOperators:
-    """Assemble the per-outcome matrices A_r from measurement blocks and coefficients."""
-    lam = check_schmidt_coefficients(lambdas)
-    if lam.size != meas.d:
-        raise ValueError(f"got {lam.size} Schmidt coefficients for dimension {meas.d}")
-    return AOperators(_a_matrices(meas.phi, lam))
+from .protocol import AliceMeasurement, Protocol, _a_matrices, _matched_lambdas
+from .qcore import check_schmidt_coefficients
 
 
 def mean_fidelity_exact(proto: Protocol) -> float:
@@ -98,7 +53,7 @@ def mean_fidelity_mkl_form(proto: Protocol) -> float:
     for k in range(d):
         for l in range(d):
             m[k, l] = m_kl_exact(d, k, l).matrix
-    a = compute_a_operators(proto.measurement, proto.schmidt.lambdas).matrices
+    a = _a_matrices(proto.measurement.phi, proto.schmidt.lambdas)
     total = 0.0
     for r, block in enumerate(proto.corrections.kraus):
         for b_op in block:
@@ -142,8 +97,9 @@ def optimal_fidelity_given_measurement(meas: AliceMeasurement, lambdas) -> float
     Completeness of the measurement is assumed (the incoherent term is then
     exactly d).
     """
-    a = compute_a_operators(meas, lambdas)
-    return (meas.d + float(np.sum(a.nuclear_norms() ** 2))) / (meas.d * (meas.d + 1))
+    a = _a_matrices(meas.phi, _matched_lambdas(meas, lambdas))
+    nuclear = np.sum(np.linalg.svd(a, compute_uv=False), axis=1)
+    return (meas.d + float(np.sum(nuclear**2))) / (meas.d * (meas.d + 1))
 
 
 def max_singlet_fraction(lambdas) -> float:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import PureState, SchmidtDecomposition, _freeze
+from .qcore import PureState, SchmidtDecomposition, _freeze, check_schmidt_coefficients
 
 #: completeness and Kraus-normalization tolerance for assembled protocols
 COMPLETENESS_ATOL = 1e-10
@@ -178,6 +178,14 @@ def _a_matrices(phi: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     return lambdas[None, :, None] * phi.conj()
 
 
+def _matched_lambdas(meas: AliceMeasurement, lambdas) -> np.ndarray:
+    """Validated Schmidt coefficients, one for each Schmidt block of ``meas``."""
+    lam = check_schmidt_coefficients(lambdas)
+    if lam.size != meas.d:
+        raise ValueError(f"got {lam.size} Schmidt coefficients for dimension {meas.d}")
+    return lam
+
+
 class TeleportChannel:
     """A protocol as one channel rho -> sum_rs C_rs rho C_rs†.
 
@@ -297,8 +305,7 @@ def check_optimality(
     meas: AliceMeasurement, schmidt: SchmidtDecomposition, tol: float = 1e-10
 ) -> OptimalityReport:
     """Check |<phi_r^k|phi_r^l> - delta_kl |phi_r^0|^2| <= tol for k, l <= m."""
-    if meas.d != schmidt.dim:
-        raise ValueError(f"measurement dimension {meas.d} != resource dimension {schmidt.dim}")
+    _matched_lambdas(meas, schmidt.lambdas)
     m1 = schmidt.effective_rank
     blocks = meas.phi[:, :m1]
     gram = blocks @ blocks.conj().transpose(0, 2, 1)
@@ -327,9 +334,7 @@ def optimal_bob_corrections(
     an arbitrary orthonormal completion on the null space, where the mean
     fidelity is insensitive to the choice.
     """
-    if meas.d != schmidt.dim:
-        raise ValueError(f"measurement dimension {meas.d} != resource dimension {schmidt.dim}")
-    a = _a_matrices(meas.phi, schmidt.lambdas)
+    a = _a_matrices(meas.phi, _matched_lambdas(meas, schmidt.lambdas))
     if not np.any(a):
         raise ValueError(
             "every outcome has zero weight; measurement and Schmidt coefficients "
@@ -354,14 +359,14 @@ def standard_protocol(lambdas) -> Protocol:
 
 def _conditional_vectors(proto: Protocol, psi: PureState) -> np.ndarray:
     """Unnormalized conditional states b_r = A_r psi, as rows of an (R, d) array."""
+    if psi.dim != proto.d:
+        raise ValueError(f"input dimension {psi.dim} != protocol dimension {proto.d}")
     a = proto.channel.a
     return (a.reshape(-1, proto.d) @ psi.amplitudes).reshape(a.shape[:2])
 
 
 def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
     """Probability of each measurement outcome for the input psi."""
-    if psi.dim != proto.d:
-        raise ValueError(f"input dimension {psi.dim} != protocol dimension {proto.d}")
     b = _conditional_vectors(proto, psi)
     return np.sum(np.abs(b) ** 2, axis=1)
 
@@ -373,8 +378,6 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
     branch with probability |B_rs b_r|^2 / |b_r|^2, and returns Bob's
     normalized output state.
     """
-    if psi.dim != proto.d:
-        raise ValueError(f"input dimension {psi.dim} != protocol dimension {proto.d}")
     b = _conditional_vectors(proto, psi)
     probs = np.sum(np.abs(b) ** 2, axis=1)
     total = float(probs.sum())

@@ -192,10 +192,3 @@ def schmidt_decompose(state: BipartiteVector) -> SchmidtDecomposition:
     u, s, vh = np.linalg.svd(state.coeffs)
     return SchmidtDecomposition(s, u.T, vh)
 
-
-def nuclear_norm(a) -> float:
-    """Sum of singular values (trace norm) of a square operator or matrix."""
-    mat = a.matrix if isinstance(a, Operator) else np.asarray(a, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"nuclear norm needs a square matrix, got shape {mat.shape}")
-    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))

@@ -1,5 +1,6 @@
-"""The effective-channel core: Gram-form Monte Carlo, the one-product estimator,
-the exact fidelity on the channel's Kraus operators, laziness and block memory."""
+"""The effective-channel core: the per-outcome maps A_r, Gram-form Monte Carlo,
+the one-product estimator, the exact fidelity on the channel's Kraus operators,
+laziness and block memory."""
 
 import tracemalloc
 
@@ -18,6 +19,7 @@ from teleportsim import (
     mean_fidelity_exact,
     mean_fidelity_mkl_form,
     mean_fidelity_monte_carlo,
+    optimal_bob_corrections,
     optimal_estimates,
     protocol_from_json,
     protocol_to_json,
@@ -117,6 +119,25 @@ class TestEstimationProduct:
         blocked = estimation_fidelity_mc(meas, lam, strategy, 4000, make_rng(241))
         assert blocked.value == pytest.approx(whole.value, abs=AGREE_TOL)
         assert blocked.std_error == pytest.approx(whole.std_error, abs=AGREE_TOL)
+
+
+class TestAMatrices:
+    def test_standard_maxent_singular_values(self):
+        # every A_r of the standard measurement on a maximally entangled
+        # resource is a unitary scaled by 1/d
+        for d in (2, 3, 4):
+            a = standard_protocol(np.full(d, 1 / np.sqrt(d))).channel.a
+            assert np.allclose(np.linalg.svd(a, compute_uv=False), 1 / d, atol=1e-14)
+
+    def test_product_resource_rank_one(self):
+        # with lambda = (1, 0, 0) each A_r is |0><phi_r^0|, so its one
+        # nonzero singular value (its nuclear norm) is the norm of phi_r^0
+        meas = random_povm(3, 11, make_rng(270))
+        schmidt = SchmidtDecomposition.from_lambdas([1.0, 0.0, 0.0])
+        proto = Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
+        svals = np.linalg.svd(proto.channel.a, compute_uv=False)
+        assert np.all(svals[:, 1:] <= 1e-14)
+        assert np.allclose(svals[:, 0], np.linalg.norm(meas.phi[:, 0], axis=1), atol=1e-14)
 
 
 class TestExactOnChannel:

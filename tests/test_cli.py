@@ -204,6 +204,14 @@ class TestCheckProtocol:
         assert code == 0
         assert report["results"]["completeness"]["pass"] is True
 
+    def test_protocol_file_reports_its_dimension(self, capsys, tmp_path):
+        path = tmp_path / "proto4.json"
+        path.write_text(protocol_to_json(standard_protocol([0.7, 0.5, 0.5, 0.1])))
+        code, report = run_json(capsys, "check-protocol", str(path))
+        assert code == 0
+        assert report["config"]["d"] == 4
+        assert len(report["config"]["lambdas"]) == 4
+
     def test_broken_completeness_exits_one(self, capsys, tmp_path):
         proto = standard_protocol([0.8, 0.6])
         data = json.loads(protocol_to_json(proto))
@@ -273,6 +281,28 @@ class TestSearch:
         )
         assert code == 0
         assert report["config"]["outcomes"] == 8
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("verify-mkl", "--d", "0"), "--d"),
+            (("verify-mkl", "--d", "-2"), "--d"),
+            (("sweep", "--steps", "-1"), "--steps"),
+            (("simulate", "--threads", "0", "--n", "2000"), "--threads"),
+            (("simulate", "--threads", "-4", "--n", "2000"), "--threads"),
+            (("verify-mkl", "--sigmas", "-1", "--n", "1000"), "--sigmas"),
+            (("verify-mkl", "--sigmas", "nan", "--n", "1000"), "--sigmas"),
+        ],
+        ids=["mkl-d0", "mkl-d-2", "sweep-steps-1", "threads0", "threads-4", "sigmas-1",
+             "sigmas-nan"],
+    )
+    def test_out_of_range_exits_two(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
 
 class TestOutputOptions:

@@ -5,7 +5,6 @@ from teleportsim import (
     BobCorrections,
     Protocol,
     SchmidtDecomposition,
-    compute_a_operators,
     fidelity_bound,
     make_rng,
     max_singlet_fraction,
@@ -32,34 +31,6 @@ def random_protocol(d, rng, multi_kraus=False):
     else:
         corr = BobCorrections.from_unitaries(random_unitaries(d, meas.n_outcomes, rng))
     return Protocol(SchmidtDecomposition.from_lambdas(lam), meas, corr)
-
-
-class TestAOperators:
-    def test_standard_maxent_singular_values(self):
-        meas = standard_measurement(2)
-        a = compute_a_operators(meas, [1 / np.sqrt(2)] * 2)
-        svals = np.linalg.svd(a.matrices, compute_uv=False)
-        assert np.allclose(svals, 0.5)
-
-    def test_product_resource_rank_one(self):
-        meas = standard_measurement(2)
-        a = compute_a_operators(meas, [1.0, 0.0])
-        svals = np.linalg.svd(a.matrices, compute_uv=False)
-        assert np.all(svals[:, 1] <= 1e-14)
-        norms = np.linalg.norm(meas.phi[:, 0], axis=1)
-        assert np.allclose(a.nuclear_norms(), norms)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_total_weight_is_d(self, d):
-        rng = make_rng(80 + d)
-        for _ in range(20):
-            meas = random_povm(d, 2 * d * d, rng)
-            a = compute_a_operators(meas, random_lambdas(d, rng))
-            assert a.total_weight == pytest.approx(d, abs=1e-10)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            compute_a_operators(standard_measurement(2), [1.0, 0.0, 0.0])
 
 
 class TestMeanFidelityExact:

@@ -9,7 +9,6 @@ from teleportsim import (
     basis_state,
     make_rng,
     maximally_entangled,
-    nuclear_norm,
     schmidt_decompose,
 )
 from helpers import random_unitary
@@ -95,28 +94,6 @@ class TestSchmidtDecompose:
             lam0 = schmidt_decompose(state).lambdas
             lam1 = schmidt_decompose(rotated).lambdas
             assert np.max(np.abs(lam0 - lam1)) <= 1e-10
-
-
-class TestNuclearNorm:
-    def test_identity(self):
-        assert nuclear_norm(np.eye(3)) == pytest.approx(3.0)
-
-    def test_diagonal(self):
-        assert nuclear_norm(np.diag([0.8, 0.6])) == pytest.approx(1.4)
-
-    def test_unitary(self):
-        u = random_unitary(4, make_rng(6))
-        assert nuclear_norm(u) == pytest.approx(4.0, abs=1e-10)
-
-    def test_unitary_invariance(self):
-        rng = make_rng(7)
-        for d in (2, 3, 4):
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            u = random_unitary(d, rng)
-            assert nuclear_norm(u @ a) == pytest.approx(nuclear_norm(a), abs=1e-10)
-
-    def test_accepts_operator(self):
-        assert nuclear_norm(Operator(np.eye(2))) == pytest.approx(2.0)
 
 
 class TestSchmidtType:
