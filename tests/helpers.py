@@ -1,9 +1,11 @@
-"""Shared random-object generators for the test suite."""
+"""Shared random-object generators and reference implementations for the test suite."""
+
+import json
 
 import numpy as np
 from scipy.stats import unitary_group
 
-from teleportsim import AliceMeasurement, standard_measurement
+from teleportsim import AliceMeasurement, protocol_to_dict, standard_measurement
 
 
 def random_lambdas(d, rng):
@@ -97,3 +99,8 @@ def loop_check_optimality(meas, schmidt, tol):
                 if err > tol:
                     violations.append((r, k, l, err, kind))
     return violations, max_err
+
+
+def reference_protocol_json(proto):
+    """Protocol file text by json's own indenting encoder (reference for the file layout)."""
+    return json.dumps(protocol_to_dict(proto), indent=2) + "\n"

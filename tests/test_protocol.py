@@ -29,6 +29,7 @@ from helpers import (
     random_lambdas,
     random_optimal_measurement,
     random_unitaries,
+    reference_protocol_json,
 )
 
 
@@ -370,7 +371,34 @@ class TestOutcomeDistribution:
             outcome_distribution(standard_protocol([0.8, 0.6]), basis_state(3, 0))
 
 
+def ragged_povm_protocol(rng):
+    """Random complete POVM with optimal corrections, every third outcome split into two B/sqrt(2)."""
+    schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(3, rng))
+    meas = random_povm(3, 11, rng)
+    kraus = [
+        np.concatenate([block, block]) / np.sqrt(2) if r % 3 == 0 else block
+        for r, block in enumerate(optimal_bob_corrections(meas, schmidt).kraus)
+    ]
+    return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))
+
+
+SERIALIZED_PROTOCOLS = {
+    **{f"standard-d{d}": lambda d=d: standard_protocol(random_lambdas(d, make_rng(80 + d)))
+       for d in (2, 3, 5, 8)},
+    "product-d3": lambda: standard_protocol([1.0, 0.0, 0.0]),
+    "rank-deficient-d4": lambda: standard_protocol([0.8, 0.6, 0.0, 0.0]),
+    "ragged-povm-d3": lambda: ragged_povm_protocol(make_rng(89)),
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("name", SERIALIZED_PROTOCOLS)
+    def test_text_matches_json_indent_2(self, name):
+        proto = SERIALIZED_PROTOCOLS[name]()
+        if name.startswith("ragged"):
+            assert {block.shape[0] for block in proto.corrections.kraus} == {1, 2}
+        assert protocol_to_json(proto) == reference_protocol_json(proto)
+
     def test_round_trip_bit_exact(self):
         rng = make_rng(70)
         lam = random_lambdas(3, rng)
