@@ -271,13 +271,24 @@ def _cmd_verify_mkl(args) -> int:
 
 def _cmd_check_protocol(args) -> int:
     if args.protocol == "standard":
+        if args.d is None:
+            args.d = 2
         lam, flags = _resolve_lambdas(args)
         proto = standard_protocol(lam)
         schmidt, meas, kraus = proto.schmidt, proto.measurement, proto.corrections.kraus
         source = "standard"
     else:
+        # a file fixes its own state, so a state flag next to it would be dropped
+        for flag in ("lambdas", "theta"):
+            if getattr(args, flag) is not None:
+                raise ValueError(
+                    f"--{flag} applies only to 'check-protocol standard'; "
+                    "a protocol file sets its own Schmidt coefficients"
+                )
         with open(args.protocol, encoding="utf-8") as fh:
             schmidt, meas, kraus = _protocol_parts(json.load(fh))
+        if args.d not in (None, meas.d):
+            raise ValueError(f"--d {args.d} does not match the protocol file's dimension {meas.d}")
         lam, flags = schmidt.lambdas, {}
         source = args.protocol
     completeness = validate_completeness(meas, args.tol)
@@ -342,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_state_args(p):
-        p.add_argument("--d", type=int, default=2, help="system dimension (default 2)")
+    def add_state_args(p, d_default=2):
+        p.add_argument("--d", type=int, default=d_default, help="system dimension (default 2)")
         p.add_argument(
             "--lambdas",
             help="comma-separated Schmidt coefficients; auto-normalized and sorted "
@@ -394,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-protocol", help="completeness and optimality checks")
     p.add_argument("protocol", help="'standard' or a path to a protocol JSON file")
-    add_state_args(p)
+    add_state_args(p, d_default=None)  # None marks --d as not given; 'standard' then uses 2
     p.add_argument("--tol", type=float, default=1e-10)
     add_output_args(p)
 

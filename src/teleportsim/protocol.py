@@ -391,9 +391,9 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
     return TeleportOutcome(outcome=r, probability=float(probs[r]), output_state=PureState(out))
 
 
-def _pairs(arr: np.ndarray) -> list:
-    """Nested lists with [re, im] innermost, for JSON transport."""
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+def _pairs(arr: np.ndarray) -> np.ndarray:
+    """Float array with [re, im] innermost, for JSON transport."""
+    return np.stack([arr.real, arr.imag], axis=-1)
 
 
 def _unpairs(data) -> np.ndarray:
@@ -414,11 +414,18 @@ def protocol_to_dict(proto: Protocol) -> dict:
     depend on.
     """
     return {
+        **_protocol_head(proto),
+        "phi": _pairs(proto.measurement.phi).tolist(),
+        "corrections": [_pairs(block).tolist() for block in proto.corrections.kraus],
+    }
+
+
+def _protocol_head(proto: Protocol) -> dict:
+    """The fields of a protocol dict that come before its arrays."""
+    return {
         "schema": PROTOCOL_SCHEMA,
         "d": proto.d,
         "lambdas": [float(x) for x in proto.schmidt.lambdas],
-        "phi": _pairs(proto.measurement.phi),
-        "corrections": [_pairs(block) for block in proto.corrections.kraus],
     }
 
 
@@ -449,9 +456,38 @@ def protocol_from_dict(data: dict) -> Protocol:
     return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))
 
 
+def _indented_json(arr: np.ndarray, depth: int) -> str:
+    """``json.dumps(arr.tolist(), indent=2)`` for a float array nested ``depth`` levels deep.
+
+    json indents in pure Python, which is slow on large arrays. The layout
+    depends only on the shape, so it is built once as a template with one
+    ``%r`` per number and filled in one step. ``%r`` writes
+    ``float.__repr__``, which is what json writes for a finite float. No
+    axis may be empty (json writes ``[]`` there), which a protocol's arrays
+    never are.
+    """
+    template = "%r"
+    for level in reversed(range(depth, depth + arr.ndim)):
+        item = "\n" + "  " * (level + 1)
+        body = ("," + item).join([template] * arr.shape[level - depth])
+        template = "[" + item + body + "\n" + "  " * level + "]"
+    return template % tuple(arr.ravel().tolist())
+
+
 def protocol_to_json(proto: Protocol) -> str:
-    """Serialize a protocol; floats survive the round trip bit-exactly."""
-    return json.dumps(protocol_to_dict(proto), indent=2) + "\n"
+    """Serialize a protocol; floats survive the round trip bit-exactly.
+
+    The text is ``json.dumps(protocol_to_dict(proto), indent=2)`` plus a
+    newline. json itself writes the head, so the coefficients keep its float
+    rules; ``phi`` and the Kraus blocks, finite by construction, are laid out
+    by :func:`_indented_json`.
+    """
+    head = json.dumps(_protocol_head(proto), indent=2)[: -len("\n}")]
+    blocks = ",\n    ".join(_indented_json(_pairs(b), 2) for b in proto.corrections.kraus)
+    return (
+        f'{head},\n  "phi": {_indented_json(_pairs(proto.measurement.phi), 1)},'
+        f'\n  "corrections": [\n    {blocks}\n  ]\n}}\n'
+    )
 
 
 def protocol_from_json(text: str) -> Protocol:

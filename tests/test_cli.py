@@ -212,6 +212,22 @@ class TestCheckProtocol:
         assert report["config"]["d"] == 4
         assert len(report["config"]["lambdas"]) == 4
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--d", "3"], "--d"),
+            (["--lambdas", "1,0,0,0"], "--lambdas"),
+            (["--theta", "0.3"], "--theta"),
+        ],
+    )
+    def test_protocol_file_rejects_state_flag(self, capsys, tmp_path, flags, named):
+        path = tmp_path / "proto4.json"
+        path.write_text(protocol_to_json(standard_protocol([0.7, 0.5, 0.5, 0.1])))
+        code, out, err = run_cli(capsys, "check-protocol", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
     def test_broken_completeness_exits_one(self, capsys, tmp_path):
         proto = standard_protocol([0.8, 0.6])
         data = json.loads(protocol_to_json(proto))

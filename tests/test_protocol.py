@@ -23,6 +23,7 @@ from teleportsim import (
     teleport_once,
     validate_completeness,
 )
+from teleportsim.protocol import _indented_json
 from helpers import (
     loop_check_optimality,
     random_kraus_set,
@@ -372,13 +373,14 @@ class TestOutcomeDistribution:
 
 
 def ragged_povm_protocol(rng):
-    """Random complete POVM with optimal corrections, every third outcome split into two B/sqrt(2)."""
+    """Random complete POVM with optimal corrections; every third outcome gets two B/sqrt(2)."""
     schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(3, rng))
     meas = random_povm(3, 11, rng)
     kraus = [
         np.concatenate([block, block]) / np.sqrt(2) if r % 3 == 0 else block
         for r, block in enumerate(optimal_bob_corrections(meas, schmidt).kraus)
     ]
+    assert {block.shape[0] for block in kraus} == {1, 2}
     return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))
 
 
@@ -395,8 +397,6 @@ class TestSerialization:
     @pytest.mark.parametrize("name", SERIALIZED_PROTOCOLS)
     def test_text_matches_json_indent_2(self, name):
         proto = SERIALIZED_PROTOCOLS[name]()
-        if name.startswith("ragged"):
-            assert {block.shape[0] for block in proto.corrections.kraus} == {1, 2}
         assert protocol_to_json(proto) == reference_protocol_json(proto)
 
     def test_round_trip_bit_exact(self):
@@ -408,6 +408,25 @@ class TestSerialization:
         assert np.array_equal(restored.measurement.phi, proto.measurement.phi)
         for a, b in zip(restored.corrections.kraus, proto.corrections.kraus):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 2, 4, 2), (5, 1, 3, 3, 2)])
+    def test_array_layout_matches_json(self, shape, depth):
+        values = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1]
+        arr = np.resize(values + [-v for v in values[1:]], shape)
+        expected = json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + "  " * depth)
+        assert _indented_json(arr, depth) == expected
+
+    def test_round_trip_keeps_every_bit_at_d16(self):
+        proto = standard_protocol(random_lambdas(16, make_rng(72)))
+        restored = protocol_from_json(protocol_to_json(proto))
+        pairs = [(proto.schmidt.lambdas, restored.schmidt.lambdas),
+                 (proto.measurement.phi, restored.measurement.phi)]
+        pairs += list(zip(proto.corrections.kraus, restored.corrections.kraus, strict=True))
+        for a, b in pairs:
+            assert a.dtype == b.dtype
+            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64))
 
     def test_round_trip_keeps_every_bit(self):
         # the standard protocol's arrays carry signed zeros, which value equality ignores
