@@ -5,7 +5,16 @@ import json
 import numpy as np
 from scipy.stats import unitary_group
 
-from teleportsim import AliceMeasurement, protocol_to_dict, standard_measurement
+from teleportsim import (
+    AliceMeasurement,
+    McEstimate,
+    m_kl_exact,
+    make_rng,
+    protocol_to_dict,
+    sample_haar_states,
+    standard_measurement,
+)
+from teleportsim.protocol import _a_matrices
 
 
 def random_lambdas(d, rng):
@@ -104,3 +113,68 @@ def loop_check_optimality(meas, schmidt, tol):
 def reference_protocol_json(proto):
     """Protocol file text by json's own indenting encoder (reference for the file layout)."""
     return json.dumps(protocol_to_dict(proto), indent=2) + "\n"
+
+
+def einsum_mean_fidelity_mkl_form(proto):
+    """Mean fidelity by one moment-operator einsum per Kraus operator (reference).
+
+    Evaluates sum_{r,s,k,l} <u_r^k| B_rs† M(k,l) B_rs |u_r^l> with u_r^k the
+    columns of A_r, on the stacked (d, d, d, d) array of every M(k, l).
+    """
+    d = proto.d
+    m = np.empty((d, d, d, d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            m[k, l] = m_kl_exact(d, k, l).matrix
+    a = _a_matrices(proto.measurement.phi, proto.schmidt.lambdas)
+    total = 0.0
+    for r, block in enumerate(proto.corrections.kraus):
+        for b_op in block:
+            c = b_op @ a[r]  # column l holds B|u_r^l>
+            total += float(np.real(np.einsum("ak,klab,bl->", c.conj(), m, c)))
+    return total
+
+
+def einsum_m_kl_monte_carlo(psi, k, l):
+    """Entrywise mean and standard error of M(k, l) over the rows of psi, by einsum (reference)."""
+    n = psi.shape[0]
+    w = psi[:, k].conj() * psi[:, l]
+    value = np.einsum("n,ni,nj->ij", w, psi, psi.conj()) / n
+    p = np.abs(psi) ** 2
+    second = np.einsum("n,ni,nj->ij", p[:, k] * p[:, l], p, p) / n
+    var = np.clip(second - np.abs(value) ** 2, 0.0, None) * n / (n - 1)
+    return McEstimate(value=value, std_error=np.sqrt(var / n), n_samples=n)
+
+
+def per_pair_verify_mkl(d, n, seed, threads, sigmas):
+    """The results block of ``verify-mkl`` and its exit code, one pair (k, l) at a time (reference).
+
+    Every pair redraws the (seed, stream) substreams, estimates M(k, l) with
+    ``einsum_m_kl_monte_carlo`` on each, and pools them.
+    """
+    base, extra = divmod(n, threads)
+    counts = [base + (1 if i < extra else 0) for i in range(threads)]
+    pairs = []
+    worst = 0.0
+    for k in range(d):
+        for l in range(d):
+            parts = [
+                einsum_m_kl_monte_carlo(sample_haar_states(d, c, make_rng(seed, stream=i)), k, l)
+                for i, c in enumerate(counts)
+            ]
+            est = McEstimate.pooled(parts)
+            exact = m_kl_exact(d, k, l).matrix
+            dev = np.abs(np.asarray(est.value) - exact)
+            ratio = float(np.max(dev / np.asarray(est.std_error)))
+            worst = max(worst, ratio)
+            pairs.append(
+                {
+                    "k": k,
+                    "l": l,
+                    "max_abs_error": float(dev.max()),
+                    "max_sigma_ratio": ratio,
+                    "pass": ratio <= sigmas,
+                }
+            )
+    ok = all(p["pass"] for p in pairs)
+    return {"pairs": pairs, "max_sigma_ratio": worst, "pass": ok}, 0 if ok else 1

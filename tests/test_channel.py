@@ -32,6 +32,7 @@ from teleportsim import (
 from teleportsim import haar
 from helpers import (
     einsum_estimation_samples,
+    einsum_mean_fidelity_mkl_form,
     loop_fidelity_samples,
     random_kraus_set,
     random_lambdas,
@@ -155,6 +156,23 @@ class TestExactOnChannel:
         for i, r in enumerate(channel.outcome):
             s = i - int(np.searchsorted(channel.outcome, r))
             assert np.allclose(channel.kraus[i], proto.corrections.kraus[r][s] @ channel.a[r])
+
+
+class TestMomentOperatorForm:
+    @pytest.mark.parametrize("d,kind", cases())
+    def test_matches_per_kraus_einsum_reference(self, d, kind):
+        proto = multi_kraus_protocol(d, kind, make_rng(290 + d, stream=SPECTRA.index(kind)))
+        assert abs(mean_fidelity_mkl_form(proto) - einsum_mean_fidelity_mkl_form(proto)) <= AGREE_TOL
+
+    def test_never_reads_the_channel(self, monkeypatch):
+        proto = multi_kraus_protocol(3, "full_rank", make_rng(295))
+        expected = einsum_mean_fidelity_mkl_form(proto)
+
+        def refuse(self):
+            raise AssertionError("mean_fidelity_mkl_form read Protocol.channel")
+
+        monkeypatch.setattr(Protocol, "channel", property(refuse))
+        assert abs(mean_fidelity_mkl_form(proto) - expected) <= AGREE_TOL
 
 
 class TestLaziness:

@@ -5,12 +5,17 @@ import pytest
 
 from teleportsim import protocol_to_json, standard_protocol
 from teleportsim.cli import main
+from helpers import per_pair_verify_mkl
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
 
 
 def run_json(capsys, *argv):
@@ -185,6 +190,30 @@ class TestVerifyMkl:
             "--sigmas", "0.0001",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("sigmas", [2.0, 4.0])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_per_pair_reference(self, capsys, d, threads, sigmas):
+        # n = 3001 splits unevenly over 2 and 3 streams; a 2-sigma band fails
+        # some pairs, so the pass flags and the exit code are both exercised
+        n, seed = 3001, 40 + d
+        code, report = run_json(
+            capsys, "verify-mkl", "--d", str(d), "--n", str(n), "--seed", str(seed),
+            "--threads", str(threads), "--sigmas", str(sigmas),
+        )
+        ref, ref_code = per_pair_verify_mkl(d, n, seed, threads, sigmas)
+        res = report["results"]
+        assert code == ref_code
+        assert list(res) == list(ref)
+        assert res["pass"] is ref["pass"]
+        assert rel_err(res["max_sigma_ratio"], ref["max_sigma_ratio"]) <= 1e-12
+        assert len(res["pairs"]) == d * d
+        for got, want in zip(res["pairs"], ref["pairs"]):
+            assert list(got) == list(want)
+            assert (got["k"], got["l"], got["pass"]) == (want["k"], want["l"], want["pass"])
+            for key in ("max_abs_error", "max_sigma_ratio"):
+                assert rel_err(got[key], want[key]) <= 1e-12
 
 
 class TestCheckProtocol:
