@@ -27,7 +27,7 @@ from .fidelity import (
     mean_fidelity_exact,
     mean_fidelity_monte_carlo,
 )
-from .haar import McEstimate, m_kl_exact, m_kl_monte_carlo, make_rng
+from .haar import McEstimate, _moment_blocks, _moment_matrix, make_rng, sample_haar_states
 from .protocol import (
     _kraus_error,
     _protocol_parts,
@@ -238,26 +238,26 @@ def _cmd_verify_mkl(args) -> int:
         raise ValueError(f"--d must be at least 2, got {d}")
     if not 0.0 < args.sigmas < np.inf:
         raise ValueError(f"--sigmas must be a positive finite number, got {args.sigmas}")
-    pairs = []
-    worst = 0.0
-    for k in range(d):
-        for l in range(d):
-            est = _pooled_mc(
-                args, lambda rng, n, k=k, l=l: m_kl_monte_carlo(d, k, l, n, rng)
-            )
-            exact = m_kl_exact(d, k, l).matrix
-            dev = np.abs(np.asarray(est.value) - exact)
-            ratio = float(np.max(dev / np.asarray(est.std_error)))
-            worst = max(worst, ratio)
-            pairs.append(
-                {
-                    "k": k,
-                    "l": l,
-                    "max_abs_error": float(dev.max()),
-                    "max_sigma_ratio": ratio,
-                    "pass": ratio <= args.sigmas,
-                }
-            )
+    every = range(d)
+    est = _pooled_mc(
+        args, lambda rng, n: _moment_blocks(sample_haar_states(d, n, rng), every, every)
+    )
+    # axes [k, i, l, j]: the (k, l) block of the moment matrix is M(k, l)
+    dev = np.abs(est.value - _moment_matrix(d)).reshape(d, d, d, d)
+    max_err = dev.max(axis=(1, 3))
+    ratio = (dev / est.std_error.reshape(d, d, d, d)).max(axis=(1, 3))
+    worst = float(ratio.max())
+    pairs = [
+        {
+            "k": k,
+            "l": l,
+            "max_abs_error": float(max_err[k, l]),
+            "max_sigma_ratio": float(ratio[k, l]),
+            "pass": float(ratio[k, l]) <= args.sigmas,
+        }
+        for k in range(d)
+        for l in range(d)
+    ]
     ok = all(p["pass"] for p in pairs)
     report = {
         "schema": REPORT_SCHEMA,
@@ -400,7 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-mkl", help="Monte-Carlo check of the moment-operator closed form")
     p.add_argument("--d", type=int, default=2)
     add_mc_args(p)
-    p.add_argument("--sigmas", type=float, default=4.0, help="acceptance band in standard errors")
+    p.add_argument(
+        "--sigmas",
+        type=float,
+        default=4.0,
+        help="acceptance band in standard errors, applied to each of the d^4 entries. A correct "
+        "closed form still fails somewhere by chance: at large n with probability about "
+        "0.02%% (d=2), 0.2%% (d=8) and 1%% (d=16) at 4, and 0.01%% at d=16 at 5; more often "
+        "at small n (d=16, n=1000: 3.5%% at 4, 0.25%% at 5)",
+    )
     add_output_args(p)
 
     p = sub.add_parser("check-protocol", help="completeness and optimality checks")

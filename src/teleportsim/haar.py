@@ -49,11 +49,6 @@ class McEstimate:
     std_error: Union[float, np.ndarray]
     n_samples: int
 
-    def within(self, expected, n_sigmas: float = 4.0) -> bool:
-        """True when |value - expected| <= n_sigmas * std_error everywhere."""
-        dev = np.abs(np.asarray(self.value) - np.asarray(expected))
-        return bool(np.all(dev <= n_sigmas * np.asarray(self.std_error)))
-
     @staticmethod
     def pooled(estimates: Sequence["McEstimate"]) -> "McEstimate":
         """Combine independent estimates of the same quantity into one.
@@ -135,6 +130,43 @@ def m_kl_exact(d: int, k: int, l: int) -> Operator:
     return Operator(mat / (d * (d + 1)))
 
 
+def _moment_matrix(d: int) -> np.ndarray:
+    """Every M(k, l) in one (d^2, d^2) matrix, entry [(k, i), (l, j)] = M(k, l)[i, j]."""
+    m = np.array([[m_kl_exact(d, k, l).matrix for l in range(d)] for k in range(d)])
+    return m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _moment_blocks(psi: np.ndarray, ks: Sequence[int], ls: Sequence[int]) -> McEstimate:
+    """Entrywise Monte-Carlo estimate of M(k, l) for k in ``ks`` and l in ``ls``.
+
+    The value is a (len(ks) d, len(ls) d) matrix laid out like
+    :func:`_moment_matrix`, with entry [(k, i), (l, j)] the mean of
+    <psi|k><l|psi> psi_i psi_j* over the rows of ``psi``. With
+    y = psi* (x) psi that mean is Y^T Y* / n. The entry's modulus squared is
+    p_k p_i p_l p_j with p = |psi|^2, so the second moments are Z^T Z / n
+    with z = p (x) p. Both sums run over blocks of rows whose four factors
+    (y and z for ``ks``, y* and z for ``ls``) hold at most ``MC_BLOCK_ENTRIES``
+    entries together, so memory does not grow with n beyond ``psi`` itself.
+    """
+    n, d = psi.shape
+    ks, ls = list(ks), list(ls)
+    step = max(1, MC_BLOCK_ENTRIES // (2 * (len(ks) + len(ls)) * d))
+    value = np.zeros((len(ks) * d, len(ls) * d), dtype=complex)
+    second = np.zeros(value.shape)
+    for start in range(0, n, step):
+        block = psi[start : start + step]
+        p = np.abs(block) ** 2
+        y = (block[:, ks, None].conj() * block[:, None, :]).reshape(block.shape[0], -1)
+        y_conj = (block[:, ls, None] * block[:, None, :].conj()).reshape(block.shape[0], -1)
+        z_k = (p[:, ks, None] * p[:, None, :]).reshape(block.shape[0], -1)
+        z_l = (p[:, ls, None] * p[:, None, :]).reshape(block.shape[0], -1)
+        value += y.T @ y_conj
+        second += z_k.T @ z_l
+    value /= n
+    var = np.clip(second / n - np.abs(value) ** 2, 0.0, None) * n / (n - 1)
+    return McEstimate(value=value, std_error=np.sqrt(var / n), n_samples=n)
+
+
 def m_kl_monte_carlo(d: int, k: int, l: int, n: int, rng: np.random.Generator) -> McEstimate:
     """Entrywise Monte-Carlo estimate of the moment operator M(k, l).
 
@@ -144,12 +176,4 @@ def m_kl_monte_carlo(d: int, k: int, l: int, n: int, rng: np.random.Generator) -
     _check_indices(d, k, l)
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
-    psi = sample_haar_states(d, n, rng)
-    w = psi[:, k].conj() * psi[:, l]
-    value = np.einsum("n,ni,nj->ij", w, psi, psi.conj()) / n
-    # E|X|^2 factorizes into per-sample basis probabilities, so the
-    # entrywise variance needs no second pass over outer products.
-    p = np.abs(psi) ** 2
-    second = np.einsum("n,ni,nj->ij", p[:, k] * p[:, l], p, p) / n
-    var = np.clip(second - np.abs(value) ** 2, 0.0, None) * n / (n - 1)
-    return McEstimate(value=value, std_error=np.sqrt(var / n), n_samples=n)
+    return _moment_blocks(sample_haar_states(d, n, rng), [k], [l])

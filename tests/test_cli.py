@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from teleportsim import protocol_to_json, standard_protocol
+from teleportsim import Operator, haar, m_kl_monte_carlo, make_rng, protocol_to_json, standard_protocol
 from teleportsim.cli import main
 from helpers import per_pair_verify_mkl
 
@@ -190,6 +190,29 @@ class TestVerifyMkl:
             "--sigmas", "0.0001",
         )
         assert code == 1
+
+    def test_planted_error_flags_exactly_its_pair(self, capsys, monkeypatch):
+        # M(0, 2)[1, 1] off by 10 sigma: a transposed layout would flag (1, 1)
+        # or (2, 0) instead of (0, 2)
+        d, k, l, i, j = 3, 0, 2, 1, 1
+        argv = ("verify-mkl", "--d", str(d), "--n", "20000", "--seed", "5")
+        code, report = run_json(capsys, *argv)
+        assert code == 0 and report["results"]["pass"] is True
+        sigma = m_kl_monte_carlo(d, k, l, 20000, make_rng(5, stream=0)).std_error[i, j]
+        exact = haar.m_kl_exact
+
+        def planted(d_, k_, l_):
+            mat = exact(d_, k_, l_).matrix.copy()
+            if (k_, l_) == (k, l):
+                mat[i, j] += 10 * sigma
+            return Operator(mat)
+
+        monkeypatch.setattr(haar, "m_kl_exact", planted)
+        code, report = run_json(capsys, *argv)
+        assert code == 1
+        failed = [(p["k"], p["l"]) for p in report["results"]["pairs"] if not p["pass"]]
+        assert failed == [(k, l)]
+        assert 9 < report["results"]["max_sigma_ratio"] < 11
 
     @pytest.mark.parametrize("sigmas", [2.0, 4.0])
     @pytest.mark.parametrize("threads", [1, 2, 3])

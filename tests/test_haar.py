@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,6 +12,7 @@ from teleportsim import (
     sample_haar_state,
     sample_haar_states,
 )
+from teleportsim.haar import _moment_blocks
 from helpers import random_unitary
 
 
@@ -92,11 +95,13 @@ class TestMklExact:
 class TestMklMonteCarlo:
     def test_matches_exact_d2(self):
         est = m_kl_monte_carlo(2, 0, 0, 100_000, make_rng(21))
-        assert est.within(m_kl_exact(2, 0, 0).matrix, n_sigmas=4)
+        dev = np.abs(np.asarray(est.value) - m_kl_exact(2, 0, 0).matrix)
+        assert np.all(dev <= 4 * np.asarray(est.std_error))
 
     def test_matches_exact_d3_offdiagonal(self):
         est = m_kl_monte_carlo(3, 0, 1, 100_000, make_rng(22))
-        assert est.within(m_kl_exact(3, 0, 1).matrix, n_sigmas=4)
+        dev = np.abs(np.asarray(est.value) - m_kl_exact(3, 0, 1).matrix)
+        assert np.all(dev <= 4 * np.asarray(est.std_error))
 
     def test_zero_entries_within_band(self):
         est = m_kl_monte_carlo(3, 0, 1, 50_000, make_rng(23))
@@ -121,6 +126,27 @@ class TestMklMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="1000"):
             m_kl_monte_carlo(2, 0, 0, 10, make_rng(0))
+
+
+class TestMomentBlocksMemory:
+    """Traced peak of the full d = 16 moment matrix over n = 100000 samples.
+
+    Unblocked, the (n, d^2) factor y = psi* (x) psi alone would take 410 MB.
+    """
+
+    LIMIT_MB = 64
+
+    def test_peak_is_bounded(self):
+        d = 16
+        psi = sample_haar_states(d, 100_000, make_rng(40))
+        tracemalloc.start()
+        try:
+            est = _moment_blocks(psi, range(d), range(d))
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert est.value.shape == (d * d, d * d)
+        assert peak < self.LIMIT_MB
 
 
 class TestMcEstimate:

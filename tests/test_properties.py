@@ -1,0 +1,70 @@
+"""Property tests over random spectra, random complete POVMs and random
+multi-Kraus corrections.
+
+Every test runs under one fixed profile: derandomized, a bounded number of
+examples and no example database, so a run is deterministic and short.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teleportsim import (
+    BobCorrections,
+    Protocol,
+    SchmidtDecomposition,
+    fidelity_bound,
+    make_rng,
+    max_singlet_fraction,
+    mean_fidelity_exact,
+    mean_fidelity_mkl_form,
+    random_povm,
+    standard_protocol,
+)
+from helpers import random_kraus_set
+
+PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def spectra(draw):
+    """Schmidt spectra at d = 2..5; zero coefficients give rank-deficient and product ones."""
+    d = draw(st.integers(2, 5))
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    raw = np.array(draw(st.lists(coeff, min_size=d, max_size=d).filter(any)))
+    return np.sort(raw)[::-1] / np.linalg.norm(raw)
+
+
+@st.composite
+def protocols(draw):
+    """A random complete POVM with 1-3 random Kraus operators per outcome."""
+    lam = draw(spectra())
+    d = lam.size
+    n_outcomes = d * d + draw(st.integers(0, 3))
+    n_kraus = draw(st.lists(st.integers(1, 3), min_size=n_outcomes, max_size=n_outcomes))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    meas = random_povm(d, n_outcomes, rng)
+    blocks = tuple(random_kraus_set(d, s, rng) for s in n_kraus)
+    return Protocol(SchmidtDecomposition.from_lambdas(lam), meas, BobCorrections(blocks))
+
+
+@PROFILE
+@given(protocols())
+def test_bound_above_exact_above_zero(proto):
+    exact = mean_fidelity_exact(proto)
+    assert 0.0 <= exact <= fidelity_bound(proto.schmidt.lambdas) + 1e-12
+
+
+@PROFILE
+@given(protocols())
+def test_exact_equals_moment_operator_form(proto):
+    assert abs(mean_fidelity_exact(proto) - mean_fidelity_mkl_form(proto)) <= 1e-12
+
+
+@PROFILE
+@given(spectra())
+def test_singlet_fraction_link_for_standard_protocol(lam):
+    # F = (d f + 1) / (d + 1) with f the largest singlet fraction of the resource
+    d = lam.size
+    expected = (d * max_singlet_fraction(lam) + 1) / (d + 1)
+    assert abs(mean_fidelity_exact(standard_protocol(lam)) - expected) <= 1e-12
