@@ -155,11 +155,12 @@ def _moment_blocks(psi: np.ndarray, ks: Sequence[int], ls: Sequence[int]) -> McE
     second = np.zeros(value.shape)
     for start in range(0, n, step):
         block = psi[start : start + step]
+        rows = (block.shape[0], -1)
         p = np.abs(block) ** 2
-        y = (block[:, ks, None].conj() * block[:, None, :]).reshape(block.shape[0], -1)
-        y_conj = (block[:, ls, None] * block[:, None, :].conj()).reshape(block.shape[0], -1)
-        z_k = (p[:, ks, None] * p[:, None, :]).reshape(block.shape[0], -1)
-        z_l = (p[:, ls, None] * p[:, None, :]).reshape(block.shape[0], -1)
+        y = (block[:, ks, None].conj() * block[:, None, :]).reshape(rows)
+        y_conj = (block[:, ls, None] * block[:, None, :].conj()).reshape(rows)
+        z_k = (p[:, ks, None] * p[:, None, :]).reshape(rows)
+        z_l = (p[:, ls, None] * p[:, None, :]).reshape(rows)
         value += y.T @ y_conj
         second += z_k.T @ z_l
     value /= n

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from teleportsim import Operator, haar, m_kl_monte_carlo, make_rng, protocol_to_json, standard_protocol
+from teleportsim import (
+    Operator,
+    haar,
+    m_kl_monte_carlo,
+    make_rng,
+    protocol_to_json,
+    standard_protocol,
+)
 from teleportsim.cli import main
 from helpers import per_pair_verify_mkl
 
@@ -210,9 +217,10 @@ class TestVerifyMkl:
         monkeypatch.setattr(haar, "m_kl_exact", planted)
         code, report = run_json(capsys, *argv)
         assert code == 1
-        failed = [(p["k"], p["l"]) for p in report["results"]["pairs"] if not p["pass"]]
-        assert failed == [(k, l)]
-        assert 9 < report["results"]["max_sigma_ratio"] < 11
+        failed = [p for p in report["results"]["pairs"] if not p["pass"]]
+        assert [(p["k"], p["l"]) for p in failed] == [(k, l)]
+        assert 9 < failed[0]["max_sigma_ratio"] == report["results"]["max_sigma_ratio"] < 11
+        assert failed[0]["max_abs_error"] > 9 * sigma
 
     @pytest.mark.parametrize("sigmas", [2.0, 4.0])
     @pytest.mark.parametrize("threads", [1, 2, 3])
