@@ -14,7 +14,7 @@ from teleportsim import (
     sample_haar_states,
     standard_measurement,
 )
-from teleportsim.protocol import _a_matrices
+from teleportsim.protocol import KRAUS_ATOL, _a_matrices
 
 
 def random_lambdas(d, rng):
@@ -178,3 +178,73 @@ def per_pair_verify_mkl(d, n, seed, threads, sigmas):
             )
     ok = all(p["pass"] for p in pairs)
     return {"pairs": pairs, "max_sigma_ratio": worst, "pass": ok}, 0 if ok else 1
+
+
+def loop_standard_measurement(d):
+    """Generalized Bell measurement blocks by a Python loop over (p, q, k) (reference)."""
+    phi = np.zeros((d * d, d, d), dtype=complex)
+    scale = 1.0 / np.sqrt(d)
+    for p in range(d):
+        for q in range(d):
+            for k in range(d):
+                phi[p + q * d, k, (k + q) % d] = scale * np.exp(2j * np.pi * k * p / d)
+    return phi
+
+
+def einsum_bob_unitaries(meas, lambdas):
+    """Adjoint polar factor of every A_r, from its SVD by an einsum product (reference)."""
+    a = _a_matrices(meas.phi, np.asarray(lambdas))
+    u, _, vh = np.linalg.svd(a)
+    polar = np.einsum("rij,rjk->rik", u, vh)
+    return polar.conj().transpose(0, 2, 1)
+
+
+def polar_random_povm(d, n_outcomes, rng):
+    """Random complete measurement whitened by S^(-1/2), S = sum_r V_r V_r† (reference).
+
+    Consumes the generator exactly as ``random_povm`` does for its Gaussian frame.
+    """
+    dd = d * d
+    for _ in range(8):
+        v = rng.standard_normal((n_outcomes, dd)) + 1j * rng.standard_normal((n_outcomes, dd))
+        s = v.T @ v.conj()
+        w, u = np.linalg.eigh(s)
+        if w[0] > dd * 1e-12 * w[-1]:
+            break
+    else:
+        raise RuntimeError("failed to draw a full-rank Gaussian frame")
+    inv_sqrt = (u / np.sqrt(w)) @ u.conj().T
+    joint = v @ inv_sqrt.T
+    return AliceMeasurement(joint.reshape(n_outcomes, d, d).transpose(0, 2, 1))
+
+
+def loop_kraus_check(kraus):
+    """Per-outcome Kraus-list validation, one outcome at a time (reference).
+
+    Checks each outcome's shape, dimension, finiteness and sum_s B_s† B_s = I
+    in that order, raising ValueError for the first failure, and returns the
+    blocks as (S, d, d) arrays.
+    """
+    blocks = []
+    d = None
+    for r, block in enumerate(kraus):
+        arr = np.array(block, dtype=complex)
+        if arr.ndim == 2:
+            arr = arr[None]
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ValueError(
+                f"outcome {r}: Kraus block must have shape (S, d, d), got {arr.shape}"
+            )
+        if d is None:
+            d = arr.shape[1]
+        elif arr.shape[1] != d:
+            raise ValueError(f"outcome {r}: dimension {arr.shape[1]} != {d}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"outcome {r}: Kraus operators must be finite")
+        total = np.einsum("sij,sik->jk", arr.conj(), arr)
+        if float(np.max(np.abs(total - np.eye(d)))) > KRAUS_ATOL:
+            raise ValueError(f"outcome {r}: Kraus operators do not compose to the identity")
+        blocks.append(arr)
+    if not blocks:
+        raise ValueError("need at least one outcome")
+    return blocks

@@ -13,15 +13,17 @@ from teleportsim import (
     BobCorrections,
     Protocol,
     SchmidtDecomposition,
+    check_optimality,
     fidelity_bound,
     make_rng,
     max_singlet_fraction,
     mean_fidelity_exact,
     mean_fidelity_mkl_form,
+    optimal_fidelity_given_measurement,
     random_povm,
     standard_protocol,
 )
-from helpers import random_kraus_set
+from helpers import random_kraus_set, random_optimal_measurement
 
 PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -48,6 +50,19 @@ def protocols(draw):
     return Protocol(SchmidtDecomposition.from_lambdas(lam), meas, BobCorrections(blocks))
 
 
+@st.composite
+def measurements(draw):
+    """A spectrum with a measurement that meets the optimality conditions or a random complete one."""
+    lam = draw(spectra())
+    d = lam.size
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        meas = random_optimal_measurement(d, draw(st.integers(1, 3)), rng)
+    else:
+        meas = random_povm(d, d * d + draw(st.integers(0, 3)), rng)
+    return lam, meas
+
+
 @PROFILE
 @given(protocols())
 def test_bound_above_exact_above_zero(proto):
@@ -68,3 +83,15 @@ def test_singlet_fraction_link_for_standard_protocol(lam):
     d = lam.size
     expected = (d * max_singlet_fraction(lam) + 1) / (d + 1)
     assert abs(mean_fidelity_exact(standard_protocol(lam)) - expected) <= 1e-12
+
+
+@PROFILE
+@given(measurements())
+def test_optimality_conditions_hold_exactly_when_bound_is_reached(case):
+    # the paper's conditions are necessary and sufficient: with a 1e-10 tolerance
+    # on the blocks, the best fidelity reaches the bound to 1e-12 exactly when they pass
+    lam, meas = case
+    report = check_optimality(meas, SchmidtDecomposition.from_lambdas(lam))
+    gap = fidelity_bound(lam) - optimal_fidelity_given_measurement(meas, lam)
+    assert gap >= -1e-12
+    assert report.passed == (gap <= 1e-12)

@@ -25,7 +25,10 @@ from teleportsim import (
 )
 from teleportsim.protocol import _indented_json
 from helpers import (
+    einsum_bob_unitaries,
     loop_check_optimality,
+    loop_kraus_check,
+    loop_standard_measurement,
     random_kraus_set,
     random_lambdas,
     random_optimal_measurement,
@@ -60,6 +63,13 @@ class TestStandardMeasurement:
 
     def test_outcome_count(self):
         assert standard_measurement(4).n_outcomes == 16
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_matches_loop_bit_for_bit(self, d):
+        # d = 6 and 12 are where a vectorized exp(2j pi k p / d) rounds differently
+        got = np.asarray(standard_measurement(d).phi)
+        want = loop_standard_measurement(d)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestValidateCompleteness:
@@ -198,6 +208,23 @@ class TestOptimalBobCorrections:
         with pytest.raises(ValueError, match="dimension"):
             optimal_bob_corrections(standard_measurement(3), schmidt)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_matches_einsum_reference_on_standard(self, d):
+        lam = random_lambdas(d, make_rng(60 + d))
+        corr = optimal_bob_corrections(standard_measurement(d), SchmidtDecomposition.from_lambdas(lam))
+        want = einsum_bob_unitaries(standard_measurement(d), lam)
+        assert np.max(np.abs(np.concatenate(corr.kraus) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("d,n_outcomes", [(2, 4), (2, 7), (3, 9), (3, 12), (4, 19)])
+    def test_matches_einsum_reference_on_random_povms(self, d, n_outcomes):
+        rng = make_rng(70 + n_outcomes)
+        for _ in range(5):
+            meas = random_povm(d, n_outcomes, rng)
+            lam = random_lambdas(d, rng)
+            corr = optimal_bob_corrections(meas, SchmidtDecomposition.from_lambdas(lam))
+            want = einsum_bob_unitaries(meas, lam)
+            assert np.max(np.abs(np.concatenate(corr.kraus) - want)) <= 1e-15
+
     def test_unitarity(self):
         rng = make_rng(44)
         for d in (2, 3):
@@ -225,6 +252,42 @@ class TestBobCorrections:
     def test_from_unitaries_flag(self):
         corr = BobCorrections.from_unitaries([np.eye(2)] * 4)
         assert corr.unitary
+
+    @pytest.mark.parametrize(
+        "case",
+        ["nan_in_3", "inf_in_3", "identity_1_nan_4", "ragged", "ragged_identity_2", "bare",
+         "bare_identity_3"],
+    )
+    def test_matches_loop_reference(self, case):
+        rng = make_rng(80)
+        d = 3
+        blocks = [random_kraus_set(d, s, rng) for s in (1, 2, 3, 1, 3, 2)]
+        if case in ("nan_in_3", "inf_in_3"):
+            blocks[3][0, 2, 1] = np.nan if case == "nan_in_3" else np.inf
+        elif case == "identity_1_nan_4":
+            blocks[1] = 1.01 * blocks[1]
+            blocks[4][2, 0, 0] = np.nan
+        elif case == "ragged_identity_2":
+            blocks[2] = blocks[2][:2]
+        elif case.startswith("bare"):
+            blocks = list(random_unitaries(d, 5, rng))
+            if case == "bare_identity_3":
+                blocks[3] = 0.99 * blocks[3]
+
+        def outcome(check):
+            try:
+                return check(tuple(blocks))
+            except ValueError as exc:
+                return str(exc)
+
+        got = outcome(lambda kraus: list(BobCorrections(kraus).kraus))
+        want = outcome(loop_kraus_check)
+        assert isinstance(want, str) == (case not in ("ragged", "bare"))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):

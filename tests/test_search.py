@@ -8,7 +8,7 @@ from teleportsim import (
     search_best_protocol,
     validate_completeness,
 )
-from helpers import random_lambdas
+from helpers import polar_random_povm, random_lambdas
 
 
 class TestRandomPovm:
@@ -37,6 +37,34 @@ class TestRandomPovm:
         a = random_povm(3, 9, make_rng(5))
         b = random_povm(3, 9, make_rng(5))
         assert np.array_equal(a.phi, b.phi)
+
+    @pytest.mark.parametrize("d,n_outcomes", [(2, 7), (3, 12)])
+    def test_frame_spans_the_polar_frame_space(self, d, n_outcomes):
+        # both frames are the Gaussian draw times an invertible (d^2, d^2) matrix,
+        # so their outcome vectors span the same d^2-dimensional subspace
+        def projector(meas):
+            joint = np.asarray(meas.phi).transpose(0, 2, 1).reshape(n_outcomes, d * d)
+            return joint @ joint.conj().T
+
+        for seed in range(5):
+            got = projector(random_povm(d, n_outcomes, make_rng(seed)))
+            want = projector(polar_random_povm(d, n_outcomes, make_rng(seed)))
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_entries_have_zero_mean(self):
+        # a Haar frame has no preferred phase; an unfixed QR phase biases every entry
+        rng = make_rng(300)
+        z = np.array([random_povm(2, 4, rng).phi[0, 0, 0] for _ in range(4000)])
+        for part in (z.real, z.imag):
+            assert abs(part.mean()) <= 4 * part.std(ddof=1) / np.sqrt(z.size)
+
+    def test_rank_deficient_frame_raises(self):
+        class RankOneGaussian:
+            def standard_normal(self, shape):
+                return np.ones(shape)
+
+        with pytest.raises(RuntimeError, match="full-rank"):
+            random_povm(2, 5, RankOneGaussian())
 
 
 class TestSearchBestProtocol:
