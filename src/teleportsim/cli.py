@@ -29,7 +29,8 @@ from .fidelity import (
 )
 from .haar import McEstimate, _moment_blocks, _moment_matrix, make_rng, sample_haar_states
 from .protocol import (
-    _kraus_error,
+    _kraus_blocks,
+    _kraus_check,
     _protocol_parts,
     check_optimality,
     standard_measurement,
@@ -293,7 +294,7 @@ def _cmd_check_protocol(args) -> int:
         source = args.protocol
     completeness = validate_completeness(meas, args.tol)
     optimality = check_optimality(meas, schmidt, args.tol)
-    kraus_err = max((_kraus_error(block, meas.d) for block in kraus), default=0.0)
+    kraus_err = float(_kraus_check(_kraus_blocks(kraus, meas.d))[1].max(initial=0.0))
     corrections_ok = kraus_err <= args.tol and len(kraus) == meas.n_outcomes
     ok = completeness.passed and optimality.passed and corrections_ok
     report = {

@@ -65,14 +65,48 @@ class AliceMeasurement:
         return self.phi.shape[0]
 
 
-def _kraus_error(block: np.ndarray, d: int) -> float:
-    """Largest entry of |sum_s B_s† B_s - I| for one outcome's Kraus operators B_s.
+def _kraus_blocks(kraus, d: int | None = None) -> list[np.ndarray]:
+    """Each outcome's Kraus operators as an (S, d, d) complex array.
 
-    ``block`` is an (S, d, d) stack or a bare (d, d) operator.
+    A bare (d, d) matrix is one operator. Only shapes are checked: every
+    block must hold at least one square operator of dimension ``d``, or of
+    the first block's dimension when ``d`` is None.
     """
-    block = block.reshape(-1, *block.shape[-2:])
-    total = np.einsum("sij,sik->jk", block.conj(), block)
-    return float(np.max(np.abs(total - np.eye(d))))
+    blocks = []
+    for r, block in enumerate(kraus):
+        arr = np.array(block, dtype=complex)
+        if arr.ndim == 2:
+            arr = arr[None]
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] == 0:
+            raise ValueError(
+                f"outcome {r}: Kraus block must have shape (S, d, d), got {arr.shape}"
+            )
+        if d is None:
+            d = arr.shape[1]
+        elif arr.shape[1] != d:
+            raise ValueError(f"outcome {r}: dimension {arr.shape[1]} != {d}")
+        blocks.append(arr)
+    return blocks
+
+
+def _kraus_check(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per outcome: whether its Kraus operators B_s are finite, and max |sum_s B_s† B_s - I|.
+
+    ``blocks`` is a list of (S_r, d, d) arrays as :func:`_kraus_blocks`
+    returns them. Both checks run once on their concatenated (K, d, d) stack,
+    summed over each outcome's operators by ``np.add.reduceat``. An outcome
+    that is not finite has a NaN or infinite error. No blocks give empty arrays.
+    """
+    if not blocks:
+        return np.ones(0, dtype=bool), np.zeros(0)
+    stack = np.concatenate(blocks)
+    starts = np.cumsum([0] + [b.shape[0] for b in blocks[:-1]])
+    finite = np.logical_and.reduceat(np.isfinite(stack).all(axis=(1, 2)), starts)
+    # non-finite operators make NaN or infinite sums, which ``finite`` already flags
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = np.add.reduceat(stack.conj().transpose(0, 2, 1) @ stack, starts)
+        error = np.abs(total - np.eye(stack.shape[1])).max(axis=(1, 2))
+    return finite, error
 
 
 @dataclass(frozen=True)
@@ -87,30 +121,17 @@ class BobCorrections:
     kraus: tuple
 
     def __post_init__(self) -> None:
-        blocks = []
-        d = None
-        for r, block in enumerate(self.kraus):
-            arr = np.array(block, dtype=complex)
-            if arr.ndim == 2:
-                arr = arr[None]
-            if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-                raise ValueError(
-                    f"outcome {r}: Kraus block must have shape (S, d, d), got {arr.shape}"
-                )
-            if d is None:
-                d = arr.shape[1]
-            elif arr.shape[1] != d:
-                raise ValueError(f"outcome {r}: dimension {arr.shape[1]} != {d}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"outcome {r}: Kraus operators must be finite")
-            if _kraus_error(arr, d) > KRAUS_ATOL:
-                raise ValueError(
-                    f"outcome {r}: Kraus operators do not compose to the identity"
-                )
-            blocks.append(_freeze(arr))
+        blocks = _kraus_blocks(self.kraus)
         if not blocks:
             raise ValueError("need at least one outcome")
-        object.__setattr__(self, "kraus", tuple(blocks))
+        finite, error = _kraus_check(blocks)
+        bad = np.flatnonzero(~finite | ~(error <= KRAUS_ATOL))
+        if bad.size:
+            r = int(bad[0])
+            if not finite[r]:
+                raise ValueError(f"outcome {r}: Kraus operators must be finite")
+            raise ValueError(f"outcome {r}: Kraus operators do not compose to the identity")
+        object.__setattr__(self, "kraus", tuple(_freeze(b) for b in blocks))
 
     @property
     def d(self) -> int:
@@ -119,11 +140,6 @@ class BobCorrections:
     @property
     def n_outcomes(self) -> int:
         return len(self.kraus)
-
-    @property
-    def unitary(self) -> bool:
-        """True when every outcome has a single (hence unitary) Kraus operator."""
-        return all(block.shape[0] == 1 for block in self.kraus)
 
     @classmethod
     def from_unitaries(cls, mats) -> "BobCorrections":
@@ -237,12 +253,13 @@ def standard_measurement(d: int) -> AliceMeasurement:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    phi = np.zeros((d * d, d, d), dtype=complex)
     scale = 1.0 / np.sqrt(d)
-    for p in range(d):
-        for q in range(d):
-            for k in range(d):
-                phi[p + q * d, k, (k + q) % d] = scale * np.exp(2j * np.pi * k * p / d)
+    # each exponent is formed by Python scalar arithmetic, in this order: a
+    # vectorized 2j * pi * k * p / d differs in the last bit at several d (6, 12)
+    phase = scale * np.exp(np.array([[2j * np.pi * k * p / d for k in range(d)] for p in range(d)]))
+    p, q, k = np.ogrid[:d, :d, :d]
+    phi = np.zeros((d * d, d, d), dtype=complex)
+    phi[p + q * d, k, (k + q) % d] = phase[:, None, :]
     return AliceMeasurement(phi)
 
 
@@ -341,7 +358,7 @@ def optimal_bob_corrections(
             "are mutually inconsistent"
         )
     u, _, vh = np.linalg.svd(a)
-    polar = np.einsum("rij,rjk->rik", u, vh)
+    polar = u @ vh
     return BobCorrections.from_unitaries(polar.conj().transpose(0, 2, 1))
 
 

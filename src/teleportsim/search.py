@@ -34,10 +34,12 @@ class SearchResult:
 def random_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> AliceMeasurement:
     """Random complete rank-one measurement on the joint d*d space.
 
-    Gaussian joint vectors V_r are whitened by S^(-1/2) with
-    S = sum_r V_r V_r†, which makes the outcomes resolve the identity
-    exactly. A rank-one decomposition of the joint identity needs at least
-    d^2 outcomes, so smaller n_outcomes is rejected.
+    The Gaussian joint vectors V_r are the rows of an (n_outcomes, d^2)
+    matrix V. Its QR factor Q, with each column's phase fixed by the phase
+    of R's diagonal (Mezzadri, Notices AMS 54, 592 (2007)), is a Haar-random
+    isometry, so the outcomes resolve the identity exactly. A rank-one
+    decomposition of the joint identity needs at least d^2 outcomes, so
+    smaller n_outcomes is rejected.
     """
     dd = d * d
     if n_outcomes < dd:
@@ -47,14 +49,14 @@ def random_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> AliceMeasu
         )
     for _ in range(8):
         v = rng.standard_normal((n_outcomes, dd)) + 1j * rng.standard_normal((n_outcomes, dd))
-        s = v.T @ v.conj()
-        w, u = np.linalg.eigh(s)
-        if w[0] > dd * 1e-12 * w[-1]:
+        q, r = np.linalg.qr(v)
+        diag = np.diagonal(r)
+        mag = np.abs(diag)
+        if mag.min() ** 2 > dd * 1e-12 * mag.max() ** 2:
             break
     else:
         raise RuntimeError("failed to draw a full-rank Gaussian frame")
-    inv_sqrt = (u / np.sqrt(w)) @ u.conj().T
-    joint = v @ inv_sqrt.T
+    joint = q * (diag / mag)
     # joint index (j, k) = j*d + k; block k of outcome r is phi[r, k]
     return AliceMeasurement(joint.reshape(n_outcomes, d, d).transpose(0, 2, 1))
 

@@ -231,7 +231,7 @@ class TestOptimalBobCorrections:
             for meas in (random_povm(d, d * d, rng), random_optimal_measurement(d, 2, rng)):
                 schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(d, rng))
                 corr = optimal_bob_corrections(meas, schmidt)
-                assert corr.unitary
+                assert all(block.shape[0] == 1 for block in corr.kraus)
                 for block in corr.kraus:
                     u = block[0]
                     assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
@@ -246,12 +246,12 @@ class TestBobCorrections:
         rng = make_rng(50)
         blocks = tuple(random_kraus_set(2, 3, rng) for _ in range(4))
         corr = BobCorrections(blocks)
-        assert not corr.unitary
+        assert all(block.shape[0] == 3 for block in corr.kraus)
         assert corr.n_outcomes == 4
 
     def test_from_unitaries_flag(self):
         corr = BobCorrections.from_unitaries([np.eye(2)] * 4)
-        assert corr.unitary
+        assert all(block.shape == (1, 2, 2) for block in corr.kraus)
 
     @pytest.mark.parametrize(
         "case",
