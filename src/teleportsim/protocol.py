@@ -256,7 +256,8 @@ def standard_measurement(d: int) -> AliceMeasurement:
     scale = 1.0 / np.sqrt(d)
     # each exponent is formed by Python scalar arithmetic, in this order: a
     # vectorized 2j * pi * k * p / d differs in the last bit at several d (6, 12)
-    phase = scale * np.exp(np.array([[2j * np.pi * k * p / d for k in range(d)] for p in range(d)]))
+    exponent = np.array([[2j * np.pi * k * p / d for k in range(d)] for p in range(d)])
+    phase = scale * np.exp(exponent)
     p, q, k = np.ogrid[:d, :d, :d]
     phi = np.zeros((d * d, d, d), dtype=complex)
     phi[p + q * d, k, (k + q) % d] = phase[:, None, :]

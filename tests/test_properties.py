@@ -52,7 +52,7 @@ def protocols(draw):
 
 @st.composite
 def measurements(draw):
-    """A spectrum with a measurement that meets the optimality conditions or a random complete one."""
+    """A spectrum and either a measurement meeting the optimality conditions or a random POVM."""
     lam = draw(spectra())
     d = lam.size
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))

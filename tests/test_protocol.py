@@ -66,7 +66,7 @@ class TestStandardMeasurement:
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_matches_loop_bit_for_bit(self, d):
-        # d = 6 and 12 are where a vectorized exp(2j pi k p / d) rounds differently
+        # a vectorized exp(2j pi k p / d) rounds differently at d = 6, 12 and others
         got = np.asarray(standard_measurement(d).phi)
         want = loop_standard_measurement(d)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -211,8 +211,9 @@ class TestOptimalBobCorrections:
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_matches_einsum_reference_on_standard(self, d):
         lam = random_lambdas(d, make_rng(60 + d))
-        corr = optimal_bob_corrections(standard_measurement(d), SchmidtDecomposition.from_lambdas(lam))
-        want = einsum_bob_unitaries(standard_measurement(d), lam)
+        meas = standard_measurement(d)
+        corr = optimal_bob_corrections(meas, SchmidtDecomposition.from_lambdas(lam))
+        want = einsum_bob_unitaries(meas, lam)
         assert np.max(np.abs(np.concatenate(corr.kraus) - want)) <= 1e-15
 
     @pytest.mark.parametrize("d,n_outcomes", [(2, 4), (2, 7), (3, 9), (3, 12), (4, 19)])
