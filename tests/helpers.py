@@ -8,13 +8,15 @@ from scipy.stats import unitary_group
 from teleportsim import (
     AliceMeasurement,
     McEstimate,
+    PureState,
+    TeleportOutcome,
     m_kl_exact,
     make_rng,
     protocol_to_dict,
     sample_haar_states,
     standard_measurement,
 )
-from teleportsim.protocol import KRAUS_ATOL, _a_matrices
+from teleportsim.protocol import KRAUS_ATOL, _a_matrices, _conditional_vectors
 
 
 def random_lambdas(d, rng):
@@ -248,3 +250,22 @@ def loop_kraus_check(kraus):
     if not blocks:
         raise ValueError("need at least one outcome")
     return blocks
+
+
+def choice_teleport_once(proto, psi, rng):
+    """One teleportation round drawn with ``rng.choice(p=...)`` (reference).
+
+    Draws the outcome with probability |b_r|^2, then a Kraus branch with
+    probability |B_rs b_r|^2 / |b_r|^2, each by ``Generator.choice``.
+    """
+    b = _conditional_vectors(proto, psi)
+    probs = np.sum(np.abs(b) ** 2, axis=1)
+    total = float(probs.sum())
+    if total <= 0.0:
+        raise ValueError("all outcome probabilities vanish; protocol state is corrupted")
+    r = int(rng.choice(probs.size, p=probs / total))
+    branches = np.einsum("sij,j->si", proto.corrections.kraus[r], b[r])
+    weights = np.sum(np.abs(branches) ** 2, axis=1)
+    s = int(rng.choice(weights.size, p=weights / weights.sum()))
+    out = branches[s] / np.sqrt(weights[s])
+    return TeleportOutcome(outcome=r, probability=float(probs[r]), output_state=PureState(out))

@@ -29,7 +29,7 @@ from teleportsim import (
     standard_protocol,
     validate_completeness,
 )
-from teleportsim import haar
+from teleportsim import estimation, haar
 from helpers import (
     einsum_estimation_samples,
     einsum_mean_fidelity_mkl_form,
@@ -77,10 +77,10 @@ class TestGramMonteCarlo:
         assert abs(est.value - ref.mean()) <= AGREE_TOL
         assert abs(est.std_error - ref.std(ddof=1) / np.sqrt(ref.size)) <= AGREE_TOL
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_standard_protocol_matches_loop(self, d):
+    @pytest.mark.parametrize("d,n", [(2, 2000), (3, 2000), (5, 2000), (8, 1000), (16, 300)])
+    def test_standard_protocol_matches_loop(self, d, n):
         proto = standard_protocol(random_lambdas(d, make_rng(210 + d)))
-        psi = sample_haar_states(d, 2000, make_rng(211))
+        psi = sample_haar_states(d, n, make_rng(211))
         ref = loop_fidelity_samples(proto, psi)
         assert np.max(np.abs(proto.channel.fidelities(psi) - ref)) <= AGREE_TOL
 
@@ -99,15 +99,26 @@ def random_strategy(d, n_outcomes, rng):
 
 
 class TestEstimationProduct:
-    @pytest.mark.parametrize("d,kind", cases())
-    def test_matches_einsum_form_on_identical_samples(self, d, kind):
+    @pytest.mark.parametrize(
+        "d,kind,n", [(d, kind, 3000) for d, kind in cases()]
+        + [(d, kind, 1000) for d in (8, 16) for kind in SPECTRA],
+    )
+    def test_matches_einsum_form_on_identical_samples(self, d, kind, n, monkeypatch):
         rng = make_rng(230 + d, stream=SPECTRA.index(kind))
         meas = random_povm(d, d * d + 1, rng)
         lam = spectrum(kind, d, rng)
+        rows = []
+
+        def keep_rows(psi, integrand, width):  # blocked_mean that also keeps the per-input values
+            rows.append(integrand(psi))
+            return haar.blocked_mean(psi, integrand, width)
+
+        monkeypatch.setattr(estimation, "blocked_mean", keep_rows)
         for strategy in (random_strategy(d, meas.n_outcomes, rng), optimal_estimates(meas)):
-            est = estimation_fidelity_mc(meas, lam, strategy, 3000, make_rng(231, stream=d))
-            psi = sample_haar_states(d, 3000, make_rng(231, stream=d))
+            est = estimation_fidelity_mc(meas, lam, strategy, n, make_rng(231, stream=d))
+            psi = sample_haar_states(d, n, make_rng(231, stream=d))
             ref = einsum_estimation_samples(meas, lam, strategy, psi)
+            assert np.max(np.abs(rows.pop() - ref)) <= AGREE_TOL
             assert abs(est.value - ref.mean()) <= AGREE_TOL
             assert abs(est.std_error - ref.std(ddof=1) / np.sqrt(ref.size)) <= AGREE_TOL
 

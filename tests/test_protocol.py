@@ -18,6 +18,7 @@ from teleportsim import (
     protocol_to_dict,
     protocol_to_json,
     random_povm,
+    sample_haar_states,
     standard_measurement,
     standard_protocol,
     teleport_once,
@@ -25,6 +26,7 @@ from teleportsim import (
 )
 from teleportsim.protocol import _indented_json
 from helpers import (
+    choice_teleport_once,
     einsum_bob_unitaries,
     loop_check_optimality,
     loop_kraus_check,
@@ -379,6 +381,26 @@ class TestTeleportOnce:
     def test_wrong_input_dimension_rejected(self):
         with pytest.raises(ValueError, match="input dimension"):
             teleport_once(standard_protocol([0.8, 0.6]), basis_state(3, 0), make_rng(0))
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_matches_choice_reference_bit_for_bit(self, d):
+        gen = make_rng(70, stream=d)
+        meas = random_povm(d, d * d, gen)
+        # 1-3 Kraus operators per outcome, so most branch draws have several choices
+        kraus = tuple(random_kraus_set(d, 1 + r % 3, gen) for r in range(meas.n_outcomes))
+        multi = Protocol(SchmidtDecomposition.from_lambdas(random_lambdas(d, gen)), meas,
+                         BobCorrections(kraus))
+        for proto in (standard_protocol(random_lambdas(d, gen)), multi):
+            rng, ref_rng = make_rng(71, stream=d), make_rng(71, stream=d)
+            for amplitudes in sample_haar_states(d, 50, make_rng(72, stream=d)):
+                psi = PureState(amplitudes)
+                out, ref = teleport_once(proto, psi, rng), choice_teleport_once(proto, psi, ref_rng)
+                assert out.outcome == ref.outcome
+                assert np.float64(out.probability).view(np.uint64) == np.float64(
+                    ref.probability).view(np.uint64)
+                assert np.array_equal(out.output_state.amplitudes.view(np.uint64),
+                                      ref.output_state.amplitudes.view(np.uint64))
+            assert rng.random() == ref_rng.random()  # both drew the same number of uniforms
 
     def test_sampled_mean_fidelity_attains_bound(self):
         # single-shot average over Haar inputs ties the sampled path to the
