@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import teleportsim
 from teleportsim import (
     Operator,
     haar,
@@ -139,6 +144,22 @@ class TestSimulate:
         assert code1 == code2 == 0
         assert out1 == out2
         assert json.loads(out1)["config"]["threads"] == 2
+
+
+class TestBlasThreads:
+    def test_simulate_prints_the_same_bytes_for_one_and_two_threads(self):
+        # d = 16 reductions are long enough for a threaded BLAS to split them
+        argv = ["simulate", "--d", "16", "--n", "20000", "--seed", "5",
+                "--lambdas", "3,2,2,1,1,1,1,1,1,1,1,1,1,1,1,0.5"]
+        src = str(Path(teleportsim.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "teleportsim.cli", *argv], env=env,
+                                  capture_output=True, check=True, timeout=300)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestEstimate:
