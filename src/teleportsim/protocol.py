@@ -389,6 +389,18 @@ def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
     return np.sum(np.abs(b) ** 2, axis=1)
 
 
+def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Index i with probability p[i], drawn as ``rng.choice(p.size, p=p)`` draws it.
+
+    Inverts the normalized cumulative sum at one ``rng.random()``, which is
+    what ``Generator.choice`` does after checking its arguments; those checks
+    cost more than the draw on the short vectors of one shot.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> TeleportOutcome:
     """Simulate one teleportation round.
 
@@ -401,10 +413,10 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
     total = float(probs.sum())
     if total <= 0.0:
         raise ValueError("all outcome probabilities vanish; protocol state is corrupted")
-    r = int(rng.choice(probs.size, p=probs / total))
+    r = _draw(probs / total, rng)
     branches = np.einsum("sij,j->si", proto.corrections.kraus[r], b[r])
     weights = np.sum(np.abs(branches) ** 2, axis=1)
-    s = int(rng.choice(weights.size, p=weights / weights.sum()))
+    s = _draw(weights / weights.sum(), rng)
     out = branches[s] / np.sqrt(weights[s])
     return TeleportOutcome(outcome=r, probability=float(probs[r]), output_state=PureState(out))
 
