@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .haar import McEstimate, blocked_mean, sample_haar_states
-from .protocol import AliceMeasurement, _matched_lambdas
+from .protocol import (
+    AliceMeasurement, _a_matrices, _hermitian_coords, _matched_lambdas, _state_coords,
+)
 from .qcore import _freeze, check_schmidt_coefficients
 
 #: leading blocks with norm at or below this have no well-defined guess
@@ -110,6 +112,18 @@ def estimation_fidelity_bound(lambdas) -> float:
     return (1.0 + float(lam[0]) ** 2) / (lam.size + 1)
 
 
+def _estimation_form(
+    meas: AliceMeasurement, lam: np.ndarray, strategy: EstimationStrategy
+) -> np.ndarray:
+    """E^T N: the (d^2, d^2) real form of :func:`estimation_fidelity_mc`'s integrand.
+
+    Row r of E holds the coordinates of the effect E_r = A_r† A_r, and row r
+    of N those of the guess projector |guess_r><guess_r|.
+    """
+    a = _a_matrices(meas.phi, lam)
+    return _hermitian_coords(a.conj().transpose(0, 2, 1) @ a).T @ _state_coords(strategy.guesses)
+
+
 def estimation_fidelity_mc(
     meas: AliceMeasurement,
     lambdas,
@@ -120,24 +134,25 @@ def estimation_fidelity_mc(
     """Monte-Carlo estimation fidelity over Haar-random inputs.
 
     Averages sum_r p_r(psi) |<psi|guess_r>|^2 with outcome probabilities
-    p_r(psi) = sum_k lambda_k^2 |<phi_r^k|psi>|^2. Every overlap of a block
-    of inputs comes from one matrix product: the R d measurement bras
-    <phi_r^k| stacked over the R guess bras <guess_r|, times the inputs as
-    columns. All n inputs are drawn first, in one call, and the blocks keep
-    the intermediates at a fixed size (``MC_BLOCK_ENTRIES`` complex
-    entries), so memory does not grow with n beyond the inputs themselves.
+    p_r(psi) = sum_k lambda_k^2 |<phi_r^k|psi>|^2 = tr(E_r rho), where
+    rho = psi psi† and E_r = A_r† A_r. In the real coordinates x of rho
+    (:func:`protocol._hermitian_coords`) both factors are linear, so the
+    integrand is the quadratic form x^T (E^T N) x, with E the coordinates of
+    the effects E_r and N those of the guess projectors |guess_r><guess_r|.
+    One matrix product builds the d^2 x d^2 form, and one more per block of
+    inputs evaluates it. All n inputs are drawn first, in one call, and the
+    blocks keep the intermediates at a fixed size (``MC_BLOCK_ENTRIES``
+    complex entries), so memory does not grow with n beyond the inputs
+    themselves.
     """
     lam = _check_inputs(meas, lambdas, strategy)
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
     psi = sample_haar_states(meas.d, n, rng)
-    n_meas = meas.n_outcomes * meas.d
-    bras = np.concatenate([meas.phi.reshape(n_meas, meas.d), strategy.guesses]).conj()
-    weights = lam**2
+    form = _estimation_form(meas, lam, strategy)
 
     def integrand(block: np.ndarray) -> np.ndarray:
-        sq = np.abs(bras @ block.T) ** 2
-        probs = weights @ sq[:n_meas].reshape(meas.n_outcomes, meas.d, -1)
-        return np.sum(probs * sq[n_meas:], axis=0)
+        x = _state_coords(block)
+        return np.einsum("na,na->n", x, x @ form)
 
-    return blocked_mean(psi, integrand, bras.shape[0])
+    return blocked_mean(psi, integrand, meas.d**2)

@@ -32,7 +32,7 @@ def mean_fidelity_exact(proto: Protocol) -> float:
     paper's link F = (d F_e + 1) / (d + 1) with the entanglement fidelity
     F_e = sum_rs |Tr C_rs|^2 / d^2. This equals the moment-operator
     sandwich of :func:`mean_fidelity_mkl_form` at O(R d^3) instead of
-    O(R d^5) cost, and never builds the channel's Gram operator.
+    O(R d^5) cost, and never builds the channel's quadratic form.
     """
     c = proto.channel.kraus
     d = proto.d
@@ -70,9 +70,9 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     For each sampled input the full conditional fidelity
     sum_{r,s} |<psi| B_rs A_r |psi>|^2 is taken (no outcome or branch
     sampling), so the only statistical noise left is the Haar average. It
-    is evaluated as the quadratic form y† G y of the channel's Gram
-    operator (:class:`TeleportChannel`), one matrix product per block of
-    inputs. All n inputs are drawn first, in one call, and the blocks keep
+    is evaluated as the real quadratic form x^T K x in the coordinates x of
+    psi psi† (:class:`TeleportChannel`), one real matrix product per block
+    of inputs. All n inputs are drawn first, in one call, and the blocks keep
     the intermediates at a fixed size (``MC_BLOCK_ENTRIES`` complex
     entries), so memory does not grow with n beyond the inputs themselves.
     """

@@ -194,6 +194,30 @@ def _a_matrices(phi: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     return lambdas[None, :, None] * phi.conj()
 
 
+def _hermitian_coords(h: np.ndarray) -> np.ndarray:
+    """Real coordinates of a stack of Hermitian (d, d) matrices, as a (..., d^2) array.
+
+    The d diagonal entries come first, then sqrt(2) Re and then sqrt(2) Im of
+    the entries above the diagonal, in row-major order. The coordinates are
+    orthonormal for the trace product: tr(E F) = coords(E) . coords(F) for
+    Hermitian E and F. Only the diagonal and the upper triangle are read.
+    """
+    i, j = np.triu_indices(h.shape[-1], 1)
+    upper = np.sqrt(2) * h[..., i, j]
+    return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
+
+
+def _state_coords(psi: np.ndarray) -> np.ndarray:
+    """:func:`_hermitian_coords` of psi psi† for every row psi of an (n, d) array.
+
+    They are read off the rows, without forming psi psi†: its diagonal is
+    |psi_i|^2 and its entry (i, j) is psi_i psi_j*. Their norm is |psi|^2.
+    """
+    i, j = np.triu_indices(psi.shape[-1], 1)
+    upper = np.sqrt(2) * psi[:, i] * psi[:, j].conj()
+    return np.concatenate([np.abs(psi) ** 2, upper.real, upper.imag], axis=-1)
+
+
 def _matched_lambdas(meas: AliceMeasurement, lambdas) -> np.ndarray:
     """Validated Schmidt coefficients, one for each Schmidt block of ``meas``."""
     lam = check_schmidt_coefficients(lambdas)
@@ -210,11 +234,13 @@ class TeleportChannel:
     over outcomes and correction branches, and ``outcome[i]`` is the outcome
     r of ``kraus[i]``. The fidelity of an input psi is
 
-        f(psi) = sum_rs |<psi| C_rs |psi>|^2 = y† G y,   y = psi* (x) psi,
+        f(psi) = sum_rs |tr(C_rs rho)|^2 = x^T K x,   rho = psi psi†,
 
-    where the Gram operator G = sum_rs conj(c_rs) c_rs^T is built from the
-    row-major vectorizations c_rs[i d + j] = C_rs[i, j]. G is d^2 x d^2 and
-    is built only when a Monte-Carlo evaluation first needs it.
+    with x the real coordinates of rho (:func:`_hermitian_coords`). Each C
+    splits into Hermitian parts H = (C + C†)/2 and S = (C - C†)/2i with
+    tr(C rho) = h . x + i s . x, so K = W^T W, where W stacks the coordinates
+    h and s of every C_rs. K is real, symmetric and d^2 x d^2, and is built
+    only when a Monte-Carlo evaluation first needs it.
     """
 
     def __init__(self, proto: Protocol) -> None:
@@ -225,14 +251,15 @@ class TeleportChannel:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """G = sum_rs conj(c_rs) c_rs^T, Hermitian and positive semidefinite."""
-        vecs = self.kraus.reshape(self.kraus.shape[0], -1)
-        return _freeze(vecs.conj().T @ vecs)
+        """K = W^T W, the Gram matrix of the columns of W: real, symmetric, positive semidefinite."""
+        c, c_adj = self.kraus, self.kraus.conj().transpose(0, 2, 1)
+        w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
+        return _freeze(w.T @ w)
 
     def fidelities(self, psi: np.ndarray) -> np.ndarray:
-        """Fidelity y† G y of every input, for inputs given as rows of an (n, d) array."""
-        y = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(psi.shape[0], -1)
-        return np.einsum("na,na->n", y.conj(), y @ self.gram.T).real
+        """Fidelity x^T K x of every input, for inputs given as rows of an (n, d) array."""
+        x = _state_coords(psi)
+        return np.einsum("na,na->n", x, x @ self.gram)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from teleportsim import (
     Protocol,
     SchmidtDecomposition,
     check_optimality,
+    estimation_fidelity_exact,
     estimation_fidelity_mc,
     make_rng,
     mean_fidelity_exact,
@@ -30,6 +31,8 @@ from teleportsim import (
     validate_completeness,
 )
 from teleportsim import estimation, haar
+from teleportsim.estimation import _estimation_form
+from teleportsim.protocol import _hermitian_coords, _state_coords
 from helpers import (
     einsum_estimation_samples,
     einsum_mean_fidelity_mkl_form,
@@ -129,6 +132,57 @@ class TestEstimationProduct:
         blocked = estimation_fidelity_mc(meas, lam, strategy, 4000, make_rng(241))
         assert blocked.value == pytest.approx(whole.value, abs=AGREE_TOL)
         assert blocked.std_error == pytest.approx(whole.std_error, abs=AGREE_TOL)
+
+
+def haar_average(form):
+    """Haar average of x^T F x over x = coords(psi psi†): E[x x^T] = (I + e e^T) / (d (d + 1)), e = coords(I)."""
+    d = int(round(np.sqrt(form.shape[0])))
+    e = _hermitian_coords(np.eye(d))
+    return (np.trace(form) + e @ form @ e) / (d * (d + 1))
+
+
+def random_hermitian(d, n, rng):
+    z = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return (z + z.conj().transpose(0, 2, 1)) / 2
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_trace_product_is_the_dot_product(self, d):
+        rng = make_rng(300 + d)
+        e, f = random_hermitian(d, 20, rng), random_hermitian(d, 20, rng)
+        traces = np.einsum("nij,nji->n", e, f)
+        dots = np.sum(_hermitian_coords(e) * _hermitian_coords(f), axis=1)
+        assert np.max(np.abs(traces.imag)) <= 1e-12
+        assert np.max(np.abs(dots - traces.real)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_state_coordinates_give_expectations(self, d):
+        rng = make_rng(310 + d)
+        e = random_hermitian(d, 20, rng)
+        psi = sample_haar_states(d, 50, rng)
+        x = _state_coords(psi)
+        expect = np.einsum("ni,eij,nj->ne", psi.conj(), e, psi)
+        assert np.max(np.abs(x @ _hermitian_coords(e).T - expect.real)) <= 1e-12
+        assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1)) <= 1e-14
+        outer = psi[:, :, None] * psi[:, None, :].conj()
+        assert np.max(np.abs(x - _hermitian_coords(outer))) <= 1e-15
+
+    @pytest.mark.parametrize("d,kind", cases())
+    def test_fidelity_form_has_the_exact_haar_average(self, d, kind):
+        proto = multi_kraus_protocol(d, kind, make_rng(320 + d, stream=SPECTRA.index(kind)))
+        assert abs(haar_average(proto.channel.gram) - mean_fidelity_exact(proto)) <= 1e-12
+        std = standard_protocol(spectrum(kind, d, make_rng(321 + d)))
+        assert abs(haar_average(std.channel.gram) - mean_fidelity_exact(std)) <= 1e-12
+
+    @pytest.mark.parametrize("d,kind", cases())
+    def test_estimation_form_has_the_exact_haar_average(self, d, kind):
+        rng = make_rng(330 + d, stream=SPECTRA.index(kind))
+        lam = spectrum(kind, d, rng)
+        for meas in (random_povm(d, d * d + 2, rng), standard_measurement(d)):
+            for strategy in (random_strategy(d, meas.n_outcomes, rng), optimal_estimates(meas)):
+                exact = estimation_fidelity_exact(meas, lam, strategy)
+                assert abs(haar_average(_estimation_form(meas, lam, strategy)) - exact) <= 1e-12
 
 
 class TestAMatrices:
