@@ -155,4 +155,5 @@ def estimation_fidelity_mc(
         x = _state_coords(block)
         return np.einsum("na,na->n", x, x @ form)
 
-    return blocked_mean(psi, integrand, meas.d**2)
+    # forming x holds about 1.5 d^2 complex entries per row, then x and x @ form d^2 reals each
+    return blocked_mean(psi, integrand, 2 * meas.d**2)

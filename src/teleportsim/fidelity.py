@@ -79,7 +79,8 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
     psi = sample_haar_states(proto.d, n, rng)
-    return blocked_mean(psi, proto.channel.fidelities, proto.d**2)
+    # forming x holds about 1.5 d^2 complex entries per row, then x and x @ K d^2 reals each
+    return blocked_mean(psi, proto.channel.fidelities, 2 * proto.d**2)
 
 
 def fidelity_bound(lambdas) -> float:

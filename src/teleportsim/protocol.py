@@ -251,7 +251,7 @@ class TeleportChannel:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """K = W^T W, the Gram matrix of the columns of W: real, symmetric, positive semidefinite."""
+        """K = W^T W, the Gram matrix of W's columns: real, symmetric, positive semidefinite."""
         c, c_adj = self.kraus, self.kraus.conj().transpose(0, 2, 1)
         w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
         return _freeze(w.T @ w)

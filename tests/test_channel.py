@@ -1,6 +1,6 @@
-"""The effective-channel core: the per-outcome maps A_r, Gram-form Monte Carlo,
-the one-product estimator, the exact fidelity on the channel's Kraus operators,
-laziness and block memory."""
+"""The effective-channel core: the per-outcome maps A_r, the Hermitian
+coordinates and the two Monte-Carlo quadratic forms built on them, the exact
+fidelity on the channel's Kraus operators, laziness and block memory."""
 
 import tracemalloc
 
@@ -135,7 +135,11 @@ class TestEstimationProduct:
 
 
 def haar_average(form):
-    """Haar average of x^T F x over x = coords(psi psi†): E[x x^T] = (I + e e^T) / (d (d + 1)), e = coords(I)."""
+    """Exact Haar average of x^T F x over the coordinates x of psi psi†.
+
+    E[x x^T] = (I + e e^T) / (d (d + 1)) with e = coords(I), so the average
+    is (tr F + e^T F e) / (d (d + 1)).
+    """
     d = int(round(np.sqrt(form.shape[0])))
     e = _hermitian_coords(np.eye(d))
     return (np.trace(form) + e @ form @ e) / (d * (d + 1))
