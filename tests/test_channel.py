@@ -43,6 +43,11 @@ from helpers import (
 
 AGREE_TOL = 1e-13
 SPECTRA = ("full_rank", "rank_deficient", "product")
+#: two values of haar.MC_BLOCK_ENTRIES: 32 MiB blocks, and 4 MiB blocks sized for cache
+BLOCK_BOUNDS = (2**21, 2**18)
+#: per d, sample counts that fill whole 4 MiB blocks of the quadratic forms
+#: (2048 rows at d = 8, 512 at d = 16) and that leave a ragged last block
+RAGGED_AND_WHOLE = {8: (4096, 5000), 16: (2048, 1500)}
 
 
 def spectrum(kind, d, rng):
@@ -95,6 +100,17 @@ class TestGramMonteCarlo:
         assert blocked.value == pytest.approx(whole.value, abs=AGREE_TOL)
         assert blocked.std_error == pytest.approx(whole.std_error, abs=AGREE_TOL)
 
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_cache_and_memory_sized_blocks_agree(self, d, monkeypatch):
+        proto = standard_protocol(random_lambdas(d, make_rng(222 + d)))
+        for n in RAGGED_AND_WHOLE[d]:
+            ests = []
+            for entries in BLOCK_BOUNDS:
+                monkeypatch.setattr(haar, "MC_BLOCK_ENTRIES", entries)
+                ests.append(mean_fidelity_monte_carlo(proto, n, make_rng(223, stream=n)))
+            assert ests[1].value == pytest.approx(ests[0].value, abs=AGREE_TOL)
+            assert ests[1].std_error == pytest.approx(ests[0].std_error, abs=AGREE_TOL)
+
 
 def random_strategy(d, n_outcomes, rng):
     z = rng.standard_normal((n_outcomes, d)) + 1j * rng.standard_normal((n_outcomes, d))
@@ -132,6 +148,19 @@ class TestEstimationProduct:
         blocked = estimation_fidelity_mc(meas, lam, strategy, 4000, make_rng(241))
         assert blocked.value == pytest.approx(whole.value, abs=AGREE_TOL)
         assert blocked.std_error == pytest.approx(whole.std_error, abs=AGREE_TOL)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_cache_and_memory_sized_blocks_agree(self, d, monkeypatch):
+        meas = standard_measurement(d)
+        lam = random_lambdas(d, make_rng(242 + d))
+        strategy = optimal_estimates(meas)
+        for n in RAGGED_AND_WHOLE[d]:
+            ests = []
+            for entries in BLOCK_BOUNDS:
+                monkeypatch.setattr(haar, "MC_BLOCK_ENTRIES", entries)
+                ests.append(estimation_fidelity_mc(meas, lam, strategy, n, make_rng(243, stream=n)))
+            assert ests[1].value == pytest.approx(ests[0].value, abs=AGREE_TOL)
+            assert ests[1].std_error == pytest.approx(ests[0].std_error, abs=AGREE_TOL)
 
 
 def haar_average(form):

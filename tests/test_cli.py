@@ -161,6 +161,23 @@ class TestBlasThreads:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
+    def test_verify_mkl_gives_the_same_verdicts_for_one_and_two_threads(self):
+        # the moment sums are GEMMs over the sample axis; their last bits, and so
+        # the printed numbers, may move with the thread count, but no verdict may
+        argv = ["verify-mkl", "--d", "12", "--n", "5000", "--seed", "4"]
+        src = str(Path(teleportsim.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "teleportsim.cli", *argv], env=env,
+                                  capture_output=True, timeout=300)
+            results = json.loads(proc.stdout)["results"]
+            runs.append((proc.returncode, results["pass"],
+                         [(p["k"], p["l"], p["pass"]) for p in results["pairs"]]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) == 144
+
 
 class TestEstimate:
     def test_report_fields(self, capsys):

@@ -12,6 +12,7 @@ from teleportsim import (
     sample_haar_state,
     sample_haar_states,
 )
+from teleportsim import haar
 from teleportsim.haar import _moment_blocks
 from helpers import random_unitary
 
@@ -147,6 +148,18 @@ class TestMomentBlocksMemory:
             tracemalloc.stop()
         assert est.value.shape == (d * d, d * d)
         assert peak < self.LIMIT_MB
+
+    def test_cache_and_memory_sized_blocks_agree(self, monkeypatch):
+        # at d = 8 all pairs take 8192 rows per 32 MiB block and 1024 per
+        # 4 MiB block, so 5000 rows fill neither evenly
+        d = 8
+        psi = sample_haar_states(d, 5000, make_rng(41))
+        ests = []
+        for entries in (2**21, 2**18):
+            monkeypatch.setattr(haar, "MC_BLOCK_ENTRIES", entries)
+            ests.append(_moment_blocks(psi, range(d), range(d)))
+        assert np.max(np.abs(ests[1].value - ests[0].value)) <= 1e-13
+        assert np.max(np.abs(ests[1].std_error - ests[0].std_error)) <= 1e-13
 
 
 class TestMcEstimate:

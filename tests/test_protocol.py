@@ -402,6 +402,25 @@ class TestTeleportOnce:
                                       ref.output_state.amplitudes.view(np.uint64))
             assert rng.random() == ref_rng.random()  # both drew the same number of uniforms
 
+    @pytest.mark.parametrize("kind,d", [("standard", 2), ("standard", 5), ("standard", 16),
+                                        ("multi_kraus", 3)])
+    def test_each_shot_takes_exactly_two_uniforms(self, kind, d):
+        # a batch that reads its uniforms as an (n, 2) array relies on this
+        gen = make_rng(73, stream=d)
+        if kind == "standard":
+            proto = standard_protocol(random_lambdas(d, gen))
+        else:
+            meas = random_povm(d, d * d, gen)
+            kraus = tuple(random_kraus_set(d, 1 + r % 3, gen) for r in range(meas.n_outcomes))
+            proto = Protocol(SchmidtDecomposition.from_lambdas(random_lambdas(d, gen)), meas,
+                             BobCorrections(kraus))
+        rng, twin = make_rng(74, stream=d), make_rng(74, stream=d)
+        shots = 40
+        for amplitudes in sample_haar_states(d, shots, make_rng(75, stream=d)):
+            teleport_once(proto, PureState(amplitudes), rng)
+        twin.random(2 * shots)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_sampled_mean_fidelity_attains_bound(self):
         # single-shot average over Haar inputs ties the sampled path to the
         # closed-form optimum of the standard protocol

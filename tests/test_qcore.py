@@ -45,6 +45,23 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             Operator([[bad, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("excess", [0.5e-12, -0.5e-12])
+    def test_pure_state_accepts_norm_within_tolerance(self, excess):
+        z = np.array([0.6, 0.48j, -0.64])  # |z|^2 = 1
+        psi = PureState(z * np.sqrt(1 + excess))
+        assert abs(np.sum(np.abs(psi.amplitudes) ** 2) - 1 - excess) <= 1e-15
+
+    @pytest.mark.parametrize("excess", [2e-12, -2e-12])
+    def test_pure_state_rejects_norm_beyond_tolerance(self, excess):
+        z = np.array([0.6, 0.48j, -0.64])
+        with pytest.raises(ValueError, match=r"not normalized: \|psi\|\^2 = "):
+            PureState(z * np.sqrt(1 + excess))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    def test_pure_state_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match=r"not normalized: \|psi\|\^2 = "):
+            PureState([bad, 0.6, 0.8])
+
     def test_states_are_immutable(self):
         psi = basis_state(2, 0)
         with pytest.raises(ValueError):
