@@ -141,9 +141,9 @@ def estimation_fidelity_mc(
     the effects E_r and N those of the guess projectors |guess_r><guess_r|.
     One matrix product builds the d^2 x d^2 form, and one more per block of
     inputs evaluates it. All n inputs are drawn first, in one call, and the
-    blocks keep the intermediates at a fixed size (``MC_BLOCK_ENTRIES``
-    complex entries), so memory does not grow with n beyond the inputs
-    themselves.
+    blocks keep the intermediates at a fixed, cache-sized bound
+    (``MC_BLOCK_ENTRIES`` complex entries), so memory does not grow with n
+    beyond the inputs themselves.
     """
     lam = _check_inputs(meas, lambdas, strategy)
     if n < 1000:

@@ -73,8 +73,9 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     is evaluated as the real quadratic form x^T K x in the coordinates x of
     psi psi† (:class:`TeleportChannel`), one real matrix product per block
     of inputs. All n inputs are drawn first, in one call, and the blocks keep
-    the intermediates at a fixed size (``MC_BLOCK_ENTRIES`` complex
-    entries), so memory does not grow with n beyond the inputs themselves.
+    the intermediates at a fixed, cache-sized bound (``MC_BLOCK_ENTRIES``
+    complex entries), so memory does not grow with n beyond the inputs
+    themselves.
     """
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")

@@ -404,16 +404,16 @@ def standard_protocol(lambdas) -> Protocol:
 
 def _conditional_vectors(proto: Protocol, psi: PureState) -> np.ndarray:
     """Unnormalized conditional states b_r = A_r psi, as rows of an (R, d) array."""
-    if psi.dim != proto.d:
-        raise ValueError(f"input dimension {psi.dim} != protocol dimension {proto.d}")
-    a = proto.channel.a
-    return (a.reshape(-1, proto.d) @ psi.amplitudes).reshape(a.shape[:2])
+    a, amps = proto.channel.a, psi.amplitudes
+    if amps.size != a.shape[2]:
+        raise ValueError(f"input dimension {amps.size} != protocol dimension {a.shape[2]}")
+    return (a.reshape(-1, amps.size) @ amps).reshape(a.shape[:2])
 
 
 def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
     """Probability of each measurement outcome for the input psi."""
     b = _conditional_vectors(proto, psi)
-    return np.sum(np.abs(b) ** 2, axis=1)
+    return (np.abs(b) ** 2).sum(axis=1)
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
@@ -423,7 +423,7 @@ def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
     what ``Generator.choice`` does after checking its arguments; those checks
     cost more than the draw on the short vectors of one shot.
     """
-    cdf = np.cumsum(p)
+    cdf = p.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
@@ -435,14 +435,16 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
     branch with probability |B_rs b_r|^2 / |b_r|^2, and returns Bob's
     normalized output state.
     """
+    # the array methods run the same reductions as np.sum and np.cumsum, bit
+    # for bit, without those functions' dispatch, which dominates at small d
     b = _conditional_vectors(proto, psi)
-    probs = np.sum(np.abs(b) ** 2, axis=1)
+    probs = (np.abs(b) ** 2).sum(axis=1)
     total = float(probs.sum())
     if total <= 0.0:
         raise ValueError("all outcome probabilities vanish; protocol state is corrupted")
     r = _draw(probs / total, rng)
     branches = np.einsum("sij,j->si", proto.corrections.kraus[r], b[r])
-    weights = np.sum(np.abs(branches) ** 2, axis=1)
+    weights = (np.abs(branches) ** 2).sum(axis=1)
     s = _draw(weights / weights.sum(), rng)
     out = branches[s] / np.sqrt(weights[s])
     return TeleportOutcome(outcome=r, probability=float(probs[r]), output_state=PureState(out))
