@@ -35,6 +35,7 @@ class PureState:
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size < 2:
             raise ValueError(f"state dimension must be at least 2, got {amps.size}")
+        # a BLAS dot may round with the thread count; only this check and its message read it
         norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= NORM_ATOL:  # also rejects NaN and inf
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq}")
