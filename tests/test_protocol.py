@@ -44,6 +44,17 @@ def haar_input(d, rng):
     return PureState(z / np.linalg.norm(z))
 
 
+def multi_kraus_protocol(d, gen):
+    """Random complete measurement with random corrections of 1-3 Kraus operators per outcome.
+
+    With several operators per outcome, most branch draws have several choices.
+    """
+    meas = random_povm(d, d * d, gen)
+    kraus = tuple(random_kraus_set(d, 1 + r % 3, gen) for r in range(meas.n_outcomes))
+    return Protocol(SchmidtDecomposition.from_lambdas(random_lambdas(d, gen)), meas,
+                    BobCorrections(kraus))
+
+
 class TestStandardMeasurement:
     def test_d2_outcome_zero(self):
         phi = standard_measurement(2).phi
@@ -385,11 +396,7 @@ class TestTeleportOnce:
     @pytest.mark.parametrize("d", range(2, 17))
     def test_matches_choice_reference_bit_for_bit(self, d):
         gen = make_rng(70, stream=d)
-        meas = random_povm(d, d * d, gen)
-        # 1-3 Kraus operators per outcome, so most branch draws have several choices
-        kraus = tuple(random_kraus_set(d, 1 + r % 3, gen) for r in range(meas.n_outcomes))
-        multi = Protocol(SchmidtDecomposition.from_lambdas(random_lambdas(d, gen)), meas,
-                         BobCorrections(kraus))
+        multi = multi_kraus_protocol(d, gen)
         for proto in (standard_protocol(random_lambdas(d, gen)), multi):
             rng, ref_rng = make_rng(71, stream=d), make_rng(71, stream=d)
             for amplitudes in sample_haar_states(d, 50, make_rng(72, stream=d)):
@@ -410,10 +417,7 @@ class TestTeleportOnce:
         if kind == "standard":
             proto = standard_protocol(random_lambdas(d, gen))
         else:
-            meas = random_povm(d, d * d, gen)
-            kraus = tuple(random_kraus_set(d, 1 + r % 3, gen) for r in range(meas.n_outcomes))
-            proto = Protocol(SchmidtDecomposition.from_lambdas(random_lambdas(d, gen)), meas,
-                             BobCorrections(kraus))
+            proto = multi_kraus_protocol(d, gen)
         rng, twin = make_rng(74, stream=d), make_rng(74, stream=d)
         shots = 40
         for amplitudes in sample_haar_states(d, shots, make_rng(75, stream=d)):
