@@ -27,7 +27,9 @@ from .fidelity import (
     mean_fidelity_exact,
     mean_fidelity_monte_carlo,
 )
-from .haar import McEstimate, _moment_blocks, _moment_matrix, make_rng, sample_haar_states
+from .haar import (
+    MC_MIN_SAMPLES, McEstimate, _moment_blocks, _moment_matrix, make_rng, sample_haar_states,
+)
 from .protocol import (
     _kraus_blocks,
     _kraus_check,
@@ -130,8 +132,10 @@ def _pooled_mc(args, run_chunk: Callable[[np.random.Generator, int], McEstimate]
     threads = args.threads
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
-    if args.n // threads < 1000:
-        raise ValueError(f"need at least 1000 samples per thread, got {args.n} over {threads}")
+    if args.n // threads < MC_MIN_SAMPLES:
+        raise ValueError(
+            f"need at least {MC_MIN_SAMPLES} samples per thread, got {args.n} over {threads}"
+        )
     base, extra = divmod(args.n, threads)
     counts = [base + (1 if i < extra else 0) for i in range(threads)]
     parts = [run_chunk(make_rng(args.seed, stream=i), c) for i, c in enumerate(counts)]

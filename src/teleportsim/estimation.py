@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import McEstimate, blocked_mean, sample_haar_states
-from .protocol import (
-    AliceMeasurement, _a_matrices, _hermitian_coords, _matched_lambdas, _state_coords,
-)
+from .haar import McEstimate, _hermitian_coords, _state_coords, form_monte_carlo
+from .protocol import AliceMeasurement, _a_matrices, _matched_lambdas
 from .qcore import _freeze, check_schmidt_coefficients
 
 #: leading blocks with norm at or below this have no well-defined guess
@@ -42,7 +40,7 @@ class EstimationStrategy:
         if guesses.ndim != 2:
             raise ValueError(f"guesses must have shape (R, d), got {guesses.shape}")
         norms = np.linalg.norm(guesses, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if not np.max(np.abs(norms - 1.0)) <= 1e-12:  # also rejects NaN
             raise ValueError("every guess must be a unit vector")
         if self.degenerate is None:
             degenerate = np.zeros(guesses.shape[0], dtype=bool)
@@ -136,24 +134,11 @@ def estimation_fidelity_mc(
     Averages sum_r p_r(psi) |<psi|guess_r>|^2 with outcome probabilities
     p_r(psi) = sum_k lambda_k^2 |<phi_r^k|psi>|^2 = tr(E_r rho), where
     rho = psi psi† and E_r = A_r† A_r. In the real coordinates x of rho
-    (:func:`protocol._hermitian_coords`) both factors are linear, so the
+    (:func:`haar._hermitian_coords`) both factors are linear, so the
     integrand is the quadratic form x^T (E^T N) x, with E the coordinates of
     the effects E_r and N those of the guess projectors |guess_r><guess_r|.
-    One matrix product builds the d^2 x d^2 form, and one more per block of
-    inputs evaluates it. All n inputs are drawn first, in one call, and the
-    blocks keep the intermediates at a fixed, cache-sized bound
-    (``MC_BLOCK_ENTRIES`` complex entries), so memory does not grow with n
-    beyond the inputs themselves.
+    One matrix product builds the d^2 x d^2 form, and
+    :func:`haar.form_monte_carlo` evaluates it.
     """
     lam = _check_inputs(meas, lambdas, strategy)
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n}")
-    psi = sample_haar_states(meas.d, n, rng)
-    form = _estimation_form(meas, lam, strategy)
-
-    def integrand(block: np.ndarray) -> np.ndarray:
-        x = _state_coords(block)
-        return np.einsum("na,na->n", x, x @ form)
-
-    # forming x holds about 1.5 d^2 complex entries per row, then x and x @ form d^2 reals each
-    return blocked_mean(psi, integrand, 2 * meas.d**2)
+    return form_monte_carlo(_estimation_form(meas, lam, strategy), n, rng)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .haar import McEstimate, _moment_matrix, blocked_mean, sample_haar_states
+from .haar import McEstimate, _moment_matrix, form_monte_carlo
 from .protocol import AliceMeasurement, Protocol, _a_matrices, _matched_lambdas
 from .qcore import check_schmidt_coefficients
 
@@ -70,18 +70,10 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     For each sampled input the full conditional fidelity
     sum_{r,s} |<psi| B_rs A_r |psi>|^2 is taken (no outcome or branch
     sampling), so the only statistical noise left is the Haar average. It
-    is evaluated as the real quadratic form x^T K x in the coordinates x of
-    psi psi† (:class:`TeleportChannel`), one real matrix product per block
-    of inputs. All n inputs are drawn first, in one call, and the blocks keep
-    the intermediates at a fixed, cache-sized bound (``MC_BLOCK_ENTRIES``
-    complex entries), so memory does not grow with n beyond the inputs
-    themselves.
+    is the real quadratic form x^T K x in the coordinates x of psi psi†
+    (:class:`TeleportChannel`), evaluated by :func:`haar.form_monte_carlo`.
     """
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n}")
-    psi = sample_haar_states(proto.d, n, rng)
-    # forming x holds about 1.5 d^2 complex entries per row, then x and x @ K d^2 reals each
-    return blocked_mean(psi, proto.channel.fidelities, 2 * proto.d**2)
+    return form_monte_carlo(proto.channel.gram, n, rng)
 
 
 def fidelity_bound(lambdas) -> float:

@@ -11,12 +11,17 @@ have the closed form (delta_kl * I + |k><l|) / (d * (d + 1)). The
 Monte-Carlo estimator below reproduces them entrywise within its reported
 standard errors; that agreement is the numerical anchor for every exact
 fidelity formula in this package.
+
+Both Monte-Carlo fidelities, of teleportation and of estimation, are real
+quadratic forms x^T F x in the coordinates x of psi psi†. This module holds
+those coordinates and :func:`form_monte_carlo`, the one estimator of a form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -28,6 +33,8 @@ from .qcore import Operator, PureState
 #: d = 8 calls: the quadratic forms slow down once a block outgrows a core's
 #: L2 cache, and the moment sums slow down in much smaller blocks.
 MC_BLOCK_ENTRIES = 2**18
+#: fewest samples any Monte-Carlo estimator accepts
+MC_MIN_SAMPLES = 1000
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -82,23 +89,55 @@ class McEstimate:
         return McEstimate(mean, std_error, int(n))
 
 
-def blocked_mean(
-    psi: np.ndarray, integrand: Callable[[np.ndarray], np.ndarray], width: int
-) -> McEstimate:
-    """Mean and standard error of ``integrand`` over the rows of ``psi``.
+def _hermitian_coords(h: np.ndarray) -> np.ndarray:
+    """Real coordinates of a stack of Hermitian (d, d) matrices, as a (..., d^2) array.
 
-    ``integrand`` maps a block of rows to one real value per row, using
-    intermediates of at most ``width`` complex entries per row. Blocks hold
-    at most ``MC_BLOCK_ENTRIES`` such entries, which keeps a block's working
-    set near cache size and its memory fixed. The block size changes the
+    The d diagonal entries come first, then sqrt(2) Re and then sqrt(2) Im of
+    the entries above the diagonal, in row-major order. The coordinates are
+    orthonormal for the trace product: tr(E F) = coords(E) . coords(F) for
+    Hermitian E and F. Only the diagonal and the upper triangle are read.
+    """
+    i, j = np.triu_indices(h.shape[-1], 1)
+    upper = np.sqrt(2) * h[..., i, j]
+    return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
+
+
+def _state_coords(psi: np.ndarray) -> np.ndarray:
+    """:func:`_hermitian_coords` of psi psi† for every row psi of an (n, d) array.
+
+    They are read off the rows, without forming psi psi†: its diagonal is
+    |psi_i|^2 and its entry (i, j) is psi_i psi_j*. Their norm is |psi|^2.
+    """
+    i, j = np.triu_indices(psi.shape[-1], 1)
+    upper = np.sqrt(2) * psi[:, i] * psi[:, j].conj()
+    return np.concatenate([np.abs(psi) ** 2, upper.real, upper.imag], axis=-1)
+
+
+def form_values(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """x^T F x for every row psi of an (n, d) array, with x the coordinates of psi psi†."""
+    x = _state_coords(psi)
+    return np.einsum("na,na->n", x, x @ form)
+
+
+def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEstimate:
+    """Haar mean and standard error of x^T F x for a real (d^2, d^2) form F.
+
+    All n inputs are drawn first, in one call. The form is then evaluated on
+    blocks of rows whose intermediates hold at most ``MC_BLOCK_ENTRIES``
+    complex entries, which keeps a block's working set near cache size and
+    its memory fixed, independently of n. The block size changes the
     per-row values by rounding at most, since a matrix product may sum in
     another order for another number of rows.
     """
-    n = psi.shape[0]
-    step = max(1, MC_BLOCK_ENTRIES // width)
+    if n < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
+    d = math.isqrt(form.shape[0])
+    psi = sample_haar_states(d, n, rng)
+    # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
+    step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
     f = np.empty(n)
     for start in range(0, n, step):
-        f[start : start + step] = integrand(psi[start : start + step])
+        f[start : start + step] = form_values(form, psi[start : start + step])
     return McEstimate(
         value=float(f.mean()),
         std_error=float(f.std(ddof=1) / np.sqrt(n)),
@@ -180,6 +219,6 @@ def m_kl_monte_carlo(d: int, k: int, l: int, n: int, rng: np.random.Generator) -
     estimate holds the (d, d) complex mean and entrywise standard errors.
     """
     _check_indices(d, k, l)
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n}")
+    if n < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
     return _moment_blocks(sample_haar_states(d, n, rng), [k], [l])

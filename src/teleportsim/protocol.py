@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .haar import _hermitian_coords
 from .qcore import PureState, SchmidtDecomposition, _freeze, check_schmidt_coefficients
 
 #: completeness and Kraus-normalization tolerance for assembled protocols
@@ -194,30 +195,6 @@ def _a_matrices(phi: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     return lambdas[None, :, None] * phi.conj()
 
 
-def _hermitian_coords(h: np.ndarray) -> np.ndarray:
-    """Real coordinates of a stack of Hermitian (d, d) matrices, as a (..., d^2) array.
-
-    The d diagonal entries come first, then sqrt(2) Re and then sqrt(2) Im of
-    the entries above the diagonal, in row-major order. The coordinates are
-    orthonormal for the trace product: tr(E F) = coords(E) . coords(F) for
-    Hermitian E and F. Only the diagonal and the upper triangle are read.
-    """
-    i, j = np.triu_indices(h.shape[-1], 1)
-    upper = np.sqrt(2) * h[..., i, j]
-    return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
-
-
-def _state_coords(psi: np.ndarray) -> np.ndarray:
-    """:func:`_hermitian_coords` of psi psi† for every row psi of an (n, d) array.
-
-    They are read off the rows, without forming psi psi†: its diagonal is
-    |psi_i|^2 and its entry (i, j) is psi_i psi_j*. Their norm is |psi|^2.
-    """
-    i, j = np.triu_indices(psi.shape[-1], 1)
-    upper = np.sqrt(2) * psi[:, i] * psi[:, j].conj()
-    return np.concatenate([np.abs(psi) ** 2, upper.real, upper.imag], axis=-1)
-
-
 def _matched_lambdas(meas: AliceMeasurement, lambdas) -> np.ndarray:
     """Validated Schmidt coefficients, one for each Schmidt block of ``meas``."""
     lam = check_schmidt_coefficients(lambdas)
@@ -236,7 +213,7 @@ class TeleportChannel:
 
         f(psi) = sum_rs |tr(C_rs rho)|^2 = x^T K x,   rho = psi psi†,
 
-    with x the real coordinates of rho (:func:`_hermitian_coords`). Each C
+    with x the real coordinates of rho (:func:`haar._hermitian_coords`). Each C
     splits into Hermitian parts H = (C + C†)/2 and S = (C - C†)/2i with
     tr(C rho) = h . x + i s . x, so K = W^T W, where W stacks the coordinates
     h and s of every C_rs. K is real, symmetric and d^2 x d^2, and is built
@@ -255,11 +232,6 @@ class TeleportChannel:
         c, c_adj = self.kraus, self.kraus.conj().transpose(0, 2, 1)
         w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
         return _freeze(w.T @ w)
-
-    def fidelities(self, psi: np.ndarray) -> np.ndarray:
-        """Fidelity x^T K x of every input, for inputs given as rows of an (n, d) array."""
-        x = _state_coords(psi)
-        return np.einsum("na,na->n", x, x @ self.gram)
 
 
 @dataclass(frozen=True)
@@ -550,4 +522,5 @@ def protocol_to_json(proto: Protocol) -> str:
 
 
 def protocol_from_json(text: str) -> Protocol:
+    """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
     return protocol_from_dict(json.loads(text))

@@ -150,7 +150,7 @@ class SchmidtDecomposition:
             if basis.shape != (d, d):
                 raise ValueError(f"{name} must have shape {(d, d)}, got {basis.shape}")
             gram = basis @ basis.conj().T
-            if np.max(np.abs(gram - np.eye(d))) > RECON_ATOL:
+            if not np.max(np.abs(gram - np.eye(d))) <= RECON_ATOL:  # also rejects NaN
                 raise ValueError(f"{name} rows are not orthonormal")
         object.__setattr__(self, "lambdas", _freeze(lam))
         object.__setattr__(self, "left_basis", _freeze(left))

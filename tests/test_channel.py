@@ -30,9 +30,9 @@ from teleportsim import (
     standard_protocol,
     validate_completeness,
 )
-from teleportsim import estimation, haar
+from teleportsim import haar
 from teleportsim.estimation import _estimation_form
-from teleportsim.protocol import _hermitian_coords, _state_coords
+from teleportsim.haar import _hermitian_coords, _state_coords, form_values
 from helpers import (
     einsum_estimation_samples,
     einsum_mean_fidelity_mkl_form,
@@ -81,7 +81,7 @@ class TestGramMonteCarlo:
         est = mean_fidelity_monte_carlo(proto, 3000, make_rng(201, stream=d))
         psi = sample_haar_states(d, 3000, make_rng(201, stream=d))
         ref = loop_fidelity_samples(proto, psi)
-        assert np.max(np.abs(proto.channel.fidelities(psi) - ref)) <= AGREE_TOL
+        assert np.max(np.abs(form_values(proto.channel.gram, psi) - ref)) <= AGREE_TOL
         assert abs(est.value - ref.mean()) <= AGREE_TOL
         assert abs(est.std_error - ref.std(ddof=1) / np.sqrt(ref.size)) <= AGREE_TOL
 
@@ -90,7 +90,7 @@ class TestGramMonteCarlo:
         proto = standard_protocol(random_lambdas(d, make_rng(210 + d)))
         psi = sample_haar_states(d, {8: 1000, 16: 300}.get(d, 2000), make_rng(211))
         ref = loop_fidelity_samples(proto, psi)
-        assert np.max(np.abs(proto.channel.fidelities(psi) - ref)) <= AGREE_TOL
+        assert np.max(np.abs(form_values(proto.channel.gram, psi) - ref)) <= AGREE_TOL
 
     def test_block_size_does_not_change_the_estimate(self, monkeypatch):
         proto = multi_kraus_protocol(3, "full_rank", make_rng(220))
@@ -119,23 +119,17 @@ def random_strategy(d, n_outcomes, rng):
 
 class TestEstimationProduct:
     @pytest.mark.parametrize("d,kind", cases() + [(d, kind) for d in (8, 16) for kind in SPECTRA])
-    def test_matches_einsum_form_on_identical_samples(self, d, kind, monkeypatch):
+    def test_matches_einsum_form_on_identical_samples(self, d, kind):
         n = 3000 if d <= 5 else 1000
         rng = make_rng(230 + d, stream=SPECTRA.index(kind))
         meas = random_povm(d, d * d + 1, rng)
         lam = spectrum(kind, d, rng)
-        rows = []
-
-        def keep_rows(psi, integrand, width):  # blocked_mean that also keeps the per-input values
-            rows.append(integrand(psi))
-            return haar.blocked_mean(psi, integrand, width)
-
-        monkeypatch.setattr(estimation, "blocked_mean", keep_rows)
         for strategy in (random_strategy(d, meas.n_outcomes, rng), optimal_estimates(meas)):
             est = estimation_fidelity_mc(meas, lam, strategy, n, make_rng(231, stream=d))
             psi = sample_haar_states(d, n, make_rng(231, stream=d))
             ref = einsum_estimation_samples(meas, lam, strategy, psi)
-            assert np.max(np.abs(rows.pop() - ref)) <= AGREE_TOL
+            rows = form_values(_estimation_form(meas, lam, strategy), psi)
+            assert np.max(np.abs(rows - ref)) <= AGREE_TOL
             assert abs(est.value - ref.mean()) <= AGREE_TOL
             assert abs(est.std_error - ref.std(ddof=1) / np.sqrt(ref.size)) <= AGREE_TOL
 
@@ -285,9 +279,14 @@ class TestLaziness:
 
 
 class TestBlockMemory:
-    """Traced peak of one d = 16 call with n = 20000: blocks keep it bounded."""
+    """Traced peak of one d = 16 call with n = 20000: blocks keep it bounded.
 
-    LIMIT_MB = 160
+    The peaks are 10.1 MB for the fidelity and 10.6 MB for the estimation,
+    and 27.5 and 28.0 MB if blocks hold 2^21 entries, so the limit fails
+    blocks grown back eightfold.
+    """
+
+    LIMIT_MB = 16
 
     @pytest.fixture(scope="class")
     def proto(self):

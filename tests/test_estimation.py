@@ -143,6 +143,10 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="strategy shape"):
             EVALUATORS[name](meas, [0.8, 0.6], strategy)
 
+    def test_nan_guess_rejected(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            EstimationStrategy([[np.nan, 0], [1, 0], [0, 1], [1, 0]])
+
 
 class TestOptimalityOfStrategy:
     @pytest.mark.parametrize("d", [2, 3])

@@ -6,14 +6,19 @@ from scipy import stats
 
 from teleportsim import (
     McEstimate,
+    estimation_fidelity_mc,
     m_kl_exact,
     m_kl_monte_carlo,
     make_rng,
+    mean_fidelity_monte_carlo,
+    optimal_estimates,
     sample_haar_state,
     sample_haar_states,
+    standard_measurement,
+    standard_protocol,
 )
 from teleportsim import haar
-from teleportsim.haar import _moment_blocks
+from teleportsim.haar import _hermitian_coords, _moment_blocks, form_monte_carlo
 from helpers import random_unitary
 
 
@@ -129,13 +134,48 @@ class TestMklMonteCarlo:
             m_kl_monte_carlo(2, 0, 0, 10, make_rng(0))
 
 
+class TestFormMonteCarlo:
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    @pytest.mark.parametrize("form", ["identity", "trace_squared"])
+    def test_forms_equal_to_one_on_every_row(self, d, form):
+        # x . x = |psi|^4 and (e . x)^2 = (tr rho)^2 with e = coords(I): both are 1
+        n = 33_000
+        step = max(1, haar.MC_BLOCK_ENTRIES // (2 * d * d))
+        assert n > step and n % step  # several blocks, the last one ragged
+        e = _hermitian_coords(np.eye(d))
+        f = np.eye(d * d) if form == "identity" else np.outer(e, e)
+        est = form_monte_carlo(f, n, make_rng(50 + d))
+        assert est.n_samples == n
+        assert abs(est.value - 1) <= 1e-14
+        assert est.std_error <= 1e-14
+
+
+MEAS_D2 = standard_measurement(2)
+MC_ENTRY_POINTS = {
+    "fidelity": lambda n: mean_fidelity_monte_carlo(standard_protocol([0.8, 0.6]), n, make_rng(0)),
+    "estimation": lambda n: estimation_fidelity_mc(
+        MEAS_D2, [0.8, 0.6], optimal_estimates(MEAS_D2), n, make_rng(0)
+    ),
+    "moment": lambda n: m_kl_monte_carlo(2, 0, 1, n, make_rng(0)),
+}
+
+
+class TestSampleFloor:
+    @pytest.mark.parametrize("name", sorted(MC_ENTRY_POINTS))
+    def test_boundary(self, name):
+        with pytest.raises(ValueError, match="need at least 1000 samples, got 999"):
+            MC_ENTRY_POINTS[name](999)
+        assert MC_ENTRY_POINTS[name](1000).n_samples == 1000
+
+
 class TestMomentBlocksMemory:
     """Traced peak of the full d = 16 moment matrix over n = 100000 samples.
 
     Unblocked, the (n, d^2) factor y = psi* (x) psi alone would take 410 MB.
+    The peak is 6.5 MB, and 41.8 MB if blocks hold 2^21 entries.
     """
 
-    LIMIT_MB = 64
+    LIMIT_MB = 16
 
     def test_peak_is_bounded(self):
         d = 16

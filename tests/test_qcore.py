@@ -127,6 +127,10 @@ class TestSchmidtType:
         with pytest.raises(ValueError, match="not normalized"):
             SchmidtDecomposition.from_lambdas([1.0, 0.5])
 
+    def test_rejects_nan_basis(self):
+        with pytest.raises(ValueError, match="left_basis rows are not orthonormal"):
+            SchmidtDecomposition([0.8, 0.6], [[np.nan, 0], [0, 1]], np.eye(2))
+
     def test_effective_rank_cutoff(self):
         dec = SchmidtDecomposition.from_lambdas([1.0, 1e-13])
         assert dec.effective_rank == 1
