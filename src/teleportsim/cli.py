@@ -33,6 +33,7 @@ from .haar import (
 from .protocol import (
     _kraus_blocks,
     _kraus_check,
+    _load_json,
     _protocol_parts,
     check_optimality,
     standard_measurement,
@@ -291,7 +292,8 @@ def _cmd_check_protocol(args) -> int:
                     "a protocol file sets its own Schmidt coefficients"
                 )
         with open(args.protocol, encoding="utf-8") as fh:
-            schmidt, meas, kraus = _protocol_parts(json.load(fh))
+            text = fh.read()
+        schmidt, meas, kraus = _protocol_parts(_load_json(text))
         if args.d not in (None, meas.d):
             raise ValueError(f"--d {args.d} does not match the protocol file's dimension {meas.d}")
         lam, flags = schmidt.lambdas, {}

@@ -39,8 +39,11 @@ class EstimationStrategy:
         guesses = np.array(self.guesses, dtype=complex)
         if guesses.ndim != 2:
             raise ValueError(f"guesses must have shape (R, d), got {guesses.shape}")
+        # checked before the norms, which warn on an infinite entry
+        if not np.isfinite(guesses).all():
+            raise ValueError("every guess must be a unit vector: guesses must be finite")
         norms = np.linalg.norm(guesses, axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= 1e-12:  # also rejects NaN
+        if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("every guess must be a unit vector")
         if self.degenerate is None:
             degenerate = np.zeros(guesses.shape[0], dtype=bool)

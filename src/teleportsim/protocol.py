@@ -18,6 +18,7 @@ single-shot simulation read.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -487,22 +488,38 @@ def protocol_from_dict(data: dict) -> Protocol:
     return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))
 
 
-def _indented_json(arr: np.ndarray, depth: int) -> str:
-    """``json.dumps(arr.tolist(), indent=2)`` for a float array nested ``depth`` levels deep.
+def _json_layout(shape: tuple[int, ...], depth: int) -> str:
+    """Template of ``json.dumps(arr.tolist(), indent=2)`` for an array of ``shape``.
 
-    json indents in pure Python, which is slow on large arrays. The layout
-    depends only on the shape, so it is built once as a template with one
-    ``%r`` per number and filled in one step. ``%r`` writes
-    ``float.__repr__``, which is what json writes for a finite float. No
-    axis may be empty (json writes ``[]`` there), which a protocol's arrays
-    never are.
+    The array is nested ``depth`` levels deep in the document, and each
+    number is a ``%s`` slot. json indents in pure Python, which is slow on
+    large arrays; the layout depends only on the shape, so it is built once
+    per shape and filled with :func:`_float_reprs` in one step. No axis may
+    be empty (json writes ``[]`` there), which a protocol's arrays never are.
     """
-    template = "%r"
-    for level in reversed(range(depth, depth + arr.ndim)):
+    template = "%s"
+    for level in reversed(range(depth, depth + len(shape))):
         item = "\n" + "  " * (level + 1)
-        body = ("," + item).join([template] * arr.shape[level - depth])
+        body = ("," + item).join([template] * shape[level - depth])
         template = "[" + item + body + "\n" + "  " * level + "]"
-    return template % tuple(arr.ravel().tolist())
+    return template
+
+
+def _float_reprs(values: np.ndarray) -> tuple[str, ...]:
+    """``float.__repr__`` of every entry, in C order, with one call per distinct bit pattern.
+
+    ``float.__repr__`` is what json writes for a finite float. A protocol's
+    arrays repeat few values (the standard one's are mostly zeros), so
+    formatting each distinct value once saves most of the calls. Keying on
+    the bits keeps ``-0.0`` and ``0.0`` apart. The distinct patterns come
+    from a sort and a binary search, not ``np.unique(..., return_inverse=True)``,
+    whose argsort took ten times as long on 131 072 entries.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
+    ordered = np.sort(bits)
+    unique = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    reprs = np.array([repr(x) for x in unique.view(np.float64).tolist()], dtype=object)
+    return tuple(reprs[np.searchsorted(unique, bits)].tolist())
 
 
 def protocol_to_json(proto: Protocol) -> str:
@@ -511,16 +528,48 @@ def protocol_to_json(proto: Protocol) -> str:
     The text is ``json.dumps(protocol_to_dict(proto), indent=2)`` plus a
     newline. json itself writes the head, so the coefficients keep its float
     rules; ``phi`` and the Kraus blocks, finite by construction, are laid out
-    by :func:`_indented_json`.
+    by :func:`_json_layout` and filled by :func:`_float_reprs`, once for
+    ``phi`` and once for all blocks together. Blocks of one shape share one
+    layout, so ragged blocks keep their own.
     """
     head = json.dumps(_protocol_head(proto), indent=2)[: -len("\n}")]
-    blocks = ",\n    ".join(_indented_json(_pairs(b), 2) for b in proto.corrections.kraus)
-    return (
-        f'{head},\n  "phi": {_indented_json(_pairs(proto.measurement.phi), 1)},'
-        f'\n  "corrections": [\n    {blocks}\n  ]\n}}\n'
+    # layouts and [re, im] copies are temporaries, freed as soon as they are filled
+    phi = proto.measurement.phi
+    phi_text = _json_layout(phi.shape + (2,), 1) % _float_reprs(_pairs(phi))
+    kraus = proto.corrections.kraus
+    layouts = {shape: _json_layout(shape + (2,), 2) for shape in {b.shape for b in kraus}}
+    corrections = ",\n    ".join([layouts[b.shape] for b in kraus]) % _float_reprs(
+        _pairs(np.concatenate([b.ravel() for b in kraus]))
     )
+    return (
+        f'{head},\n  "phi": {phi_text},'
+        f'\n  "corrections": [\n    {corrections}\n  ]\n}}\n'
+    )
+
+
+def _load_json(text: str):
+    """``json.loads`` with the cyclic garbage collector paused.
+
+    A protocol file parses into one list per ``[re, im]`` pair, 131 072 of
+    them at d = 16. Each allocation counts toward the collector's
+    thresholds, so with the collector on, parsing triggers many passes over
+    a growing heap. They cannot find anything: json builds only dicts,
+    lists, strings and numbers, and no parsed list can be part of a
+    reference cycle, so reference counting frees everything. The pause
+    holds for the whole process, which is safe because the package starts
+    no threads (``--threads`` splits the random stream serially). The
+    collector is re-enabled only if it was enabled on entry, and no
+    collection is forced.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
-    return protocol_from_dict(json.loads(text))
+    return protocol_from_dict(_load_json(text))

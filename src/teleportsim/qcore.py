@@ -149,8 +149,11 @@ class SchmidtDecomposition:
         for name, basis in (("left_basis", left), ("right_basis", right)):
             if basis.shape != (d, d):
                 raise ValueError(f"{name} must have shape {(d, d)}, got {basis.shape}")
+            # checked before the product, which warns on an infinite entry
+            if not np.isfinite(basis).all():
+                raise ValueError(f"{name} rows are not orthonormal: entries must be finite")
             gram = basis @ basis.conj().T
-            if not np.max(np.abs(gram - np.eye(d))) <= RECON_ATOL:  # also rejects NaN
+            if not np.max(np.abs(gram - np.eye(d))) <= RECON_ATOL:
                 raise ValueError(f"{name} rows are not orthonormal")
         object.__setattr__(self, "lambdas", _freeze(lam))
         object.__setattr__(self, "left_basis", _freeze(left))

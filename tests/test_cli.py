@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from teleportsim import (
     haar,
     m_kl_monte_carlo,
     make_rng,
+    protocol_from_json,
     protocol_to_json,
     standard_protocol,
 )
@@ -377,6 +379,37 @@ class TestCheckProtocol:
         path.write_text("{not json")
         code, out, err = run_cli(capsys, "check-protocol", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("malformed", [False, True])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_readers_parse_with_gc_paused_and_restore_it(
+        self, capsys, tmp_path, monkeypatch, enabled, malformed
+    ):
+        text = "{not json" if malformed else protocol_to_json(standard_protocol([0.8, 0.6]))
+        path = tmp_path / "proto.json"
+        path.write_text(text)
+        loads, paused = json.loads, []
+
+        def spy(s, **kwargs):
+            paused.append(not gc.isenabled())
+            return loads(s, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if malformed:
+                with pytest.raises(ValueError):
+                    protocol_from_json(text)
+            else:
+                protocol_from_json(text)
+            assert gc.isenabled() is enabled
+            code, out, err = run_cli(capsys, "check-protocol", str(path))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == (2 if malformed else 0)
+        assert paused == [True, True]
 
 
 class TestSearch:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,12 @@ class TestInputChecks:
     def test_nan_guess_rejected(self):
         with pytest.raises(ValueError, match="unit vector"):
             EstimationStrategy([[np.nan, 0], [1, 0], [0, 1], [1, 0]])
+
+    def test_infinite_guess_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="guesses must be finite"):
+                EstimationStrategy([[np.inf, 0], [1, 0], [0, 1], [1, 0]])
 
 
 class TestOptimalityOfStrategy:

@@ -24,7 +24,7 @@ from teleportsim import (
     teleport_once,
     validate_completeness,
 )
-from teleportsim.protocol import _indented_json
+from teleportsim.protocol import _float_reprs, _json_layout
 from helpers import (
     choice_teleport_once,
     einsum_bob_unitaries,
@@ -495,7 +495,7 @@ def ragged_povm_protocol(rng):
 
 SERIALIZED_PROTOCOLS = {
     **{f"standard-d{d}": lambda d=d: standard_protocol(random_lambdas(d, make_rng(80 + d)))
-       for d in (2, 3, 5, 8)},
+       for d in (2, 3, 5, 8, 12)},
     "product-d3": lambda: standard_protocol([1.0, 0.0, 0.0]),
     "rank-deficient-d4": lambda: standard_protocol([0.8, 0.6, 0.0, 0.0]),
     "ragged-povm-d3": lambda: ragged_povm_protocol(make_rng(89)),
@@ -521,10 +521,10 @@ class TestSerialization:
     @pytest.mark.parametrize("depth", [0, 1, 2])
     @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 2, 4, 2), (5, 1, 3, 3, 2)])
     def test_array_layout_matches_json(self, shape, depth):
-        values = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1]
+        values = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1, 0.0]
         arr = np.resize(values + [-v for v in values[1:]], shape)
         expected = json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + "  " * depth)
-        assert _indented_json(arr, depth) == expected
+        assert _json_layout(arr.shape, depth) % _float_reprs(arr) == expected
 
     def test_round_trip_keeps_every_bit_at_d16(self):
         proto = standard_protocol(random_lambdas(16, make_rng(72)))

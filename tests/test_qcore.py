@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,12 @@ class TestSchmidtType:
     def test_rejects_nan_basis(self):
         with pytest.raises(ValueError, match="left_basis rows are not orthonormal"):
             SchmidtDecomposition([0.8, 0.6], [[np.nan, 0], [0, 1]], np.eye(2))
+
+    def test_rejects_infinite_basis_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="left_basis .* must be finite"):
+                SchmidtDecomposition([0.8, 0.6], [[np.inf, 0], [0, 1]], np.eye(2))
 
     def test_effective_rank_cutoff(self):
         dec = SchmidtDecomposition.from_lambdas([1.0, 1e-13])
