@@ -31,10 +31,9 @@ from .haar import (
     MC_MIN_SAMPLES, McEstimate, _moment_blocks, _moment_matrix, make_rng, sample_haar_states,
 )
 from .protocol import (
-    _kraus_blocks,
     _kraus_check,
-    _load_json,
-    _protocol_parts,
+    _kraus_stack,
+    _load_protocol_parts,
     check_optimality,
     standard_measurement,
     standard_protocol,
@@ -293,14 +292,14 @@ def _cmd_check_protocol(args) -> int:
                 )
         with open(args.protocol, encoding="utf-8") as fh:
             text = fh.read()
-        schmidt, meas, kraus = _protocol_parts(_load_json(text))
+        schmidt, meas, kraus = _load_protocol_parts(text)
         if args.d not in (None, meas.d):
             raise ValueError(f"--d {args.d} does not match the protocol file's dimension {meas.d}")
         lam, flags = schmidt.lambdas, {}
         source = args.protocol
     completeness = validate_completeness(meas, args.tol)
     optimality = check_optimality(meas, schmidt, args.tol)
-    kraus_err = float(_kraus_check(_kraus_blocks(kraus, meas.d))[1].max(initial=0.0))
+    kraus_err = float(_kraus_check(*_kraus_stack(kraus, meas.d))[1].max(initial=0.0))
     corrections_ok = kraus_err <= args.tol and len(kraus) == meas.n_outcomes
     ok = completeness.passed and optimality.passed and corrections_ok
     report = {

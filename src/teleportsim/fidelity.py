@@ -58,8 +58,8 @@ def mean_fidelity_mkl_form(proto: Protocol) -> float:
     """
     d = proto.d
     a = _a_matrices(proto.measurement.phi, proto.schmidt.lambdas)
-    blocks = proto.corrections.kraus
-    c = np.concatenate(blocks) @ np.repeat(a, [b.shape[0] for b in blocks], axis=0)
+    corr = proto.corrections
+    c = corr.stack @ a[corr.outcome]
     v = c.transpose(0, 2, 1).reshape(c.shape[0], d * d)
     return float(np.sum(v.conj() * (v @ _moment_matrix(d).T)).real)
 

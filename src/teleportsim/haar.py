@@ -174,9 +174,15 @@ def m_kl_exact(d: int, k: int, l: int) -> Operator:
 
 
 def _moment_matrix(d: int) -> np.ndarray:
-    """Every M(k, l) in one (d^2, d^2) matrix, entry [(k, i), (l, j)] = M(k, l)[i, j]."""
-    m = np.array([[m_kl_exact(d, k, l).matrix for l in range(d)] for k in range(d)])
-    return m.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    """Every M(k, l) in one (d^2, d^2) matrix, entry [(k, i), (l, j)] = M(k, l)[i, j].
+
+    Entry [(k, i), (l, j)] is (delta_kl delta_ij + delta_ki delta_lj) / (d (d+1)):
+    the identity plus the outer product of e = vec(I) with itself. Each entry
+    is an integer divided once by d (d+1), as in :func:`m_kl_exact`, so the
+    two agree bit for bit.
+    """
+    e = np.eye(d).ravel()
+    return ((np.eye(d * d) + np.outer(e, e)) / (d * (d + 1))).astype(complex)
 
 
 def _moment_blocks(psi: np.ndarray, ks: Sequence[int], ls: Sequence[int]) -> McEstimate:

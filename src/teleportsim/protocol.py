@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -67,16 +67,18 @@ class AliceMeasurement:
         return self.phi.shape[0]
 
 
-def _kraus_blocks(kraus, d: int | None = None) -> list[np.ndarray]:
-    """Each outcome's Kraus operators as an (S, d, d) complex array.
+def _kraus_stack(kraus, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every outcome's Kraus operators in one (K, d, d) complex stack, and each outcome's count.
 
-    A bare (d, d) matrix is one operator. Only shapes are checked: every
-    block must hold at least one square operator of dimension ``d``, or of
-    the first block's dimension when ``d`` is None.
+    A bare (d, d) matrix is one operator, so an (R, d, d) array is R outcomes
+    of one operator each. Only shapes are checked: every block must hold at
+    least one square operator of dimension ``d``, or of the first block's
+    dimension when ``d`` is None. Blocks are read with ``np.asarray``, so the
+    concatenation is the only copy. No blocks give an empty stack.
     """
     blocks = []
     for r, block in enumerate(kraus):
-        arr = np.array(block, dtype=complex)
+        arr = np.asarray(block, dtype=complex)
         if arr.ndim == 2:
             arr = arr[None]
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] == 0:
@@ -88,21 +90,23 @@ def _kraus_blocks(kraus, d: int | None = None) -> list[np.ndarray]:
         elif arr.shape[1] != d:
             raise ValueError(f"outcome {r}: dimension {arr.shape[1]} != {d}")
         blocks.append(arr)
-    return blocks
+    sizes = np.array([b.shape[0] for b in blocks], dtype=np.intp)
+    if not blocks:
+        return np.zeros((0, d or 0, d or 0), dtype=complex), sizes
+    return np.concatenate(blocks), sizes
 
 
-def _kraus_check(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _kraus_check(stack: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per outcome: whether its Kraus operators B_s are finite, and max |sum_s B_s† B_s - I|.
 
-    ``blocks`` is a list of (S_r, d, d) arrays as :func:`_kraus_blocks`
-    returns them. Both checks run once on their concatenated (K, d, d) stack,
-    summed over each outcome's operators by ``np.add.reduceat``. An outcome
-    that is not finite has a NaN or infinite error. No blocks give empty arrays.
+    ``stack`` and ``sizes`` are as :func:`_kraus_stack` returns them. Both
+    checks run once on the whole stack and are summed over each outcome's
+    operators by ``np.add.reduceat``. An outcome that is not finite has a NaN
+    or infinite error. No outcomes give empty arrays.
     """
-    if not blocks:
+    if not sizes.size:
         return np.ones(0, dtype=bool), np.zeros(0)
-    stack = np.concatenate(blocks)
-    starts = np.cumsum([0] + [b.shape[0] for b in blocks[:-1]])
+    starts = np.cumsum(sizes) - sizes
     finite = np.logical_and.reduceat(np.isfinite(stack).all(axis=(1, 2)), starts)
     # non-finite operators make NaN or infinite sums, which ``finite`` already flags
     with np.errstate(invalid="ignore", over="ignore"):
@@ -115,37 +119,42 @@ def _kraus_check(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 class BobCorrections:
     """Per-outcome correction channels as Kraus operator lists.
 
-    ``kraus[r]`` is an (S_r, d, d) array with sum_s B†B = I; the common case
-    is a single unitary per outcome. A bare (d, d) matrix is accepted as a
-    one-element list.
+    ``kraus`` is one block per outcome: an (S_r, d, d) array, a list of
+    (d, d) matrices, or a bare (d, d) matrix as a single operator, so an
+    (R, d, d) array gives R one-operator outcomes. Each must satisfy
+    sum_s B†B = I. The operators are checked once and kept in one read-only
+    (K, d, d) array ``stack``; ``outcome[i]`` is the outcome of ``stack[i]``,
+    and ``kraus[r]`` is the read-only (S_r, d, d) view of ``stack`` holding
+    outcome r's operators.
     """
 
     kraus: tuple
+    stack: np.ndarray = field(init=False, repr=False)
+    outcome: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        blocks = _kraus_blocks(self.kraus)
-        if not blocks:
+        stack, sizes = _kraus_stack(self.kraus)
+        if not sizes.size:
             raise ValueError("need at least one outcome")
-        finite, error = _kraus_check(blocks)
+        finite, error = _kraus_check(stack, sizes)
         bad = np.flatnonzero(~finite | ~(error <= KRAUS_ATOL))
         if bad.size:
             r = int(bad[0])
             if not finite[r]:
                 raise ValueError(f"outcome {r}: Kraus operators must be finite")
             raise ValueError(f"outcome {r}: Kraus operators do not compose to the identity")
-        object.__setattr__(self, "kraus", tuple(_freeze(b) for b in blocks))
+        stack = _freeze(stack)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "outcome", _freeze(np.repeat(np.arange(sizes.size), sizes)))
+        object.__setattr__(self, "kraus", tuple(np.split(stack, np.cumsum(sizes)[:-1])))
 
     @property
     def d(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.stack.shape[1]
 
     @property
     def n_outcomes(self) -> int:
         return len(self.kraus)
-
-    @classmethod
-    def from_unitaries(cls, mats) -> "BobCorrections":
-        return cls(tuple(np.asarray(m, dtype=complex)[None] for m in mats))
 
 
 @dataclass(frozen=True)
@@ -208,9 +217,9 @@ class TeleportChannel:
     """A protocol as one channel rho -> sum_rs C_rs rho C_rs†.
 
     ``a`` stacks the per-outcome maps A_r, so b_r = A_r |psi> is Bob's
-    unnormalized state after outcome r. ``kraus`` stacks C_rs = B_rs A_r
-    over outcomes and correction branches, and ``outcome[i]`` is the outcome
-    r of ``kraus[i]``. The fidelity of an input psi is
+    unnormalized state after outcome r. ``kraus`` stacks C_rs = B_rs A_r in
+    the order of :attr:`BobCorrections.stack`, so the outcome r of
+    ``kraus[i]`` is ``corrections.outcome[i]``. The fidelity of an input psi is
 
         f(psi) = sum_rs |tr(C_rs rho)|^2 = x^T K x,   rho = psi psi†,
 
@@ -222,10 +231,9 @@ class TeleportChannel:
     """
 
     def __init__(self, proto: Protocol) -> None:
-        blocks = proto.corrections.kraus
+        corr = proto.corrections
         self.a = _freeze(_a_matrices(proto.measurement.phi, proto.schmidt.lambdas))
-        self.outcome = _freeze(np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks]))
-        self.kraus = _freeze(np.concatenate(blocks) @ self.a[self.outcome])
+        self.kraus = _freeze(corr.stack @ self.a[corr.outcome])
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -360,7 +368,7 @@ def optimal_bob_corrections(
         )
     u, _, vh = np.linalg.svd(a)
     polar = u @ vh
-    return BobCorrections.from_unitaries(polar.conj().transpose(0, 2, 1))
+    return BobCorrections(polar.conj().transpose(0, 2, 1))
 
 
 def standard_protocol(lambdas) -> Protocol:
@@ -529,17 +537,18 @@ def protocol_to_json(proto: Protocol) -> str:
     newline. json itself writes the head, so the coefficients keep its float
     rules; ``phi`` and the Kraus blocks, finite by construction, are laid out
     by :func:`_json_layout` and filled by :func:`_float_reprs`, once for
-    ``phi`` and once for all blocks together. Blocks of one shape share one
+    ``phi`` and once for all blocks together, read off
+    :attr:`BobCorrections.stack`. Blocks of one shape share one
     layout, so ragged blocks keep their own.
     """
     head = json.dumps(_protocol_head(proto), indent=2)[: -len("\n}")]
     # layouts and [re, im] copies are temporaries, freed as soon as they are filled
     phi = proto.measurement.phi
     phi_text = _json_layout(phi.shape + (2,), 1) % _float_reprs(_pairs(phi))
-    kraus = proto.corrections.kraus
-    layouts = {shape: _json_layout(shape + (2,), 2) for shape in {b.shape for b in kraus}}
-    corrections = ",\n    ".join([layouts[b.shape] for b in kraus]) % _float_reprs(
-        _pairs(np.concatenate([b.ravel() for b in kraus]))
+    corr = proto.corrections
+    layouts = {shape: _json_layout(shape + (2,), 2) for shape in {b.shape for b in corr.kraus}}
+    corrections = ",\n    ".join([layouts[b.shape] for b in corr.kraus]) % _float_reprs(
+        _pairs(corr.stack)
     )
     return (
         f'{head},\n  "phi": {phi_text},'
@@ -547,24 +556,26 @@ def protocol_to_json(proto: Protocol) -> str:
     )
 
 
-def _load_json(text: str):
-    """``json.loads`` with the cyclic garbage collector paused.
+def _load_protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurement, list]:
+    """:func:`_protocol_parts` of a protocol text, parsed with the cyclic garbage collector paused.
 
     A protocol file parses into one list per ``[re, im]`` pair, 131 072 of
     them at d = 16. Each allocation counts toward the collector's
     thresholds, so with the collector on, parsing triggers many passes over
     a growing heap. They cannot find anything: json builds only dicts,
     lists, strings and numbers, and no parsed list can be part of a
-    reference cycle, so reference counting frees everything. The pause
-    holds for the whole process, which is safe because the package starts
-    no threads (``--threads`` splits the random stream serially). The
-    collector is re-enabled only if it was enabled on entry, and no
-    collection is forced.
+    reference cycle, so reference counting frees everything. The pause lasts
+    until :func:`_protocol_parts` has converted the lists to arrays and they
+    are freed, since a collector enabled while they live would make one more
+    pass over all of them. It holds for the whole process, which is safe
+    because the package starts no threads (``--threads`` splits the random
+    stream serially). The collector is re-enabled only if it was enabled on
+    entry, and no collection is forced.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
+        return _protocol_parts(json.loads(text))
     finally:
         if enabled:
             gc.enable()
@@ -572,4 +583,5 @@ def _load_json(text: str):
 
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
-    return protocol_from_dict(_load_json(text))
+    schmidt, meas, kraus = _load_protocol_parts(text)
+    return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))

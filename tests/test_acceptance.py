@@ -222,9 +222,7 @@ def test_criterion_10_fidelity_formulation_equivalence():
             blocks = tuple(random_kraus_set(2, 2, rng) for _ in range(meas.n_outcomes))
             corr = BobCorrections(blocks)
         else:
-            corr = BobCorrections.from_unitaries(
-                [random_kraus_set(2, 1, rng)[0] for _ in range(meas.n_outcomes)]
-            )
+            corr = BobCorrections([random_kraus_set(2, 1, rng)[0] for _ in range(meas.n_outcomes)])
         proto = Protocol(SchmidtDecomposition.from_lambdas(lam), meas, corr)
         worst = max(worst, abs(mean_fidelity_exact(proto) - mean_fidelity_mkl_form(proto)))
     report(

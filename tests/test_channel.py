@@ -243,8 +243,9 @@ class TestExactOnChannel:
         assert channel.kraus.shape[0] == sum(b.shape[0] for b in proto.corrections.kraus)
         total = np.einsum("kij,kil->jl", channel.kraus.conj(), channel.kraus)
         assert np.allclose(total, np.eye(2), atol=1e-12)  # the channel is trace preserving
-        for i, r in enumerate(channel.outcome):
-            s = i - int(np.searchsorted(channel.outcome, r))
+        outcome = proto.corrections.outcome
+        for i, r in enumerate(outcome):
+            s = i - int(np.searchsorted(outcome, r))
             assert np.allclose(channel.kraus[i], proto.corrections.kraus[r][s] @ channel.a[r])
 
 

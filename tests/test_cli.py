@@ -10,10 +10,10 @@ import pytest
 
 import teleportsim
 from teleportsim import (
-    Operator,
-    haar,
+    cli,
     m_kl_monte_carlo,
     make_rng,
+    protocol,
     protocol_from_json,
     protocol_to_json,
     standard_protocol,
@@ -246,15 +246,14 @@ class TestVerifyMkl:
         code, report = run_json(capsys, *argv)
         assert code == 0 and report["results"]["pass"] is True
         sigma = m_kl_monte_carlo(d, k, l, 20000, make_rng(5, stream=0)).std_error[i, j]
-        exact = haar.m_kl_exact
+        exact = cli._moment_matrix
 
-        def planted(d_, k_, l_):
-            mat = exact(d_, k_, l_).matrix.copy()
-            if (k_, l_) == (k, l):
-                mat[i, j] += 10 * sigma
-            return Operator(mat)
+        def planted(d_):
+            mat = exact(d_).copy()
+            mat[k * d_ + i, l * d_ + j] += 10 * sigma
+            return mat
 
-        monkeypatch.setattr(haar, "m_kl_exact", planted)
+        monkeypatch.setattr(cli, "_moment_matrix", planted)
         code, report = run_json(capsys, *argv)
         assert code == 1
         failed = [p for p in report["results"]["pairs"] if not p["pass"]]
@@ -388,13 +387,20 @@ class TestCheckProtocol:
         text = "{not json" if malformed else protocol_to_json(standard_protocol([0.8, 0.6]))
         path = tmp_path / "proto.json"
         path.write_text(text)
-        loads, paused = json.loads, []
+        loads, parts, paused, converted = json.loads, protocol._protocol_parts, [], []
 
         def spy(s, **kwargs):
             paused.append(not gc.isenabled())
             return loads(s, **kwargs)
 
+        def parts_spy(data):
+            # the parsed lists live until the arrays are built, so the pause must last as long
+            result = parts(data)
+            converted.append(not gc.isenabled())
+            return result
+
         monkeypatch.setattr(json, "loads", spy)
+        monkeypatch.setattr(protocol, "_protocol_parts", parts_spy)
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -410,6 +416,7 @@ class TestCheckProtocol:
             (gc.enable if was_enabled else gc.disable)()
         assert code == (2 if malformed else 0)
         assert paused == [True, True]
+        assert converted == ([] if malformed else [True, True])
 
 
 class TestSearch:

@@ -29,7 +29,7 @@ def random_protocol(d, rng, multi_kraus=False):
         blocks = tuple(random_kraus_set(d, 2, rng) for _ in range(meas.n_outcomes))
         corr = BobCorrections(blocks)
     else:
-        corr = BobCorrections.from_unitaries(random_unitaries(d, meas.n_outcomes, rng))
+        corr = BobCorrections(random_unitaries(d, meas.n_outcomes, rng))
     return Protocol(SchmidtDecomposition.from_lambdas(lam), meas, corr)
 
 
@@ -87,7 +87,7 @@ class TestMeanFidelityMonteCarlo:
         proto = Protocol(
             SchmidtDecomposition.from_lambdas([1 / np.sqrt(2)] * 2),
             standard_measurement(2),
-            BobCorrections.from_unitaries([np.eye(2)] * 4),
+            BobCorrections([np.eye(2)] * 4),
         )
         exact = mean_fidelity_exact(proto)
         assert exact == pytest.approx(0.5, abs=1e-12)  # trace of the shifted outcomes vanishes

@@ -97,6 +97,14 @@ class TestMklExact:
         with pytest.raises(ValueError, match="indices"):
             m_kl_exact(2, 0, 2)
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_moment_matrix_is_every_operator_bit_for_bit(self, d):
+        m = haar._moment_matrix(d)
+        assert m.dtype == complex and m.shape == (d * d, d * d)
+        stacked = np.array([[m_kl_exact(d, k, l).matrix for l in range(d)] for k in range(d)])
+        want = stacked.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
+
 
 class TestMklMonteCarlo:
     def test_matches_exact_d2(self):

@@ -263,9 +263,41 @@ class TestBobCorrections:
         assert all(block.shape[0] == 3 for block in corr.kraus)
         assert corr.n_outcomes == 4
 
-    def test_from_unitaries_flag(self):
-        corr = BobCorrections.from_unitaries([np.eye(2)] * 4)
-        assert all(block.shape == (1, 2, 2) for block in corr.kraus)
+    def test_bare_matrices_are_single_operators(self):
+        unitaries = random_unitaries(3, 5, make_rng(51))
+        for kraus in (unitaries, list(unitaries)):
+            corr = BobCorrections(kraus)
+            assert corr.n_outcomes == 5
+            assert all(block.shape == (1, 3, 3) for block in corr.kraus)
+            assert np.array_equal(corr.stack, unitaries)
+            assert np.array_equal(corr.outcome, np.arange(5))
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 3, 1, 3, 2), (2,), (1, 1, 1)])
+    def test_blocks_are_read_only_views_of_the_stack(self, sizes):
+        rng = make_rng(52)
+        blocks = [random_kraus_set(3, s, rng) for s in sizes]
+        corr = BobCorrections(tuple(blocks))
+        assert corr.stack.shape == (sum(sizes), 3, 3)
+        assert not corr.stack.flags.writeable
+        assert np.array_equal(corr.outcome, np.repeat(np.arange(len(sizes)), sizes))
+        assert not corr.outcome.flags.writeable
+        for r, (block, want) in enumerate(zip(corr.kraus, blocks)):
+            assert np.shares_memory(block, corr.stack)
+            assert not block.flags.writeable
+            assert np.array_equal(block, want)
+            assert np.array_equal(corr.stack[corr.outcome == r], want)
+
+    def test_later_changes_to_the_input_do_not_reach_the_corrections(self):
+        rng = make_rng(53)
+        blocks = [random_kraus_set(2, s, rng) for s in (2, 1, 3, 1)]
+        stack = random_unitaries(2, 4, rng)
+        for kraus in (blocks, stack):
+            corr = BobCorrections(kraus)
+            saved = corr.stack.copy()
+            for block in kraus:
+                block[...] = np.nan
+            assert np.array_equal(corr.stack, saved)
+            assert all(np.isfinite(block).all() for block in corr.kraus)
 
     @pytest.mark.parametrize(
         "case",
@@ -323,7 +355,7 @@ class TestProtocol:
             Protocol(
                 SchmidtDecomposition.from_lambdas([0.8, 0.6]),
                 AliceMeasurement(phi),
-                BobCorrections.from_unitaries([np.eye(2)] * 4),
+                BobCorrections([np.eye(2)] * 4),
             )
 
     def test_dimension_mismatch_rejected(self):
@@ -331,7 +363,7 @@ class TestProtocol:
             Protocol(
                 SchmidtDecomposition.from_lambdas([0.8, 0.6]),
                 standard_measurement(3),
-                BobCorrections.from_unitaries([np.eye(3)] * 9),
+                BobCorrections([np.eye(3)] * 9),
             )
 
     def test_outcome_count_mismatch_rejected(self):
@@ -339,7 +371,7 @@ class TestProtocol:
             Protocol(
                 SchmidtDecomposition.from_lambdas([0.8, 0.6]),
                 standard_measurement(2),
-                BobCorrections.from_unitaries([np.eye(2)] * 3),
+                BobCorrections([np.eye(2)] * 3),
             )
 
 
