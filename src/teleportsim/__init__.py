@@ -34,7 +34,6 @@ from .protocol import (
     check_optimality,
     optimal_bob_corrections,
     outcome_distribution,
-    protocol_from_dict,
     protocol_from_json,
     protocol_to_dict,
     protocol_to_json,
@@ -96,7 +95,6 @@ __all__ = [
     "optimal_estimates",
     "optimal_fidelity_given_measurement",
     "outcome_distribution",
-    "protocol_from_dict",
     "protocol_from_json",
     "protocol_to_dict",
     "protocol_to_json",

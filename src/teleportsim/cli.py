@@ -51,8 +51,8 @@ def _resolve_lambdas(args) -> tuple[np.ndarray, dict]:
     Returns the coefficients and the provenance flags (whether the input
     had to be renormalized or reordered) that get recorded in the report.
     """
-    theta = getattr(args, "theta", None)
-    lambdas_arg = getattr(args, "lambdas", None)
+    theta = args.theta
+    lambdas_arg = args.lambdas
     if theta is not None:
         if lambdas_arg is not None:
             raise ValueError("pass either --lambdas or --theta, not both")
@@ -108,23 +108,25 @@ def _flatten(prefix: str, obj, out: dict) -> None:
         out[prefix] = obj
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit_report(out, report: dict, fmt: str) -> None:
+    """Write ``report`` to the stream ``out`` as indented JSON or as CSV.
+
+    CSV has two shapes. A report with ``results`` is flattened to one header
+    and one row. A report with ``rows`` is a ``#`` line of ``key=value``
+    pairs (schema, command, then config) followed by the table of its rows.
+    """
+    if fmt == "json":
+        out.write(json.dumps(report, indent=2) + "\n")
+        return
+    if "rows" in report:
+        meta = {"schema": report["schema"], "command": report["command"], **report["config"]}
+        lines = ["# " + " ".join(f"{k}={v}" for k, v in meta.items()), ",".join(report["rows"][0])]
+        lines += [",".join(str(v) for v in row.values()) for row in report["rows"]]
     else:
-        sys.stdout.write(text)
-
-
-def _emit_report(args, report: dict) -> None:
-    if getattr(args, "format", "json") == "csv":
         flat: dict = {}
         _flatten("", report, flat)
-        header = ",".join(flat)
-        row = ",".join(str(v) for v in flat.values())
-        _emit(args, header + "\n" + row + "\n")
-    else:
-        _emit(args, json.dumps(report, indent=2) + "\n")
+        lines = [",".join(flat), ",".join(str(v) for v in flat.values())]
+    out.write("\n".join(lines) + "\n")
 
 
 def _pooled_mc(args, run_chunk: Callable[[np.random.Generator, int], McEstimate]) -> McEstimate:
@@ -142,72 +144,55 @@ def _pooled_mc(args, run_chunk: Callable[[np.random.Generator, int], McEstimate]
     return McEstimate.pooled(parts)
 
 
-def _cmd_bound(args) -> int:
+def _mc_results(args, run_chunk: Callable[[np.random.Generator, int], McEstimate]) -> dict:
+    """The pooled scalar estimate as the results block that ``simulate`` and ``estimate`` share."""
+    mc = _pooled_mc(args, run_chunk)
+    return {"mc_estimate": mc.value, "mc_std_error": mc.std_error, "n": mc.n_samples,
+            "seed": args.seed}
+
+
+# Each handler returns its report body, {"config", "results"} or {"config", "rows"},
+# and its exit code; ``main`` adds the schema and command and writes the report.
+
+
+def _cmd_bound(args) -> tuple[dict, int]:
     lam, flags = _resolve_lambdas(args)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "bound",
-        "config": _base_config(args, lam, flags),
-        "results": {
-            "fidelity_bound": fidelity_bound(lam),
-            "estimation_bound": estimation_fidelity_bound(lam),
-            "max_singlet_fraction": max_singlet_fraction(lam),
-        },
+    results = {
+        "fidelity_bound": fidelity_bound(lam),
+        "estimation_bound": estimation_fidelity_bound(lam),
+        "max_singlet_fraction": max_singlet_fraction(lam),
     }
-    _emit_report(args, report)
-    return 0
+    return {"config": _base_config(args, lam, flags), "results": results}, 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict, int]:
     lam, flags = _resolve_lambdas(args)
     proto = standard_protocol(lam)
-    mc = _pooled_mc(args, lambda rng, n: mean_fidelity_monte_carlo(proto, n, rng))
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "simulate",
-        "config": _base_config(args, lam, flags),
-        "results": {
-            "exact": mean_fidelity_exact(proto),
-            "mc_estimate": float(np.real(mc.value)),
-            "mc_std_error": float(mc.std_error),
-            "n": mc.n_samples,
-            "seed": args.seed,
-        },
-    }
-    _emit_report(args, report)
-    return 0
+    mc = _mc_results(args, lambda rng, n: mean_fidelity_monte_carlo(proto, n, rng))
+    results = {"exact": mean_fidelity_exact(proto), **mc}
+    return {"config": _base_config(args, lam, flags), "results": results}, 0
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> tuple[dict, int]:
     lam, flags = _resolve_lambdas(args)
     meas = standard_measurement(args.d)
     strategy = optimal_estimates(meas)
-    mc = _pooled_mc(args, lambda rng, n: estimation_fidelity_mc(meas, lam, strategy, n, rng))
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "estimate",
-        "config": _base_config(args, lam, flags),
-        "results": {
-            "estimation_bound": estimation_fidelity_bound(lam),
-            "exact": estimation_fidelity_exact(meas, lam, strategy),
-            "mc_estimate": float(np.real(mc.value)),
-            "mc_std_error": float(mc.std_error),
-            "n": mc.n_samples,
-            "seed": args.seed,
-        },
+    mc = _mc_results(args, lambda rng, n: estimation_fidelity_mc(meas, lam, strategy, n, rng))
+    results = {
+        "estimation_bound": estimation_fidelity_bound(lam),
+        "exact": estimation_fidelity_exact(meas, lam, strategy),
+        **mc,
     }
-    _emit_report(args, report)
-    return 0
+    return {"config": _base_config(args, lam, flags), "results": results}, 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[dict, int]:
     if args.d != 2:
         raise ValueError("sweep scans the d=2 angle parameterization; --d must be 2")
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
-    thetas = np.linspace(0.0, np.pi / 2, args.steps + 1)
     rows = []
-    for theta in thetas:
+    for theta in np.linspace(0.0, np.pi / 2, args.steps + 1):
         raw = np.sort([abs(np.cos(theta)), abs(np.sin(theta))])[::-1]
         lam = check_schmidt_coefficients(raw / np.linalg.norm(raw))
         rows.append(
@@ -218,26 +203,10 @@ def _cmd_sweep(args) -> int:
                 "estimation_bound": estimation_fidelity_bound(lam),
             }
         )
-    if args.format == "json":
-        report = {
-            "schema": REPORT_SCHEMA,
-            "command": "sweep",
-            "config": _base_config(args),
-            "rows": rows,
-        }
-        _emit(args, json.dumps(report, indent=2) + "\n")
-    else:
-        lines = [f"# schema={REPORT_SCHEMA} command=sweep d={args.d} steps={args.steps}"]
-        lines.append("theta,bound,exact,estimation_bound")
-        for row in rows:
-            lines.append(
-                f"{row['theta']!r},{row['bound']!r},{row['exact']!r},{row['estimation_bound']!r}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return {"config": _base_config(args), "rows": rows}, 0
 
 
-def _cmd_verify_mkl(args) -> int:
+def _cmd_verify_mkl(args) -> tuple[dict, int]:
     d = args.d
     if d < 2:
         raise ValueError(f"--d must be at least 2, got {d}")
@@ -264,17 +233,11 @@ def _cmd_verify_mkl(args) -> int:
         for l in range(d)
     ]
     ok = all(p["pass"] for p in pairs)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "verify-mkl",
-        "config": _base_config(args),
-        "results": {"pairs": pairs, "max_sigma_ratio": worst, "pass": ok},
-    }
-    _emit_report(args, report)
-    return 0 if ok else 1
+    results = {"pairs": pairs, "max_sigma_ratio": worst, "pass": ok}
+    return {"config": _base_config(args), "results": results}, 0 if ok else 1
 
 
-def _cmd_check_protocol(args) -> int:
+def _cmd_check_protocol(args) -> tuple[dict, int]:
     if args.protocol == "standard":
         if args.d is None:
             args.d = 2
@@ -302,53 +265,43 @@ def _cmd_check_protocol(args) -> int:
     kraus_err = float(_kraus_check(*_kraus_stack(kraus, meas.d))[1].max(initial=0.0))
     corrections_ok = kraus_err <= args.tol and len(kraus) == meas.n_outcomes
     ok = completeness.passed and optimality.passed and corrections_ok
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "check-protocol",
-        "config": {"source": source, **_base_config(args, lam, flags), "d": meas.d},
-        "results": {
-            "completeness": {
-                "pass": completeness.passed,
-                "max_error": completeness.max_error,
-                "worst_pair": list(completeness.worst_pair),
-            },
-            "optimality": {
-                "pass": optimality.passed,
-                "max_error": optimality.max_error,
-                "n_violations": len(optimality.violations),
-                "violations": [
-                    {"outcome": v.outcome, "k": v.k, "l": v.l, "error": v.error, "kind": v.kind}
-                    for v in optimality.violations[:10]
-                ],
-            },
-            "corrections": {"pass": corrections_ok, "max_error": kraus_err},
-            "estimation_bound": estimation_fidelity_bound(lam),
-            "estimation_bound_tight": optimality.passed,
+    results = {
+        "completeness": {
+            "pass": completeness.passed,
+            "max_error": completeness.max_error,
+            "worst_pair": list(completeness.worst_pair),
         },
+        "optimality": {
+            "pass": optimality.passed,
+            "max_error": optimality.max_error,
+            "n_violations": len(optimality.violations),
+            "violations": [
+                {"outcome": v.outcome, "k": v.k, "l": v.l, "error": v.error, "kind": v.kind}
+                for v in optimality.violations[:10]
+            ],
+        },
+        "corrections": {"pass": corrections_ok, "max_error": kraus_err},
+        "estimation_bound": estimation_fidelity_bound(lam),
+        "estimation_bound_tight": optimality.passed,
     }
-    _emit_report(args, report)
-    return 0 if ok else 1
+    config = {"source": source, **_base_config(args, lam, flags), "d": meas.d}
+    return {"config": config, "results": results}, 0 if ok else 1
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[dict, int]:
     lam, flags = _resolve_lambdas(args)
     outcomes = args.outcomes if args.outcomes is not None else args.d * args.d
     result = search_best_protocol(lam, outcomes, args.iters, make_rng(args.seed))
     ok = result.gap >= -1e-9
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": "search",
-        "config": {**_base_config(args, lam, flags), "outcomes": outcomes},
-        "results": {
-            "bound": result.bound,
-            "best_fidelity": result.best_fidelity,
-            "gap": result.gap,
-            "n_evaluated": result.n_evaluated,
-            "pass": ok,
-        },
+    results = {
+        "bound": result.bound,
+        "best_fidelity": result.best_fidelity,
+        "gap": result.gap,
+        "n_evaluated": result.n_evaluated,
+        "pass": ok,
     }
-    _emit_report(args, report)
-    return 0 if ok else 1
+    config = {**_base_config(args, lam, flags), "outcomes": outcomes}
+    return {"config": config, "results": results}, 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,10 +400,17 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        body, code = _HANDLERS[args.command](args)
+        report = {"schema": REPORT_SCHEMA, "command": args.command, **body}
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                _emit_report(fh, report, args.format)
+        else:
+            _emit_report(sys.stdout, report, args.format)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -473,7 +473,7 @@ def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement,
     """Resource, measurement and raw per-outcome Kraus blocks of a protocol dict.
 
     Neither completeness nor Kraus normalization is checked, so that a broken
-    protocol can still be diagnosed; :func:`protocol_from_dict` enforces both.
+    protocol can still be diagnosed; :func:`protocol_from_json` enforces both.
     """
     try:
         d = int(data["d"])
@@ -488,12 +488,6 @@ def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement,
             f"and measurement blocks of dimension {meas.d}"
         )
     return schmidt, meas, kraus
-
-
-def protocol_from_dict(data: dict) -> Protocol:
-    """Inverse of :func:`protocol_to_dict`; raises ValueError unless the protocol is valid."""
-    schmidt, meas, kraus = _protocol_parts(data)
-    return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))
 
 
 def _json_layout(shape: tuple[int, ...], depth: int) -> str:

@@ -170,8 +170,11 @@ class SchmidtDecomposition:
 
     @classmethod
     def from_lambdas(cls, lambdas) -> "SchmidtDecomposition":
-        """Decomposition with computational-basis local bases."""
-        lam = check_schmidt_coefficients(lambdas)
+        """Decomposition with computational-basis local bases.
+
+        The coefficients are checked once, by ``__post_init__``.
+        """
+        lam = np.asarray(lambdas, dtype=float).reshape(-1)
         eye = np.eye(lam.size, dtype=complex)
         return cls(lam, eye, eye)
 

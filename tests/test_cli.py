@@ -459,7 +459,57 @@ class TestRangeChecks:
         assert flag in err
 
 
+# one quick, passing invocation of every subcommand
+EVERY_SUBCOMMAND = [
+    ("bound", "--d", "2", "--lambdas", "0.8,0.6"),
+    ("simulate", "--d", "3", "--n", "2000", "--seed", "1"),
+    ("estimate", "--d", "3", "--n", "2000", "--seed", "1"),
+    ("sweep", "--steps", "4"),
+    ("verify-mkl", "--d", "2", "--n", "5000", "--seed", "1"),
+    ("check-protocol", "standard", "--d", "3"),
+    ("search", "--d", "2", "--iters", "5", "--seed", "1"),
+]
+SUBCOMMAND_IDS = [argv[0] for argv in EVERY_SUBCOMMAND]
+
+
 class TestOutputOptions:
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    def test_json_keys_in_report_order(self, capsys, argv):
+        code, report = run_json(capsys, *argv, "--format", "json")
+        assert code == 0
+        body = "rows" if argv[0] == "sweep" else "results"
+        assert list(report) == ["schema", "command", "config", body]
+        assert report["schema"] == cli.REPORT_SCHEMA
+        assert report["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    def test_csv_shape(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert err == ""
+        lines = out.split("\n")
+        assert lines.pop() == ""  # the text ends in one newline
+        if argv[0] == "sweep":
+            assert lines.pop(0) == "# schema=1 command=sweep d=2 steps=4"
+            assert len(lines) == 1 + 5  # header and one row per grid point
+        else:
+            assert len(lines) == 2
+            names = lines[0].split(",")
+            assert names[:2] == ["schema", "command"]
+            assert all(name.startswith(("config.", "results.")) for name in names[2:])
+            assert lines[1].startswith(f"1,{argv[0]},")
+        assert len({len(line.split(",")) for line in lines}) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=SUBCOMMAND_IDS)
+    def test_output_file_holds_the_bytes_of_stdout(self, capsys, tmp_path, argv, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        path = tmp_path / f"report.{fmt}"
+        code_file, out_file, err_file = run_cli(capsys, *argv, "--format", fmt, "--output",
+                                                str(path))
+        assert (code_file, out_file, err_file) == (code, "", err)
+        assert path.read_bytes() == out.encode("utf-8")
+
     def test_write_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out, err = run_cli(
