@@ -243,7 +243,9 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
             args.d = 2
         lam, flags = _resolve_lambdas(args)
         proto = standard_protocol(lam)
-        schmidt, meas, kraus = proto.schmidt, proto.measurement, proto.corrections.kraus
+        schmidt, meas, corr = proto.schmidt, proto.measurement, proto.corrections
+        # the stack BobCorrections already built; only a file's raw blocks need stacking
+        stack, sizes = corr.stack, np.bincount(corr.outcome)
         source = "standard"
     else:
         # a file fixes its own state, so a state flag next to it would be dropped
@@ -258,12 +260,13 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
         schmidt, meas, kraus = _load_protocol_parts(text)
         if args.d not in (None, meas.d):
             raise ValueError(f"--d {args.d} does not match the protocol file's dimension {meas.d}")
+        stack, sizes = _kraus_stack(kraus, meas.d)
         lam, flags = schmidt.lambdas, {}
         source = args.protocol
     completeness = validate_completeness(meas, args.tol)
     optimality = check_optimality(meas, schmidt, args.tol)
-    kraus_err = float(_kraus_check(*_kraus_stack(kraus, meas.d))[1].max(initial=0.0))
-    corrections_ok = kraus_err <= args.tol and len(kraus) == meas.n_outcomes
+    kraus_err = float(_kraus_check(stack, sizes)[1].max(initial=0.0))
+    corrections_ok = kraus_err <= args.tol and sizes.size == meas.n_outcomes
     ok = completeness.passed and optimality.passed and corrections_ok
     results = {
         "completeness": {

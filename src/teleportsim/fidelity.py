@@ -54,7 +54,9 @@ def mean_fidelity_mkl_form(proto: Protocol) -> float:
     with M, then one elementwise product and sum. It reads neither :attr:`Protocol.channel`
     nor the trace formula. Its cost is that O(K d^4) product for K Kraus
     operators in all, against O(K d^3) for :func:`mean_fidelity_exact`:
-    about 10 ms at d = 16 for the standard protocol on one x86-64 core.
+    about 4-5 ms at d = 16 for the standard protocol on one x86-64 core,
+    and about 7 ms in a process whose allocator hands each of its
+    megabyte-sized temporaries fresh pages.
     """
     d = proto.d
     a = _a_matrices(proto.measurement.phi, proto.schmidt.lambdas)
@@ -71,7 +73,9 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     sum_{r,s} |<psi| B_rs A_r |psi>|^2 is taken (no outcome or branch
     sampling), so the only statistical noise left is the Haar average. It
     is the real quadratic form x^T K x in the coordinates x of psi psi†
-    (:class:`TeleportChannel`), evaluated by :func:`haar.form_monte_carlo`.
+    (:class:`TeleportChannel`), evaluated by :func:`haar.form_monte_carlo`
+    on the coordinates where K is nonzero: the d diagonal ones for the
+    standard protocol.
     """
     return form_monte_carlo(proto.channel.gram, n, rng)
 

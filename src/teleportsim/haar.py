@@ -102,21 +102,45 @@ def _hermitian_coords(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
-def _state_coords(psi: np.ndarray) -> np.ndarray:
+def _state_coords(psi: np.ndarray, coords: np.ndarray | None = None) -> np.ndarray:
     """:func:`_hermitian_coords` of psi psi† for every row psi of an (n, d) array.
 
     They are read off the rows, without forming psi psi†: its diagonal is
     |psi_i|^2 and its entry (i, j) is psi_i psi_j*. Their norm is |psi|^2.
+    Given an increasing index array ``coords``, only those coordinates are
+    computed, in that order, each with the same arithmetic as in the full set.
     """
-    i, j = np.triu_indices(psi.shape[-1], 1)
-    upper = np.sqrt(2) * psi[:, i] * psi[:, j].conj()
-    return np.concatenate([np.abs(psi) ** 2, upper.real, upper.imag], axis=-1)
+    d = psi.shape[-1]
+    i, j = np.triu_indices(d, 1)
+    if coords is None:
+        upper = np.sqrt(2) * psi[:, i] * psi[:, j].conj()
+        return np.concatenate([np.abs(psi) ** 2, upper.real, upper.imag], axis=-1)
+    # coordinates [0, d) are the diagonal, then i.size real parts and i.size imaginary parts
+    diag = coords[coords < d]
+    re = coords[(coords >= d) & (coords < d + i.size)] - d
+    im = coords[coords >= d + i.size] - d - i.size
+    upper_re = np.sqrt(2) * psi[:, i[re]] * psi[:, j[re]].conj()
+    upper_im = np.sqrt(2) * psi[:, i[im]] * psi[:, j[im]].conj()
+    return np.concatenate([np.abs(psi[:, diag]) ** 2, upper_re.real, upper_im.imag], axis=-1)
 
 
-def form_values(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """x^T F x for every row psi of an (n, d) array, with x the coordinates of psi psi†."""
-    x = _state_coords(psi)
+def form_values(form: np.ndarray, psi: np.ndarray, coords: np.ndarray | None = None) -> np.ndarray:
+    """x^T F x for every row psi of an (n, d) array, with x the coordinates of psi psi†.
+
+    Given ``coords`` (as :func:`_state_coords` takes them), ``form`` is F
+    restricted to those coordinates, and only they are computed.
+    """
+    x = _state_coords(psi, coords)
     return np.einsum("na,na->n", x, x @ form)
+
+
+def _form_support(form: np.ndarray) -> np.ndarray:
+    """The coordinates whose row or column of F holds a nonzero entry, in increasing order.
+
+    x^T F x reads no other coordinate of x.
+    """
+    nonzero = form != 0
+    return np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
 
 
 def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEstimate:
@@ -128,16 +152,28 @@ def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEs
     its memory fixed, independently of n. The block size changes the
     per-row values by rounding at most, since a matrix product may sum in
     another order for another number of rows.
+
+    Only the form's support (:func:`_form_support`) is evaluated: each row
+    computes just those coordinates of x, and x_S^T F_SS x_S. The standard
+    protocol's fidelity form and the standard measurement's estimation form
+    are supported on the d diagonal coordinates, where x is |psi_i|^2. A
+    dense form keeps every coordinate. Dropping the zero rows and columns
+    changes the per-row values by rounding at most, as the block size does.
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
     d = math.isqrt(form.shape[0])
+    coords = _form_support(form)
+    if coords.size == form.shape[0]:
+        coords = None  # a dense form: the full coordinates, without selecting them
+    else:
+        form = form[np.ix_(coords, coords)]
     psi = sample_haar_states(d, n, rng)
     # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
     step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
     f = np.empty(n)
     for start in range(0, n, step):
-        f[start : start + step] = form_values(form, psi[start : start + step])
+        f[start : start + step] = form_values(form, psi[start : start + step], coords)
     return McEstimate(
         value=float(f.mean()),
         std_error=float(f.std(ddof=1) / np.sqrt(n)),

@@ -100,17 +100,22 @@ def _kraus_check(stack: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.n
     """Per outcome: whether its Kraus operators B_s are finite, and max |sum_s B_s† B_s - I|.
 
     ``stack`` and ``sizes`` are as :func:`_kraus_stack` returns them. Both
-    checks run once on the whole stack and are summed over each outcome's
-    operators by ``np.add.reduceat``. An outcome that is not finite has a NaN
-    or infinite error. No outcomes give empty arrays.
+    checks run once on the whole stack. Where some outcome has several
+    operators, they are summed over each outcome's operators by
+    ``np.add.reduceat``; with one operator per outcome that sum would only
+    copy, so it is skipped. An outcome that is not finite has a NaN or
+    infinite error. No outcomes give empty arrays.
     """
     if not sizes.size:
         return np.ones(0, dtype=bool), np.zeros(0)
-    starts = np.cumsum(sizes) - sizes
-    finite = np.logical_and.reduceat(np.isfinite(stack).all(axis=(1, 2)), starts)
+    finite = np.isfinite(stack).all(axis=(1, 2))
     # non-finite operators make NaN or infinite sums, which ``finite`` already flags
     with np.errstate(invalid="ignore", over="ignore"):
-        total = np.add.reduceat(stack.conj().transpose(0, 2, 1) @ stack, starts)
+        total = stack.conj().transpose(0, 2, 1) @ stack
+        if sizes.size < stack.shape[0]:
+            starts = np.cumsum(sizes) - sizes
+            finite = np.logical_and.reduceat(finite, starts)
+            total = np.add.reduceat(total, starts)
         error = np.abs(total - np.eye(stack.shape[1])).max(axis=(1, 2))
     return finite, error
 
@@ -377,10 +382,21 @@ def standard_protocol(lambdas) -> Protocol:
     Pairs the generalized Bell measurement with the per-outcome unitaries
     that maximize the mean fidelity. The result attains the optimal-fidelity
     bound for any Schmidt spectrum.
+
+    The corrections are in closed form, with no SVD. Each outcome's
+    A_r = diag(lambda) V_r, where V_r = sqrt(d) phi_r* is a phase times a
+    permutation, so V_r is the polar factor of A_r and the optimal
+    correction is B_r = V_r† = sqrt(d) phi_r^T, whatever the spectrum. On a
+    rank-deficient spectrum :func:`optimal_bob_corrections` may complete the
+    null space of A_r differently; the fidelity does not depend on that
+    choice. Every C_r = B_r A_r = V_r† diag(lambda) V_r is diagonal, with
+    off-diagonal entries exactly zero, because each row of phi_r has one
+    nonzero entry.
     """
     schmidt = SchmidtDecomposition.from_lambdas(lambdas)
     meas = standard_measurement(schmidt.dim)
-    return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
+    corrections = BobCorrections(np.sqrt(schmidt.dim) * meas.phi.transpose(0, 2, 1))
+    return Protocol(schmidt, meas, corrections)
 
 
 def _conditional_vectors(proto: Protocol, psi: PureState) -> np.ndarray:
@@ -469,7 +485,25 @@ def _protocol_head(proto: Protocol) -> dict:
     }
 
 
-def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement, list]:
+def _unpairs_blocks(blocks) -> np.ndarray | list:
+    """The per-outcome Kraus blocks of a protocol dict, as :func:`_kraus_stack` reads them.
+
+    Blocks of one shape, as :func:`protocol_to_json` writes them, are
+    converted by one :func:`_unpairs` call into one (R, S, d, d) array, whose
+    rows are the blocks. Any other list, ragged or malformed, is converted
+    block by block, so that a bad block raises the error it raises alone.
+    """
+    try:
+        arr = np.ascontiguousarray(blocks, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    # below two axes the blocks are not arrays of pairs, and _unpairs must name that per block
+    if arr is None or arr.ndim < 2:
+        return [_unpairs(block) for block in blocks]
+    return _unpairs(arr)
+
+
+def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray | list]:
     """Resource, measurement and raw per-outcome Kraus blocks of a protocol dict.
 
     Neither completeness nor Kraus normalization is checked, so that a broken
@@ -479,7 +513,7 @@ def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement,
         d = int(data["d"])
         schmidt = SchmidtDecomposition.from_lambdas(np.asarray(data["lambdas"], dtype=float))
         meas = AliceMeasurement(_unpairs(data["phi"]))
-        kraus = [_unpairs(block) for block in data["corrections"]]
+        kraus = _unpairs_blocks(data["corrections"])
     except KeyError as exc:
         raise ValueError(f"protocol is missing field {exc}") from None
     if schmidt.dim != d or meas.d != d:
@@ -550,7 +584,9 @@ def protocol_to_json(proto: Protocol) -> str:
     )
 
 
-def _load_protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurement, list]:
+def _load_protocol_parts(
+    text: str,
+) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray | list]:
     """:func:`_protocol_parts` of a protocol text, parsed with the cyclic garbage collector paused.
 
     A protocol file parses into one list per ``[re, im]`` pair, 131 072 of
@@ -578,4 +614,4 @@ def _load_protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurem
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
     schmidt, meas, kraus = _load_protocol_parts(text)
-    return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))
+    return Protocol(schmidt, meas, BobCorrections(kraus))

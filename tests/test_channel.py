@@ -32,7 +32,7 @@ from teleportsim import (
 )
 from teleportsim import haar
 from teleportsim.estimation import _estimation_form
-from teleportsim.haar import _hermitian_coords, _state_coords, form_values
+from teleportsim.haar import _form_support, _hermitian_coords, _state_coords, form_values
 from helpers import (
     einsum_estimation_samples,
     einsum_mean_fidelity_mkl_form,
@@ -110,6 +110,41 @@ class TestGramMonteCarlo:
                 ests.append(mean_fidelity_monte_carlo(proto, n, make_rng(223, stream=n)))
             assert ests[1].value == pytest.approx(ests[0].value, abs=AGREE_TOL)
             assert ests[1].std_error == pytest.approx(ests[0].std_error, abs=AGREE_TOL)
+
+
+class TestFormSupport:
+    """Monte Carlo on a form's support: which coordinates it keeps, and that it agrees."""
+
+    @pytest.mark.parametrize("kind", SPECTRA)
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_standard_channel_is_diagonal(self, d, kind):
+        proto = standard_protocol(spectrum(kind, d, make_rng(340 + d)))
+        c = proto.channel.kraus
+        assert np.all(c[:, ~np.eye(d, dtype=bool)] == 0)
+        gram = proto.channel.gram
+        assert np.array_equal(_form_support(gram), np.arange(d))
+        assert np.all(gram[d:] == 0) and np.all(gram[:, d:] == 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_restricted_estimate_equals_the_full_form_mean(self, d):
+        lam = random_lambdas(d, make_rng(350 + d))
+        proto = standard_protocol(lam)
+        meas = proto.measurement
+        povm = random_povm(d, d * d + 1, make_rng(351 + d))
+        schmidt = SchmidtDecomposition.from_lambdas(lam)
+        dense = Protocol(schmidt, povm, optimal_bob_corrections(povm, schmidt))
+        forms = {
+            "fidelity": (proto.channel.gram, d),
+            "estimation": (_estimation_form(meas, lam, optimal_estimates(meas)), d),
+            "dense": (dense.channel.gram, d * d),
+        }
+        n = 1500 if d == 16 else 3000
+        for name, (form, support) in forms.items():
+            assert _form_support(form).size == support, name
+            est = haar.form_monte_carlo(form, n, make_rng(352, stream=d))
+            full = form_values(form, sample_haar_states(d, n, make_rng(352, stream=d)))
+            assert abs(est.value - full.mean()) <= AGREE_TOL, name
+            assert abs(est.std_error - full.std(ddof=1) / np.sqrt(n)) <= AGREE_TOL, name
 
 
 def random_strategy(d, n_outcomes, rng):
@@ -194,6 +229,17 @@ class TestHermitianCoordinates:
         assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1)) <= 1e-14
         outer = psi[:, :, None] * psi[:, None, :].conj()
         assert np.max(np.abs(x - _hermitian_coords(outer))) <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 16])
+    def test_coordinate_subsets_are_columns_of_the_full_set(self, d):
+        rng = make_rng(315 + d)
+        psi = sample_haar_states(d, 40, rng)
+        full = _state_coords(psi)
+        diagonal, real_parts = np.arange(d), np.arange(d, d + d * (d - 1) // 2)
+        for coords in (np.arange(d * d), diagonal, real_parts, np.arange(d * d)[d:],
+                       np.sort(rng.choice(d * d, d, replace=False)), np.arange(0)):
+            got = _state_coords(psi, coords)
+            assert np.array_equal(got.view(np.uint64), full[:, coords].view(np.uint64))
 
     @pytest.mark.parametrize("d,kind", cases())
     def test_fidelity_form_has_the_exact_haar_average(self, d, kind):
@@ -280,18 +326,22 @@ class TestLaziness:
 
 
 class TestBlockMemory:
-    """Traced peak of one d = 16 call with n = 20000: blocks keep it bounded.
+    """Traced peak of one d = 16 call with n = 20000 on dense forms: blocks keep it bounded.
 
     The peaks are 10.1 MB for the fidelity and 10.6 MB for the estimation,
     and 27.5 and 28.0 MB if blocks hold 2^21 entries, so the limit fails
-    blocks grown back eightfold.
+    blocks grown back eightfold. The protocol is a random POVM, whose forms
+    use every coordinate; the standard protocol's are evaluated on 16
+    coordinates, and their peak (10.1 MB) does not depend on the blocks.
     """
 
     LIMIT_MB = 16
 
     @pytest.fixture(scope="class")
     def proto(self):
-        return standard_protocol(random_lambdas(16, make_rng(280)))
+        schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(16, make_rng(280)))
+        meas = random_povm(16, 256, make_rng(284))
+        return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
 
     def peak_mb(self, fn):
         tracemalloc.start()

@@ -303,6 +303,18 @@ class TestCheckProtocol:
         assert code == 0
         assert report["results"]["completeness"]["pass"] is True
 
+    @pytest.mark.parametrize("lambdas", ["3,2,2,1,1,1,1,0.5", "3,2,1,1,0,0,0,0"])
+    def test_standard_and_its_file_report_the_same_corrections(self, capsys, tmp_path, lambdas):
+        # 'standard' reads the stack its protocol built; a file's blocks are stacked anew
+        code, report = run_json(capsys, "check-protocol", "standard", "--d", "8",
+                                "--lambdas", lambdas)
+        lam = np.array(report["config"]["lambdas"])
+        path = tmp_path / "proto8.json"
+        path.write_text(protocol_to_json(standard_protocol(lam)))
+        file_code, from_file = run_json(capsys, "check-protocol", str(path))
+        assert code == file_code == 0
+        assert report["results"] == from_file["results"]
+
     def test_protocol_file_reports_its_dimension(self, capsys, tmp_path):
         path = tmp_path / "proto4.json"
         path.write_text(protocol_to_json(standard_protocol([0.7, 0.5, 0.5, 0.1])))

@@ -11,7 +11,9 @@ from teleportsim import (
     SchmidtDecomposition,
     basis_state,
     check_optimality,
+    fidelity_bound,
     make_rng,
+    mean_fidelity_exact,
     optimal_bob_corrections,
     outcome_distribution,
     protocol_from_json,
@@ -24,7 +26,9 @@ from teleportsim import (
     teleport_once,
     validate_completeness,
 )
-from teleportsim.protocol import _float_reprs, _json_layout
+from teleportsim.protocol import (
+    _float_reprs, _json_layout, _kraus_check, _unpairs, _unpairs_blocks,
+)
 from helpers import (
     choice_teleport_once,
     einsum_bob_unitaries,
@@ -251,6 +255,36 @@ class TestOptimalBobCorrections:
                     assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
 
 
+def deficient_spectrum(kind, d, rng):
+    """A rank-deficient spectrum (about half the coefficients zero) or a product one."""
+    lam = np.zeros(d)
+    if kind == "product":
+        lam[0] = 1.0
+    else:
+        lam[: (d + 1) // 2] = random_lambdas((d + 1) // 2, rng)
+    return lam
+
+
+class TestStandardCorrections:
+    """The closed-form corrections B_r = sqrt(d) phi_r^T against the SVD path."""
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_equal_to_the_svd_corrections_at_full_rank(self, d):
+        proto = standard_protocol(random_lambdas(d, make_rng(90 + d)))
+        svd = optimal_bob_corrections(proto.measurement, proto.schmidt)
+        assert np.max(np.abs(proto.corrections.stack - svd.stack)) <= 1e-14
+        assert np.array_equal(proto.corrections.outcome, svd.outcome)
+
+    @pytest.mark.parametrize("kind", ["rank_deficient", "product"])
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_same_fidelity_as_the_svd_corrections_when_rank_deficient(self, d, kind):
+        proto = standard_protocol(deficient_spectrum(kind, d, make_rng(110 + d)))
+        svd = optimal_bob_corrections(proto.measurement, proto.schmidt)
+        with_svd = Protocol(proto.schmidt, proto.measurement, svd)
+        assert abs(mean_fidelity_exact(proto) - mean_fidelity_exact(with_svd)) <= 1e-14
+        assert abs(mean_fidelity_exact(proto) - fidelity_bound(proto.schmidt.lambdas)) <= 1e-14
+
+
 class TestBobCorrections:
     def test_rejects_non_channel(self):
         with pytest.raises(ValueError, match="identity"):
@@ -334,6 +368,19 @@ class TestBobCorrections:
         else:
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_one_operator_per_outcome_check_equals_the_summed_check(self):
+        # with one operator per outcome _kraus_check skips np.add.reduceat; the sum
+        # over one-operator segments only copies, so the errors keep every bit
+        scale = np.array([1, 1.01, 1, 0.99, 1, 1])[:, None, None]
+        stack = random_unitaries(4, 6, make_rng(54)) * scale
+        stack[4, 1, 2] = np.nan
+        finite, error = _kraus_check(stack, np.ones(6, dtype=np.intp))
+        with np.errstate(invalid="ignore"):
+            summed = np.add.reduceat(stack.conj().transpose(0, 2, 1) @ stack, np.arange(6))
+            want = np.abs(summed - np.eye(4)).max(axis=(1, 2))
+        assert finite.tolist() == [True, True, True, True, False, True]
+        assert np.array_equal(error.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -534,6 +581,26 @@ SERIALIZED_PROTOCOLS = {
 }
 
 
+EYE_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+#: per-outcome correction lists as json parses them: valid, ragged and malformed
+CORRECTION_LISTS = {
+    "uniform": [[EYE_PAIRS]] * 4,
+    "bare": [EYE_PAIRS] * 4,
+    "ragged": [[EYE_PAIRS], [EYE_PAIRS, EYE_PAIRS], [EYE_PAIRS]],
+    "mixed_depth": [EYE_PAIRS, [EYE_PAIRS], EYE_PAIRS],
+    "empty": [],
+    "no_operators": [[], [], []],
+    "scalars": [1.0, 2.0],
+    "one_pair_each": [[1.0, 2.0]] * 3,
+    "triples": [[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]] * 3,
+    "string": [[EYE_PAIRS], [[[["x", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]],
+    "null": [[EYE_PAIRS], [[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]],
+    "nan": [[EYE_PAIRS], [[[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]],
+    "ragged_rows": [[EYE_PAIRS], [[[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]],
+    "text": "abc",
+}
+
+
 class TestSerialization:
     @pytest.mark.parametrize("name", SERIALIZED_PROTOCOLS)
     def test_text_matches_json_indent_2(self, name):
@@ -593,6 +660,25 @@ class TestSerialization:
         data[field] = entries.tolist()
         with pytest.raises(ValueError, match="finite"):
             protocol_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("case", sorted(CORRECTION_LISTS))
+    def test_corrections_convert_as_block_by_block(self, case):
+        blocks = CORRECTION_LISTS[case]
+
+        def outcome(convert):
+            try:
+                return [np.asarray(block) for block in convert(blocks)]
+            except (TypeError, ValueError) as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        got, want = outcome(_unpairs_blocks), outcome(lambda bs: [_unpairs(b) for b in bs])
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(got) == len(want)
+            assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
+        if case in ("uniform", "bare"):
+            assert isinstance(_unpairs_blocks(blocks), np.ndarray)  # one conversion
 
     @pytest.mark.parametrize("field", ["d", "lambdas", "phi", "corrections"])
     def test_missing_field_raises_value_error(self, field):
