@@ -119,18 +119,10 @@ def _estimation_form(
     """E^T N: the (d^2, d^2) real form of :func:`estimation_fidelity_mc`'s integrand.
 
     Row r of E holds the coordinates of the effect E_r = A_r† A_r, and row r
-    of N those of the guess projector |guess_r><guess_r|. The product is
-    taken only over the columns of E and of N that hold a nonzero entry;
-    the form is zero elsewhere. For the standard measurement with its
-    optimal guesses those are the d diagonal coordinates of each.
+    of N those of the guess projector |guess_r><guess_r|.
     """
     a = _a_matrices(meas.phi, lam)
-    effects = _hermitian_coords(a.conj().transpose(0, 2, 1) @ a)
-    guesses = _state_coords(strategy.guesses)
-    rows, cols = np.flatnonzero(effects.any(axis=0)), np.flatnonzero(guesses.any(axis=0))
-    form = np.zeros((effects.shape[1], guesses.shape[1]))
-    form[np.ix_(rows, cols)] = effects[:, rows].T @ guesses[:, cols]
-    return form
+    return _hermitian_coords(a.conj().transpose(0, 2, 1) @ a).T @ _state_coords(strategy.guesses)
 
 
 def estimation_fidelity_mc(
@@ -148,9 +140,8 @@ def estimation_fidelity_mc(
     (:func:`haar._hermitian_coords`) both factors are linear, so the
     integrand is the quadratic form x^T (E^T N) x, with E the coordinates of
     the effects E_r and N those of the guess projectors |guess_r><guess_r|.
-    One matrix product over the nonzero columns of E and N builds the
-    d^2 x d^2 form, and :func:`haar.form_monte_carlo` evaluates it on its
-    support.
+    One matrix product builds the d^2 x d^2 form, and
+    :func:`haar.form_monte_carlo` evaluates it.
     """
     lam = _check_inputs(meas, lambdas, strategy)
     return form_monte_carlo(_estimation_form(meas, lam, strategy), n, rng)

@@ -102,45 +102,42 @@ def _hermitian_coords(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
-def _state_coords(psi: np.ndarray, coords: np.ndarray | None = None) -> np.ndarray:
+def _state_coords(psi: np.ndarray, diag=slice(None), pairs=slice(None)) -> np.ndarray:
     """:func:`_hermitian_coords` of psi psi† for every row psi of an (n, d) array.
 
     They are read off the rows, without forming psi psi†: its diagonal is
     |psi_i|^2 and its entry (i, j) is psi_i psi_j*. Their norm is |psi|^2.
-    Given an increasing index array ``coords``, only those coordinates are
-    computed, in that order, each with the same arithmetic as in the full set.
+    Index arrays ``diag``, into the d diagonal entries, and ``pairs``, into
+    the entries above the diagonal, select the coordinates to compute:
+    |psi_i|^2 for each i in ``diag``, then sqrt(2) Re and then sqrt(2) Im of
+    each pair in ``pairs``, with the same arithmetic as the full set.
     """
-    d = psi.shape[-1]
-    i, j = np.triu_indices(d, 1)
-    if coords is None:
-        upper = np.sqrt(2) * psi[:, i] * psi[:, j].conj()
-        return np.concatenate([np.abs(psi) ** 2, upper.real, upper.imag], axis=-1)
-    # coordinates [0, d) are the diagonal, then i.size real parts and i.size imaginary parts
-    diag = coords[coords < d]
-    re = coords[(coords >= d) & (coords < d + i.size)] - d
-    im = coords[coords >= d + i.size] - d - i.size
-    upper_re = np.sqrt(2) * psi[:, i[re]] * psi[:, j[re]].conj()
-    upper_im = np.sqrt(2) * psi[:, i[im]] * psi[:, j[im]].conj()
-    return np.concatenate([np.abs(psi[:, diag]) ** 2, upper_re.real, upper_im.imag], axis=-1)
+    i, j = np.triu_indices(psi.shape[-1], 1)
+    upper = np.sqrt(2) * psi[:, i[pairs]] * psi[:, j[pairs]].conj()
+    return np.concatenate([np.abs(psi[:, diag]) ** 2, upper.real, upper.imag], axis=-1)
 
 
-def form_values(form: np.ndarray, psi: np.ndarray, coords: np.ndarray | None = None) -> np.ndarray:
-    """x^T F x for every row psi of an (n, d) array, with x the coordinates of psi psi†.
-
-    Given ``coords`` (as :func:`_state_coords` takes them), ``form`` is F
-    restricted to those coordinates, and only they are computed.
-    """
-    x = _state_coords(psi, coords)
+def form_values(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """x^T F x for every row psi of an (n, d) array, with x the coordinates of psi psi†."""
+    x = _state_coords(psi)
     return np.einsum("na,na->n", x, x @ form)
 
 
-def _form_support(form: np.ndarray) -> np.ndarray:
-    """The coordinates whose row or column of F holds a nonzero entry, in increasing order.
+def _form_support(form: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal entries and upper pairs whose coordinates x^T F x reads, and those coordinates.
 
-    x^T F x reads no other coordinate of x.
+    An entry is read when the row or the column of F at one of its
+    coordinates holds a nonzero entry. A pair keeps both its coordinates,
+    Re and Im, since both come from one product. The coordinates are in the
+    order of :func:`_state_coords`.
     """
+    d = math.isqrt(form.shape[0])
+    n_pairs = d * (d - 1) // 2
     nonzero = form != 0
-    return np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    read = nonzero.any(axis=0) | nonzero.any(axis=1)
+    diag = np.flatnonzero(read[:d])
+    pairs = np.flatnonzero(read[d : d + n_pairs] | read[d + n_pairs :])
+    return diag, pairs, np.concatenate([diag, d + pairs, d + n_pairs + pairs])
 
 
 def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEstimate:
@@ -157,23 +154,23 @@ def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEs
     computes just those coordinates of x, and x_S^T F_SS x_S. The standard
     protocol's fidelity form and the standard measurement's estimation form
     are supported on the d diagonal coordinates, where x is |psi_i|^2. A
-    dense form keeps every coordinate. Dropping the zero rows and columns
-    changes the per-row values by rounding at most, as the block size does.
+    dense form keeps every coordinate, each product psi_i psi_j* formed once.
+    Dropping the zero rows and columns changes the per-row values by
+    rounding at most, as the block size does.
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
     d = math.isqrt(form.shape[0])
-    coords = _form_support(form)
-    if coords.size == form.shape[0]:
-        coords = None  # a dense form: the full coordinates, without selecting them
-    else:
-        form = form[np.ix_(coords, coords)]
+    diag, pairs, coords = _form_support(form)
+    if coords.size < form.shape[0]:  # a form read on every coordinate is used as it is
+        form = form.take(coords, axis=0).take(coords, axis=1)
     psi = sample_haar_states(d, n, rng)
     # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
     step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
     f = np.empty(n)
     for start in range(0, n, step):
-        f[start : start + step] = form_values(form, psi[start : start + step], coords)
+        x = _state_coords(psi[start : start + step], diag, pairs)
+        f[start : start + step] = np.einsum("na,na->n", x, x @ form)
     return McEstimate(
         value=float(f.mean()),
         std_error=float(f.std(ddof=1) / np.sqrt(n)),

@@ -485,25 +485,7 @@ def _protocol_head(proto: Protocol) -> dict:
     }
 
 
-def _unpairs_blocks(blocks) -> np.ndarray | list:
-    """The per-outcome Kraus blocks of a protocol dict, as :func:`_kraus_stack` reads them.
-
-    Blocks of one shape, as :func:`protocol_to_json` writes them, are
-    converted by one :func:`_unpairs` call into one (R, S, d, d) array, whose
-    rows are the blocks. Any other list, ragged or malformed, is converted
-    block by block, so that a bad block raises the error it raises alone.
-    """
-    try:
-        arr = np.ascontiguousarray(blocks, dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = None
-    # below two axes the blocks are not arrays of pairs, and _unpairs must name that per block
-    if arr is None or arr.ndim < 2:
-        return [_unpairs(block) for block in blocks]
-    return _unpairs(arr)
-
-
-def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray | list]:
+def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement, list]:
     """Resource, measurement and raw per-outcome Kraus blocks of a protocol dict.
 
     Neither completeness nor Kraus normalization is checked, so that a broken
@@ -513,7 +495,7 @@ def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement,
         d = int(data["d"])
         schmidt = SchmidtDecomposition.from_lambdas(np.asarray(data["lambdas"], dtype=float))
         meas = AliceMeasurement(_unpairs(data["phi"]))
-        kraus = _unpairs_blocks(data["corrections"])
+        kraus = [_unpairs(block) for block in data["corrections"]]
     except KeyError as exc:
         raise ValueError(f"protocol is missing field {exc}") from None
     if schmidt.dim != d or meas.d != d:
@@ -584,9 +566,7 @@ def protocol_to_json(proto: Protocol) -> str:
     )
 
 
-def _load_protocol_parts(
-    text: str,
-) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray | list]:
+def _load_protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurement, list]:
     """:func:`_protocol_parts` of a protocol text, parsed with the cyclic garbage collector paused.
 
     A protocol file parses into one list per ``[re, im]`` pair, 131 072 of
@@ -614,4 +594,4 @@ def _load_protocol_parts(
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
     schmidt, meas, kraus = _load_protocol_parts(text)
-    return Protocol(schmidt, meas, BobCorrections(kraus))
+    return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))

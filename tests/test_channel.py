@@ -122,7 +122,9 @@ class TestFormSupport:
         c = proto.channel.kraus
         assert np.all(c[:, ~np.eye(d, dtype=bool)] == 0)
         gram = proto.channel.gram
-        assert np.array_equal(_form_support(gram), np.arange(d))
+        diag, pairs, coords = _form_support(gram)
+        assert np.array_equal(diag, np.arange(d)) and pairs.size == 0
+        assert np.array_equal(coords, np.arange(d))
         assert np.all(gram[d:] == 0) and np.all(gram[:, d:] == 0)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
@@ -140,7 +142,7 @@ class TestFormSupport:
         }
         n = 1500 if d == 16 else 3000
         for name, (form, support) in forms.items():
-            assert _form_support(form).size == support, name
+            assert _form_support(form)[2].size == support, name
             est = haar.form_monte_carlo(form, n, make_rng(352, stream=d))
             full = form_values(form, sample_haar_states(d, n, make_rng(352, stream=d)))
             assert abs(est.value - full.mean()) <= AGREE_TOL, name
@@ -235,11 +237,23 @@ class TestHermitianCoordinates:
         rng = make_rng(315 + d)
         psi = sample_haar_states(d, 40, rng)
         full = _state_coords(psi)
-        diagonal, real_parts = np.arange(d), np.arange(d, d + d * (d - 1) // 2)
-        for coords in (np.arange(d * d), diagonal, real_parts, np.arange(d * d)[d:],
-                       np.sort(rng.choice(d * d, d, replace=False)), np.arange(0)):
-            got = _state_coords(psi, coords)
+        n_pairs = d * (d - 1) // 2
+        everything, no_pairs = (np.arange(d), np.arange(n_pairs)), (np.arange(d), np.arange(0))
+        pairs_only = (np.arange(0), np.arange(n_pairs))
+        some = (np.sort(rng.choice(d, d // 2, replace=False)),
+                np.sort(rng.choice(n_pairs, max(1, n_pairs // 3), replace=False)))
+        for diag, pairs in (everything, no_pairs, pairs_only, some, (np.arange(0), np.arange(0))):
+            coords = np.concatenate([diag, d + pairs, d + n_pairs + pairs])
+            got = _state_coords(psi, diag, pairs)
             assert np.array_equal(got.view(np.uint64), full[:, coords].view(np.uint64))
+
+    def test_support_keeps_both_coordinates_of_a_pair(self):
+        d = 3
+        form = np.zeros((d * d, d * d))
+        form[1, 1] = form[d + 2, d + 2] = form[0, d + 3 + 1] = 1.0
+        diag, pairs, coords = _form_support(form)
+        assert np.array_equal(diag, [0, 1]) and np.array_equal(pairs, [1, 2])
+        assert np.array_equal(coords, [0, 1, d + 1, d + 2, d + 3 + 1, d + 3 + 2])
 
     @pytest.mark.parametrize("d,kind", cases())
     def test_fidelity_form_has_the_exact_haar_average(self, d, kind):

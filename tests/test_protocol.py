@@ -26,9 +26,7 @@ from teleportsim import (
     teleport_once,
     validate_completeness,
 )
-from teleportsim.protocol import (
-    _float_reprs, _json_layout, _kraus_check, _unpairs, _unpairs_blocks,
-)
+from teleportsim.protocol import _float_reprs, _json_layout, _kraus_check
 from helpers import (
     choice_teleport_once,
     einsum_bob_unitaries,
@@ -581,26 +579,6 @@ SERIALIZED_PROTOCOLS = {
 }
 
 
-EYE_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-#: per-outcome correction lists as json parses them: valid, ragged and malformed
-CORRECTION_LISTS = {
-    "uniform": [[EYE_PAIRS]] * 4,
-    "bare": [EYE_PAIRS] * 4,
-    "ragged": [[EYE_PAIRS], [EYE_PAIRS, EYE_PAIRS], [EYE_PAIRS]],
-    "mixed_depth": [EYE_PAIRS, [EYE_PAIRS], EYE_PAIRS],
-    "empty": [],
-    "no_operators": [[], [], []],
-    "scalars": [1.0, 2.0],
-    "one_pair_each": [[1.0, 2.0]] * 3,
-    "triples": [[[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]] * 3,
-    "string": [[EYE_PAIRS], [[[["x", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]],
-    "null": [[EYE_PAIRS], [[[[None, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]],
-    "nan": [[EYE_PAIRS], [[[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]],
-    "ragged_rows": [[EYE_PAIRS], [[[[1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]],
-    "text": "abc",
-}
-
-
 class TestSerialization:
     @pytest.mark.parametrize("name", SERIALIZED_PROTOCOLS)
     def test_text_matches_json_indent_2(self, name):
@@ -660,25 +638,6 @@ class TestSerialization:
         data[field] = entries.tolist()
         with pytest.raises(ValueError, match="finite"):
             protocol_from_json(json.dumps(data))
-
-    @pytest.mark.parametrize("case", sorted(CORRECTION_LISTS))
-    def test_corrections_convert_as_block_by_block(self, case):
-        blocks = CORRECTION_LISTS[case]
-
-        def outcome(convert):
-            try:
-                return [np.asarray(block) for block in convert(blocks)]
-            except (TypeError, ValueError) as exc:
-                return f"{type(exc).__name__}: {exc}"
-
-        got, want = outcome(_unpairs_blocks), outcome(lambda bs: [_unpairs(b) for b in bs])
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert len(got) == len(want)
-            assert all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want))
-        if case in ("uniform", "bare"):
-            assert isinstance(_unpairs_blocks(blocks), np.ndarray)  # one conversion
 
     @pytest.mark.parametrize("field", ["d", "lambdas", "phi", "corrections"])
     def test_missing_field_raises_value_error(self, field):
