@@ -3,10 +3,12 @@
 When the shared state is not maximally entangled, the measurement outcome
 leaks information about the input: outcome r occurs with probability
 sum_k lambda_k^2 |<phi_r^k|psi>|^2, and Alice can convert the record into a
-guess for psi. The guess quality is again a Haar-averaged fidelity, bounded
-by (1 + lambda_0^2) / (d + 1); the normalized leading measurement block is
-the guess that attains the bound for measurements passing the optimality
-conditions.
+guess for psi. The guess quality is again a Haar-averaged fidelity. On the
+measurements that pass the optimality conditions it is at most
+(1 + lambda_0^2) / (d + 1), and each of them attains that value with the
+normalized leading measurement blocks as guesses. It is not a bound over
+all measurements: other measurements can reach a higher estimation
+fidelity, at the cost of teleportation fidelity.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import McEstimate, _hermitian_coords, _state_coords, form_monte_carlo
-from .protocol import AliceMeasurement, _a_matrices, _matched_lambdas
+from .haar import McEstimate, _state_coords, form_monte_carlo
+from .protocol import AliceMeasurement, _a_matrices, _effect_coords, _matched_lambdas
 from .qcore import _freeze, check_schmidt_coefficients
 
 #: leading blocks with norm at or below this have no well-defined guess
@@ -104,10 +106,11 @@ def estimation_fidelity_exact(
 
 
 def estimation_fidelity_bound(lambdas) -> float:
-    """Upper bound on the mean estimation fidelity: (1 + lambda_0^2) / (d + 1).
+    """Mean estimation fidelity of the optimal protocols: (1 + lambda_0^2) / (d + 1).
 
-    Tight for measurements passing the optimality conditions; for other
-    measurements it is still reported but not guaranteed attainable.
+    It is the maximum over measurements passing the optimality conditions,
+    and each of them attains it. It does not bound other measurements, some
+    of which estimate better.
     """
     lam = check_schmidt_coefficients(lambdas)
     return (1.0 + float(lam[0]) ** 2) / (lam.size + 1)
@@ -122,7 +125,7 @@ def _estimation_form(
     of N those of the guess projector |guess_r><guess_r|.
     """
     a = _a_matrices(meas.phi, lam)
-    return _hermitian_coords(a.conj().transpose(0, 2, 1) @ a).T @ _state_coords(strategy.guesses)
+    return _effect_coords(a).T @ _state_coords(strategy.guesses)
 
 
 def estimation_fidelity_mc(

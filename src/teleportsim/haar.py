@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -102,19 +102,54 @@ def _hermitian_coords(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
-def _state_coords(psi: np.ndarray, diag=slice(None), pairs=slice(None)) -> np.ndarray:
-    """:func:`_hermitian_coords` of psi psi† for every row psi of an (n, d) array.
+class CoordSupport(NamedTuple):
+    """Some of the coordinates of psi psi†, in the order of :func:`_state_coords`.
 
-    They are read off the rows, without forming psi psi†: its diagonal is
-    |psi_i|^2 and its entry (i, j) is psi_i psi_j*. Their norm is |psi|^2.
-    Index arrays ``diag``, into the d diagonal entries, and ``pairs``, into
-    the entries above the diagonal, select the coordinates to compute:
-    |psi_i|^2 for each i in ``diag``, then sqrt(2) Re and then sqrt(2) Im of
-    each pair in ``pairs``, with the same arithmetic as the full set.
+    ``diag`` holds the diagonal entries i whose |psi_i|^2 is kept, and
+    ``rows`` and ``cols`` the pairs i < j whose sqrt(2) Re and sqrt(2) Im of
+    psi_i psi_j* are kept. ``index`` holds the kept coordinates' positions
+    among all d^2, so that ``x[..., index]`` selects them from a full set x.
     """
-    i, j = np.triu_indices(psi.shape[-1], 1)
-    upper = np.sqrt(2) * psi[:, i[pairs]] * psi[:, j[pairs]].conj()
-    return np.concatenate([np.abs(psi[:, diag]) ** 2, upper.real, upper.imag], axis=-1)
+
+    diag: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    index: np.ndarray
+
+
+def _coord_support(read: np.ndarray) -> CoordSupport:
+    """The coordinates marked in a boolean d^2 vector, with whole pairs.
+
+    A pair is kept when either of its coordinates, Re or Im, is marked,
+    since both come from one product psi_i psi_j*.
+    """
+    d = math.isqrt(read.size)
+    n_pairs = d * (d - 1) // 2
+    diag = np.flatnonzero(read[:d])
+    pairs = np.flatnonzero(read[d : d + n_pairs] | read[d + n_pairs :])
+    i, j = np.triu_indices(d, 1)
+    return CoordSupport(
+        diag, i[pairs], j[pairs], np.concatenate([diag, d + pairs, d + n_pairs + pairs])
+    )
+
+
+def _state_coords(psi: np.ndarray, support: CoordSupport | None = None) -> np.ndarray:
+    """:func:`_hermitian_coords` of psi psi† for a state psi, or for every row of an (n, d) array.
+
+    They are read off psi, without forming psi psi†: its diagonal is
+    |psi_i|^2 and its entry (i, j) is psi_i psi_j*. Their norm is |psi|^2.
+    Given a ``support``, only its coordinates are computed, with the same
+    arithmetic as the full set; without one, all d^2 are.
+    """
+    if support is None:
+        support = _coord_support(np.ones(psi.shape[-1] ** 2, dtype=bool))
+    # take is the cheapest selection on one state; it gives the same entries as indexing
+    x = np.abs(psi.take(support.diag, axis=-1)) ** 2
+    if support.rows.size:  # a diagonal support, as the standard protocol's, has no pairs
+        left, right = psi.take(support.rows, axis=-1), psi.take(support.cols, axis=-1)
+        upper = np.sqrt(2) * left * right.conj()
+        x = np.concatenate([x, upper.real, upper.imag], axis=-1)
+    return x
 
 
 def form_values(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -123,21 +158,10 @@ def form_values(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("na,na->n", x, x @ form)
 
 
-def _form_support(form: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The diagonal entries and upper pairs whose coordinates x^T F x reads, and those coordinates.
-
-    An entry is read when the row or the column of F at one of its
-    coordinates holds a nonzero entry. A pair keeps both its coordinates,
-    Re and Im, since both come from one product. The coordinates are in the
-    order of :func:`_state_coords`.
-    """
-    d = math.isqrt(form.shape[0])
-    n_pairs = d * (d - 1) // 2
+def _form_support(form: np.ndarray) -> CoordSupport:
+    """The coordinates that x^T F x reads: those whose row or column of F holds a nonzero entry."""
     nonzero = form != 0
-    read = nonzero.any(axis=0) | nonzero.any(axis=1)
-    diag = np.flatnonzero(read[:d])
-    pairs = np.flatnonzero(read[d : d + n_pairs] | read[d + n_pairs :])
-    return diag, pairs, np.concatenate([diag, d + pairs, d + n_pairs + pairs])
+    return _coord_support(nonzero.any(axis=0) | nonzero.any(axis=1))
 
 
 def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEstimate:
@@ -150,26 +174,27 @@ def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEs
     per-row values by rounding at most, since a matrix product may sum in
     another order for another number of rows.
 
-    Only the form's support (:func:`_form_support`) is evaluated: each row
-    computes just those coordinates of x, and x_S^T F_SS x_S. The standard
-    protocol's fidelity form and the standard measurement's estimation form
-    are supported on the d diagonal coordinates, where x is |psi_i|^2. A
-    dense form keeps every coordinate, each product psi_i psi_j* formed once.
+    Only the form's support (:func:`_form_support`), found once per call, is
+    evaluated: each row computes just those coordinates of x, and
+    x_S^T F_SS x_S. The standard protocol's fidelity form and the standard
+    measurement's estimation form are supported on the d diagonal
+    coordinates, where x is |psi_i|^2. A dense form keeps every coordinate,
+    each product psi_i psi_j* formed once.
     Dropping the zero rows and columns changes the per-row values by
     rounding at most, as the block size does.
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
     d = math.isqrt(form.shape[0])
-    diag, pairs, coords = _form_support(form)
-    if coords.size < form.shape[0]:  # a form read on every coordinate is used as it is
-        form = form.take(coords, axis=0).take(coords, axis=1)
+    support = _form_support(form)
+    if support.index.size < form.shape[0]:  # a form read on every coordinate is used as it is
+        form = form.take(support.index, axis=0).take(support.index, axis=1)
     psi = sample_haar_states(d, n, rng)
     # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
     step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
     f = np.empty(n)
     for start in range(0, n, step):
-        x = _state_coords(psi[start : start + step], diag, pairs)
+        x = _state_coords(psi[start : start + step], support)
         f[start : start + step] = np.einsum("na,na->n", x, x @ form)
     return McEstimate(
         value=float(f.mean()),

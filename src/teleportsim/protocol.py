@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .haar import _hermitian_coords
+from .haar import CoordSupport, _coord_support, _hermitian_coords, _state_coords
 from .qcore import PureState, SchmidtDecomposition, _freeze, check_schmidt_coefficients
 
 #: completeness and Kraus-normalization tolerance for assembled protocols
@@ -210,6 +210,15 @@ def _a_matrices(phi: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     return lambdas[None, :, None] * phi.conj()
 
 
+def _effect_coords(a: np.ndarray) -> np.ndarray:
+    """Hermitian coordinates of every effect E_r = A_r† A_r, as an (R, d^2) array.
+
+    Outcome r has probability p_r(psi) = tr(E_r rho) = coords(E_r) . x, with
+    x the coordinates of rho = psi psi† (:func:`haar._hermitian_coords`).
+    """
+    return _hermitian_coords(a.conj().transpose(0, 2, 1) @ a)
+
+
 def _matched_lambdas(meas: AliceMeasurement, lambdas) -> np.ndarray:
     """Validated Schmidt coefficients, one for each Schmidt block of ``meas``."""
     lam = check_schmidt_coefficients(lambdas)
@@ -233,6 +242,11 @@ class TeleportChannel:
     tr(C rho) = h . x + i s . x, so K = W^T W, where W stacks the coordinates
     h and s of every C_rs. K is real, symmetric and d^2 x d^2, and is built
     only when a Monte-Carlo evaluation first needs it.
+
+    The outcome probabilities p_r(psi) = tr(E_r rho), with effects
+    E_r = A_r† A_r, are linear in x: :attr:`effects` holds the effects'
+    coordinates on the coordinates where some E_r is nonzero, built when a
+    shot or an outcome distribution first needs them.
     """
 
     def __init__(self, proto: Protocol) -> None:
@@ -246,6 +260,18 @@ class TeleportChannel:
         c, c_adj = self.kraus, self.kraus.conj().transpose(0, 2, 1)
         w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
         return _freeze(w.T @ w)
+
+    @cached_property
+    def effects(self) -> tuple[np.ndarray, CoordSupport]:
+        """The (R, |S|) coordinates of every effect E_r on their support S, and S.
+
+        S holds the coordinates where some E_r is nonzero. The standard
+        measurement's effects are diagonal, so its S is the d diagonal
+        coordinates of d^2.
+        """
+        e = _effect_coords(self.a)
+        support = _coord_support((e != 0).any(axis=0))
+        return _freeze(e[:, support.index]), support
 
 
 @dataclass(frozen=True)
@@ -399,28 +425,31 @@ def standard_protocol(lambdas) -> Protocol:
     return Protocol(schmidt, meas, corrections)
 
 
-def _conditional_vectors(proto: Protocol, psi: PureState) -> np.ndarray:
-    """Unnormalized conditional states b_r = A_r psi, as rows of an (R, d) array."""
-    a, amps = proto.channel.a, psi.amplitudes
-    if amps.size != a.shape[2]:
-        raise ValueError(f"input dimension {amps.size} != protocol dimension {a.shape[2]}")
-    return (a.reshape(-1, amps.size) @ amps).reshape(a.shape[:2])
-
-
 def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
-    """Probability of each measurement outcome for the input psi."""
-    b = _conditional_vectors(proto, psi)
-    return (np.abs(b) ** 2).sum(axis=1)
+    """Probability of each measurement outcome for the input psi.
+
+    p_r = tr(E_r rho) is read off the effects' coordinates on their support
+    (:attr:`TeleportChannel.effects`) and psi psi†'s coordinates there, and
+    clipped at 0. It equals sum_i |(A_r psi)_i|^2 up to rounding.
+    """
+    amps = psi.amplitudes
+    if amps.size != proto.d:
+        raise ValueError(f"input dimension {amps.size} != protocol dimension {proto.d}")
+    values, support = proto.channel.effects
+    return np.maximum(values @ _state_coords(amps, support), 0.0)
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Index i with probability p[i], drawn as ``rng.choice(p.size, p=p)`` draws it.
+    """Index i with probability p[i] / sum(p), drawn as ``rng.choice`` draws it.
 
     Inverts the normalized cumulative sum at one ``rng.random()``, which is
     what ``Generator.choice`` does after checking its arguments; those checks
-    cost more than the draw on the short vectors of one shot.
+    cost more than the draw on the short vectors of one shot. A valid
+    protocol's weights never all vanish, so a zero or NaN total raises.
     """
     cdf = p.cumsum()
+    if not cdf[-1] > 0.0:
+        raise ValueError("all probabilities vanish; protocol state is corrupted")
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
@@ -428,23 +457,31 @@ def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
 def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> TeleportOutcome:
     """Simulate one teleportation round.
 
-    Samples the measurement outcome with probability |b_r|^2, then a Kraus
-    branch with probability |B_rs b_r|^2 / |b_r|^2, and returns Bob's
-    normalized output state.
+    Samples the measurement outcome r from :func:`outcome_distribution`,
+    then a Kraus branch with probability |B_rs b_r|^2 / |b_r|^2, where
+    b_r = A_r psi is formed for the drawn outcome only, and returns Bob's
+    normalized output state. The reported probability is |b_r|^2. Every shot
+    takes two uniforms, one for the outcome and one for the branch, also
+    when the outcome has a single Kraus operator.
     """
-    # the array methods run the same reductions as np.sum and np.cumsum, bit
-    # for bit, without those functions' dispatch, which dominates at small d
-    b = _conditional_vectors(proto, psi)
-    probs = (np.abs(b) ** 2).sum(axis=1)
-    total = float(probs.sum())
-    if total <= 0.0:
-        raise ValueError("all outcome probabilities vanish; protocol state is corrupted")
-    r = _draw(probs / total, rng)
-    branches = np.einsum("sij,j->si", proto.corrections.kraus[r], b[r])
+    r = _draw(outcome_distribution(proto, psi), rng)
+    # A_r is read in C order: random_povm's blocks are stored transposed, and
+    # BLAS rounds a transposed product differently. In C order, b_r has the
+    # bits of row r of the product of the whole stack with psi.
+    b = np.ascontiguousarray(proto.channel.a[r]) @ psi.amplitudes
+    kraus = proto.corrections.kraus[r]
+    branches = np.einsum("sij,j->si", kraus, b)
+    # the array methods run the same reductions as np.sum, bit for bit,
+    # without that function's dispatch, which dominates at small d
     weights = (np.abs(branches) ** 2).sum(axis=1)
-    s = _draw(weights / weights.sum(), rng)
+    if kraus.shape[0] == 1:  # the branch is certain; its uniform is drawn all the same
+        rng.random()
+        s = 0
+    else:
+        s = _draw(weights / weights.sum(), rng)
     out = branches[s] / np.sqrt(weights[s])
-    return TeleportOutcome(outcome=r, probability=float(probs[r]), output_state=PureState(out))
+    probability = float((np.abs(b) ** 2).sum())
+    return TeleportOutcome(outcome=r, probability=probability, output_state=PureState(out))
 
 
 def _pairs(arr: np.ndarray) -> np.ndarray:

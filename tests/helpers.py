@@ -8,6 +8,7 @@ from scipy.stats import unitary_group
 from teleportsim import (
     AliceMeasurement,
     McEstimate,
+    Protocol,
     PureState,
     TeleportOutcome,
     m_kl_exact,
@@ -16,7 +17,7 @@ from teleportsim import (
     sample_haar_states,
     standard_measurement,
 )
-from teleportsim.protocol import KRAUS_ATOL, _a_matrices, _conditional_vectors
+from teleportsim.protocol import KRAUS_ATOL, _a_matrices
 
 
 def random_lambdas(d, rng):
@@ -250,6 +251,14 @@ def loop_kraus_check(kraus):
     if not blocks:
         raise ValueError("need at least one outcome")
     return blocks
+
+
+def _conditional_vectors(proto: Protocol, psi: PureState) -> np.ndarray:
+    """Unnormalized conditional states b_r = A_r psi, as rows of an (R, d) array."""
+    a, amps = proto.channel.a, psi.amplitudes
+    if amps.size != a.shape[2]:
+        raise ValueError(f"input dimension {amps.size} != protocol dimension {a.shape[2]}")
+    return (a.reshape(-1, amps.size) @ amps).reshape(a.shape[:2])
 
 
 def choice_teleport_once(proto, psi, rng):

@@ -32,7 +32,14 @@ from teleportsim import (
 )
 from teleportsim import haar
 from teleportsim.estimation import _estimation_form
-from teleportsim.haar import _form_support, _hermitian_coords, _state_coords, form_values
+from teleportsim.protocol import _effect_coords
+from teleportsim.haar import (
+    CoordSupport,
+    _form_support,
+    _hermitian_coords,
+    _state_coords,
+    form_values,
+)
 from helpers import (
     einsum_estimation_samples,
     einsum_mean_fidelity_mkl_form,
@@ -122,10 +129,20 @@ class TestFormSupport:
         c = proto.channel.kraus
         assert np.all(c[:, ~np.eye(d, dtype=bool)] == 0)
         gram = proto.channel.gram
-        diag, pairs, coords = _form_support(gram)
-        assert np.array_equal(diag, np.arange(d)) and pairs.size == 0
-        assert np.array_equal(coords, np.arange(d))
+        support = _form_support(gram)
+        assert np.array_equal(support.diag, np.arange(d)) and support.rows.size == 0
+        assert np.array_equal(support.index, np.arange(d))
         assert np.all(gram[d:] == 0) and np.all(gram[:, d:] == 0)
+
+    @pytest.mark.parametrize("kind", SPECTRA)
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_standard_effects_live_on_the_diagonal(self, d, kind):
+        proto = standard_protocol(spectrum(kind, d, make_rng(345 + d)))
+        values, support = proto.channel.effects
+        assert np.array_equal(support.diag, np.arange(d)) and support.rows.size == 0
+        assert np.array_equal(support.index, np.arange(d))
+        full = _effect_coords(proto.channel.a)
+        assert np.array_equal(values, full[:, :d]) and np.all(full[:, d:] == 0)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_restricted_estimate_equals_the_full_form_mean(self, d):
@@ -142,7 +159,7 @@ class TestFormSupport:
         }
         n = 1500 if d == 16 else 3000
         for name, (form, support) in forms.items():
-            assert _form_support(form)[2].size == support, name
+            assert _form_support(form).index.size == support, name
             est = haar.form_monte_carlo(form, n, make_rng(352, stream=d))
             full = form_values(form, sample_haar_states(d, n, make_rng(352, stream=d)))
             assert abs(est.value - full.mean()) <= AGREE_TOL, name
@@ -242,18 +259,23 @@ class TestHermitianCoordinates:
         pairs_only = (np.arange(0), np.arange(n_pairs))
         some = (np.sort(rng.choice(d, d // 2, replace=False)),
                 np.sort(rng.choice(n_pairs, max(1, n_pairs // 3), replace=False)))
+        i, j = np.triu_indices(d, 1)
         for diag, pairs in (everything, no_pairs, pairs_only, some, (np.arange(0), np.arange(0))):
             coords = np.concatenate([diag, d + pairs, d + n_pairs + pairs])
-            got = _state_coords(psi, diag, pairs)
+            got = _state_coords(psi, CoordSupport(diag, i[pairs], j[pairs], coords))
             assert np.array_equal(got.view(np.uint64), full[:, coords].view(np.uint64))
+            one = _state_coords(psi[0], CoordSupport(diag, i[pairs], j[pairs], coords))
+            assert np.array_equal(one.view(np.uint64), got[0].view(np.uint64))
 
     def test_support_keeps_both_coordinates_of_a_pair(self):
         d = 3
         form = np.zeros((d * d, d * d))
         form[1, 1] = form[d + 2, d + 2] = form[0, d + 3 + 1] = 1.0
-        diag, pairs, coords = _form_support(form)
-        assert np.array_equal(diag, [0, 1]) and np.array_equal(pairs, [1, 2])
-        assert np.array_equal(coords, [0, 1, d + 1, d + 2, d + 3 + 1, d + 3 + 2])
+        support = _form_support(form)
+        assert np.array_equal(support.diag, [0, 1])
+        # pairs 1 and 2 of (0, 1), (0, 2), (1, 2)
+        assert np.array_equal(support.rows, [0, 1]) and np.array_equal(support.cols, [2, 2])
+        assert np.array_equal(support.index, [0, 1, d + 1, d + 2, d + 3 + 1, d + 3 + 2])
 
     @pytest.mark.parametrize("d,kind", cases())
     def test_fidelity_form_has_the_exact_haar_average(self, d, kind):

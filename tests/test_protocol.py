@@ -57,6 +57,36 @@ def multi_kraus_protocol(d, gen):
                     BobCorrections(kraus))
 
 
+def povm_protocol(d, lambdas, seed):
+    """Random complete measurement of d^2 outcomes with one optimal correction per outcome."""
+    meas = random_povm(d, d * d, make_rng(seed, stream=d))
+    schmidt = SchmidtDecomposition.from_lambdas(lambdas)
+    return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
+
+
+def local_product_protocol(d):
+    """Product resource lambda = (1, 0, ..., 0), with Alice measuring both particles locally.
+
+    Outcome r = j + k d has the single block phi_r^k = |j>. Only the k = 0
+    outcomes can occur, so d^2 - d outcomes have probability exactly 0.
+    """
+    r = np.arange(d * d)
+    phi = np.zeros((d * d, d, d), dtype=complex)
+    phi[r, r // d, r % d] = 1.0
+    meas = AliceMeasurement(phi)
+    schmidt = SchmidtDecomposition.from_lambdas(np.eye(d)[0])
+    return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
+
+
+#: per d, one-operator protocols that the standard one does not cover: dense
+#: ones on a random POVM, and a product resource with zero-probability outcomes
+ONE_OPERATOR_PROTOCOLS = {
+    3: {"product": lambda: local_product_protocol(3)},
+    4: {"dense": lambda: povm_protocol(4, random_lambdas(4, make_rng(76)), 77)},
+    16: {"dense": lambda: povm_protocol(16, random_lambdas(16, make_rng(76)), 77)},
+}
+
+
 class TestStandardMeasurement:
     def test_d2_outcome_zero(self):
         phi = standard_measurement(2).phi
@@ -466,6 +496,14 @@ class TestTeleportOnce:
         se = np.sqrt(0.25 * 0.75 / n)
         assert np.all(np.abs(counts / n - 0.25) <= 5 * se)
 
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_corrupted_effects_rejected(self, fill):
+        proto = standard_protocol([0.8, 0.6])
+        values, support = proto.channel.effects
+        vars(proto.channel)["effects"] = (np.full_like(values, fill), support)
+        with pytest.raises(ValueError, match="probabilities vanish"):
+            teleport_once(proto, basis_state(2, 0), make_rng(0))
+
     def test_wrong_input_dimension_rejected(self):
         with pytest.raises(ValueError, match="input dimension"):
             teleport_once(standard_protocol([0.8, 0.6]), basis_state(3, 0), make_rng(0))
@@ -474,7 +512,8 @@ class TestTeleportOnce:
     def test_matches_choice_reference_bit_for_bit(self, d):
         gen = make_rng(70, stream=d)
         multi = multi_kraus_protocol(d, gen)
-        for proto in (standard_protocol(random_lambdas(d, gen)), multi):
+        others = [make() for make in ONE_OPERATOR_PROTOCOLS.get(d, {}).values()]
+        for proto in (standard_protocol(random_lambdas(d, gen)), multi, *others):
             rng, ref_rng = make_rng(71, stream=d), make_rng(71, stream=d)
             for amplitudes in sample_haar_states(d, 50, make_rng(72, stream=d)):
                 psi = PureState(amplitudes)
@@ -552,6 +591,18 @@ class TestOutcomeDistribution:
             assert np.all(probs >= 0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("d,kind", [(d, kind) for d, protos in ONE_OPERATOR_PROTOCOLS.items()
+                                        for kind in protos])
+    def test_matches_conditional_vector_norms(self, d, kind):
+        proto = ONE_OPERATOR_PROTOCOLS[d][kind]()
+        for amplitudes in sample_haar_states(d, 50, make_rng(66, stream=d)):
+            psi = PureState(amplitudes)
+            probs = outcome_distribution(proto, psi)
+            norms = np.sum(np.abs(proto.channel.a @ amplitudes) ** 2, axis=1)
+            assert np.all(probs >= 0)
+            assert np.max(np.abs(probs - norms)) <= 1e-15
+        if kind == "product":
+            assert np.all(probs[d:] == 0)
 
     def test_wrong_input_dimension_rejected(self):
         with pytest.raises(ValueError, match="input dimension"):
