@@ -22,6 +22,7 @@ import gc
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -489,14 +490,78 @@ def _pairs(arr: np.ndarray) -> np.ndarray:
     return np.stack([arr.real, arr.imag], axis=-1)
 
 
-def _unpairs(data) -> np.ndarray:
-    """Inverse of :func:`_pairs`; reinterprets the pairs' bits, so signed zeros survive."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ValueError("complex data must be nested [re, im] pairs")
-    if not np.isfinite(arr).all():
-        raise ValueError("complex data must be finite")
-    return arr.view(np.complex128)[..., 0]
+def _head_shape(nest) -> tuple[int, ...]:
+    """Lengths of the nested lists down the first items of ``nest``.
+
+    That is the shape of ``nest`` if it is a rectangular nest of lists.
+    """
+    shape = []
+    while type(nest) is list:
+        shape.append(len(nest))
+        if not nest:
+            break
+        nest = nest[0]
+    return tuple(shape)
+
+
+def _unpairs(data, field: str) -> np.ndarray:
+    """Inverse of :func:`_pairs` for the parsed lists of one protocol field.
+
+    One pass walks the nest a level at a time: every item of a level must
+    be a list, of the length that :func:`_head_shape` read off the first
+    items, which the C-level ``set(map(...))`` calls check. The innermost
+    lists must be [re, im] pairs, whose numbers are read by one
+    ``np.fromiter`` and reinterpreted as complex, so signed zeros survive.
+    It accepts what ``np.ascontiguousarray(data, dtype=np.float64)`` reads
+    as a rectangular array of finite pairs, with the same bits; anything
+    else raises a ValueError that names ``field``.
+    """
+    shape = _head_shape(data)
+    nesting = f"{field}: complex data must be nested [re, im] pairs"
+    if shape[-1:] != (2,):
+        raise ValueError(nesting)
+    level = [data]
+    for depth, n in enumerate(shape, 1):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
+            raise ValueError(nesting)
+        if depth < len(shape):
+            level = list(chain.from_iterable(level))
+    try:
+        values = np.fromiter(chain.from_iterable(level), np.float64, 2 * len(level))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field}: [re, im] pairs must hold numbers") from None
+    if not np.isfinite(values).all():
+        raise ValueError(f"{field}: complex data must be finite")
+    return values.view(np.complex128).reshape(shape[:-1])
+
+
+def _kraus_blocks(blocks, d: int) -> list[np.ndarray]:
+    """Each outcome's (S_r, d, d) Kraus operators from a protocol's parsed ``corrections``.
+
+    A bare (d, d) matrix is one operator and a list of matrices is S_r
+    operators; every block is checked for that shape and for dimension
+    ``d``. All operators are then converted together, ragged blocks
+    included, by one :func:`_unpairs`, and each outcome gets a view of the
+    result.
+    """
+    if type(blocks) is not list:
+        raise ValueError("corrections must be a list of per-outcome Kraus blocks")
+    if not blocks:
+        return []
+    operators, sizes = [], []
+    for r, block in enumerate(blocks):
+        shape = _head_shape(block)
+        if shape[-1:] != (2,):
+            raise ValueError("corrections: complex data must be nested [re, im] pairs")
+        bare = len(shape) == 3
+        shape = (1, *shape[:-1]) if bare else shape[:-1]
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise ValueError(f"outcome {r}: Kraus block must have shape (S, d, d), got {shape}")
+        if shape[1] != d:
+            raise ValueError(f"outcome {r}: dimension {shape[1]} != {d}")
+        operators += [block] if bare else block
+        sizes.append(shape[0])
+    return np.split(_unpairs(operators, "corrections"), np.cumsum(sizes)[:-1])
 
 
 def protocol_to_dict(proto: Protocol) -> dict:
@@ -527,20 +592,27 @@ def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement,
 
     Neither completeness nor Kraus normalization is checked, so that a broken
     protocol can still be diagnosed; :func:`protocol_from_json` enforces both.
+    The Kraus blocks are views of one array (:func:`_kraus_blocks`). A
+    malformed field raises a ValueError that names it.
     """
     try:
-        d = int(data["d"])
-        schmidt = SchmidtDecomposition.from_lambdas(np.asarray(data["lambdas"], dtype=float))
-        meas = AliceMeasurement(_unpairs(data["phi"]))
-        kraus = [_unpairs(block) for block in data["corrections"]]
+        d, lambdas, phi, corrections = (data[k] for k in ("d", "lambdas", "phi", "corrections"))
     except KeyError as exc:
         raise ValueError(f"protocol is missing field {exc}") from None
+    if type(d) is not int:
+        raise ValueError(f"d must be an integer, got {d!r}")
+    try:
+        lam = np.asarray(lambdas, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("lambdas must be a list of numbers") from None
+    schmidt = SchmidtDecomposition.from_lambdas(lam)
+    meas = AliceMeasurement(_unpairs(phi, "phi"))
     if schmidt.dim != d or meas.d != d:
         raise ValueError(
             f"declared dimension {d} does not match {schmidt.dim} Schmidt coefficients "
             f"and measurement blocks of dimension {meas.d}"
         )
-    return schmidt, meas, kraus
+    return schmidt, meas, _kraus_blocks(corrections, d)
 
 
 def _json_layout(shape: tuple[int, ...], depth: int) -> str:
@@ -612,11 +684,12 @@ def _load_protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurem
     a growing heap. They cannot find anything: json builds only dicts,
     lists, strings and numbers, and no parsed list can be part of a
     reference cycle, so reference counting frees everything. The pause lasts
-    until :func:`_protocol_parts` has converted the lists to arrays and they
-    are freed, since a collector enabled while they live would make one more
-    pass over all of them. It holds for the whole process, which is safe
-    because the package starts no threads (``--threads`` splits the random
-    stream serially). The collector is re-enabled only if it was enabled on
+    until :func:`_protocol_parts` has converted the lists to arrays, ``phi``
+    in one pass and every Kraus matrix of the file in one more
+    (:func:`_unpairs`), and the lists are freed, since a collector enabled
+    while they live would make one more pass over all of them. It holds
+    for the whole process, which is safe because the package starts no
+    threads (``--threads`` splits the random stream serially). The collector is re-enabled only if it was enabled on
     entry, and no collection is forced.
     """
     enabled = gc.isenabled()

@@ -221,6 +221,21 @@ def polar_random_povm(d, n_outcomes, rng):
     return AliceMeasurement(joint.reshape(n_outcomes, d, d).transpose(0, 2, 1))
 
 
+def ascontiguous_unpairs(data):
+    """Complex array of nested [re, im] pairs, read by NumPy's own list conversion (reference).
+
+    Raises whatever ``np.ascontiguousarray`` raises, and ValueError where the
+    innermost axis is not a pair or an entry is not finite. The pairs' bits
+    are reinterpreted, so signed zeros survive.
+    """
+    arr = np.ascontiguousarray(data, dtype=np.float64)
+    if arr.ndim < 1 or arr.shape[-1] != 2:
+        raise ValueError("complex data must be nested [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("complex data must be finite")
+    return arr.view(np.complex128)[..., 0]
+
+
 def loop_kraus_check(kraus):
     """Per-outcome Kraus-list validation, one outcome at a time (reference).
 

@@ -381,6 +381,19 @@ class TestCheckProtocol:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "field,value", [("corrections", 5), ("d", None), ("d", [8]), ("d", 2.7)]
+    )
+    def test_malformed_field_exits_two_and_names_it(self, capsys, tmp_path, field, value):
+        data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
+        data[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be")
+
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "check-protocol", "/nonexistent/proto.json")
         assert code == 2

@@ -28,6 +28,7 @@ from teleportsim import (
 )
 from teleportsim.protocol import _float_reprs, _json_layout, _kraus_check
 from helpers import (
+    ascontiguous_unpairs,
     choice_teleport_once,
     einsum_bob_unitaries,
     loop_check_optimality,
@@ -689,6 +690,82 @@ class TestSerialization:
         data[field] = entries.tolist()
         with pytest.raises(ValueError, match="finite"):
             protocol_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("bare", [False, True], ids=["kraus-lists", "bare-matrices"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ragged_povm_protocol(make_rng(89)),
+         lambda: standard_protocol(random_lambdas(4, make_rng(73)))],
+        ids=["ragged-povm-d3", "standard-d4"],
+    )
+    def test_corrections_read_bit_for_bit_into_one_stack(self, make, bare):
+        proto = make()
+        data = protocol_to_dict(proto)
+        if bare:  # each one-operator outcome as a bare (d, d) matrix
+            data["corrections"] = [b[0] if len(b) == 1 else b for b in data["corrections"]]
+        text = json.dumps(data)
+        parsed = json.loads(text)["corrections"]
+        # a bare matrix has d rows; every Kraus list here has fewer than d operators
+        assert any(len(b) == proto.d for b in parsed) is bare
+        expected = loop_kraus_check([ascontiguous_unpairs(b) for b in parsed])
+        corr = protocol_from_json(text).corrections
+        assert len(corr.kraus) == len(expected) == proto.n_outcomes
+        for got, want, written in zip(corr.kraus, expected, proto.corrections.kraus):
+            assert got.shape == want.shape == written.shape
+            assert got.tobytes() == want.tobytes() == written.tobytes()
+            assert got.base is corr.stack
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("d", None, "d must be an integer, got None"),
+            ("d", [2], "d must be an integer, got [2]"),
+            ("d", 2.7, "d must be an integer, got 2.7"),
+            ("d", "2", "d must be an integer, got '2'"),
+            ("lambdas", {"k": 0.8}, "lambdas must be a list of numbers"),
+            ("lambdas", [{}, 0.6], "lambdas must be a list of numbers"),
+            ("phi", 5, "phi: complex data must be nested [re, im] pairs"),
+            ("phi", {}, "phi: complex data must be nested [re, im] pairs"),
+            ("corrections", 5, "corrections must be a list of per-outcome Kraus blocks"),
+            ("corrections", {}, "corrections must be a list of per-outcome Kraus blocks"),
+            ("corrections", [5] * 4, "corrections: complex data must be nested [re, im] pairs"),
+        ],
+    )
+    def test_malformed_field_raises_value_error_naming_it(self, field, value, message):
+        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
+        data[field] = value
+        with pytest.raises(ValueError) as info:
+            protocol_from_json(json.dumps(data))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field", ["phi", "corrections"])
+    @pytest.mark.parametrize(
+        "bad", [{}, "x", 10**400, [0.0, 1.0]], ids=["dict", "string", "huge", "list"]
+    )
+    def test_entry_that_is_no_number_raises_value_error(self, field, bad):
+        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
+        matrix = data["phi"][1] if field == "phi" else data["corrections"][1][0]
+        matrix[0][0][1] = bad  # an imaginary part
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            protocol_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "block,message",
+        [
+            ([[[1.0, 0.0]] * 3] * 2,
+             "outcome 1: Kraus block must have shape (S, d, d), got (1, 2, 3)"),
+            ([[[[1.0, 0.0]] * 3] * 3], "outcome 1: dimension 3 != 2"),
+            ([[1.0, 0.0]] * 2, "outcome 1: Kraus block must have shape (S, d, d), got (2,)"),
+        ],
+        ids=["non-square", "wrong-dimension", "vector"],
+    )
+    def test_malformed_kraus_block_names_its_outcome(self, block, message):
+        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
+        data["corrections"][1] = block
+        with pytest.raises(ValueError) as info:
+            protocol_from_json(json.dumps(data))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("field", ["d", "lambdas", "phi", "corrections"])
     def test_missing_field_raises_value_error(self, field):
