@@ -32,7 +32,6 @@ from .haar import (
 )
 from .protocol import (
     _kraus_check,
-    _kraus_stack,
     _load_protocol_parts,
     check_optimality,
     standard_measurement,
@@ -70,6 +69,7 @@ def _resolve_lambdas(args) -> tuple[np.ndarray, dict]:
         raw = np.full(args.d, 1.0)  # maximally entangled default
     if raw.size != args.d:
         raise ValueError(f"expected {args.d} Schmidt coefficients, got {raw.size}")
+    # needed: a NaN entry makes every normalized one NaN, which check_schmidt_coefficients passes
     if np.any(raw < 0):
         raise ValueError("Schmidt coefficients must be nonnegative")
     norm = float(np.linalg.norm(raw))
@@ -244,7 +244,6 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
         lam, flags = _resolve_lambdas(args)
         proto = standard_protocol(lam)
         schmidt, meas, corr = proto.schmidt, proto.measurement, proto.corrections
-        # the stack BobCorrections already built; only a file's raw blocks need stacking
         stack, sizes = corr.stack, np.bincount(corr.outcome)
         source = "standard"
     else:
@@ -257,10 +256,9 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
                 )
         with open(args.protocol, encoding="utf-8") as fh:
             text = fh.read()
-        schmidt, meas, kraus = _load_protocol_parts(text)
+        schmidt, meas, stack, sizes = _load_protocol_parts(text)
         if args.d not in (None, meas.d):
             raise ValueError(f"--d {args.d} does not match the protocol file's dimension {meas.d}")
-        stack, sizes = _kraus_stack(kraus, meas.d)
         lam, flags = schmidt.lambdas, {}
         source = args.protocol
     completeness = validate_completeness(meas, args.tol)

@@ -152,9 +152,14 @@ def _state_coords(psi: np.ndarray, support: CoordSupport | None = None) -> np.nd
     return x
 
 
-def form_values(form: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """x^T F x for every row psi of an (n, d) array, with x the coordinates of psi psi†."""
-    x = _state_coords(psi)
+def form_values(
+    form: np.ndarray, psi: np.ndarray, support: CoordSupport | None = None
+) -> np.ndarray:
+    """x^T F x for every row psi of an (n, d) array, with x the coordinates of psi psi†.
+
+    Given a ``support``, x and F hold only its coordinates (:func:`_state_coords`).
+    """
+    x = _state_coords(psi, support)
     return np.einsum("na,na->n", x, x @ form)
 
 
@@ -187,15 +192,13 @@ def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEs
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
     d = math.isqrt(form.shape[0])
     support = _form_support(form)
-    if support.index.size < form.shape[0]:  # a form read on every coordinate is used as it is
-        form = form.take(support.index, axis=0).take(support.index, axis=1)
+    form = form.take(support.index, axis=0).take(support.index, axis=1)
     psi = sample_haar_states(d, n, rng)
     # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
     step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
     f = np.empty(n)
     for start in range(0, n, step):
-        x = _state_coords(psi[start : start + step], support)
-        f[start : start + step] = np.einsum("na,na->n", x, x @ form)
+        f[start : start + step] = form_values(form, psi[start : start + step], support)
     return McEstimate(
         value=float(f.mean()),
         std_error=float(f.std(ddof=1) / np.sqrt(n)),

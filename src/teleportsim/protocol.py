@@ -44,13 +44,14 @@ class AliceMeasurement:
     k-th Schmidt basis vector; blocks may be zero or unnormalized.
     Completeness is deliberately not enforced here, so that broken
     measurements can be constructed and diagnosed; it is enforced when a
-    full :class:`Protocol` is assembled.
+    full :class:`Protocol` is assembled. ``phi`` is kept as a read-only
+    C-ordered copy, so the arrays derived from it are C-ordered too.
     """
 
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        phi = np.array(self.phi, dtype=complex)
+        phi = np.array(self.phi, dtype=complex, order="C")
         if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
             raise ValueError(f"phi must have shape (R, d, d), got {phi.shape}")
         if phi.shape[1] < 2:
@@ -68,33 +69,36 @@ class AliceMeasurement:
         return self.phi.shape[0]
 
 
-def _kraus_stack(kraus, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _kraus_shape(r: int, shape: tuple[int, ...], d: int | None) -> tuple[int, int, int]:
+    """Outcome r's Kraus block ``shape`` as (S, d, d); a bare (d, d) matrix is one operator.
+
+    Any shape but a square (S, d, d) with S >= 1, of dimension ``d`` unless
+    that is None, raises a ValueError that names r.
+    """
+    if len(shape) == 2:
+        shape = (1, *shape)
+    if len(shape) != 3 or shape[1] != shape[2] or shape[0] == 0:
+        raise ValueError(f"outcome {r}: Kraus block must have shape (S, d, d), got {shape}")
+    if d is not None and shape[1] != d:
+        raise ValueError(f"outcome {r}: dimension {shape[1]} != {d}")
+    return shape
+
+
+def _kraus_stack(kraus) -> tuple[np.ndarray, np.ndarray]:
     """Every outcome's Kraus operators in one (K, d, d) complex stack, and each outcome's count.
 
-    A bare (d, d) matrix is one operator, so an (R, d, d) array is R outcomes
-    of one operator each. Only shapes are checked: every block must hold at
-    least one square operator of dimension ``d``, or of the first block's
-    dimension when ``d`` is None. Blocks are read with ``np.asarray``, so the
-    concatenation is the only copy. No blocks give an empty stack.
+    Each block must have a shape that :func:`_kraus_shape` accepts, of the
+    first block's dimension, and no blocks raise; only shapes are checked.
+    Blocks are read with ``np.asarray``, so the concatenation is the only copy.
     """
     blocks = []
     for r, block in enumerate(kraus):
         arr = np.asarray(block, dtype=complex)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[0] == 0:
-            raise ValueError(
-                f"outcome {r}: Kraus block must have shape (S, d, d), got {arr.shape}"
-            )
-        if d is None:
-            d = arr.shape[1]
-        elif arr.shape[1] != d:
-            raise ValueError(f"outcome {r}: dimension {arr.shape[1]} != {d}")
-        blocks.append(arr)
-    sizes = np.array([b.shape[0] for b in blocks], dtype=np.intp)
+        d = blocks[0].shape[1] if blocks else None
+        blocks.append(arr.reshape(_kraus_shape(r, arr.shape, d)))
     if not blocks:
-        return np.zeros((0, d or 0, d or 0), dtype=complex), sizes
-    return np.concatenate(blocks), sizes
+        raise ValueError("need at least one outcome")
+    return np.concatenate(blocks), np.array([b.shape[0] for b in blocks], dtype=np.intp)
 
 
 def _kraus_check(stack: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +144,6 @@ class BobCorrections:
 
     def __post_init__(self) -> None:
         stack, sizes = _kraus_stack(self.kraus)
-        if not sizes.size:
-            raise ValueError("need at least one outcome")
         finite, error = _kraus_check(stack, sizes)
         bad = np.flatnonzero(~finite | ~(error <= KRAUS_ATOL))
         if bad.size:
@@ -466,10 +468,7 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
     when the outcome has a single Kraus operator.
     """
     r = _draw(outcome_distribution(proto, psi), rng)
-    # A_r is read in C order: random_povm's blocks are stored transposed, and
-    # BLAS rounds a transposed product differently. In C order, b_r has the
-    # bits of row r of the product of the whole stack with psi.
-    b = np.ascontiguousarray(proto.channel.a[r]) @ psi.amplitudes
+    b = proto.channel.a[r] @ psi.amplitudes
     kraus = proto.corrections.kraus[r]
     branches = np.einsum("sij,j->si", kraus, b)
     # the array methods run the same reductions as np.sum, bit for bit,
@@ -535,33 +534,25 @@ def _unpairs(data, field: str) -> np.ndarray:
     return values.view(np.complex128).reshape(shape[:-1])
 
 
-def _kraus_blocks(blocks, d: int) -> list[np.ndarray]:
-    """Each outcome's (S_r, d, d) Kraus operators from a protocol's parsed ``corrections``.
+def _kraus_blocks(blocks, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A protocol's parsed ``corrections`` as :func:`_kraus_stack` returns blocks: stack and counts.
 
-    A bare (d, d) matrix is one operator and a list of matrices is S_r
-    operators; every block is checked for that shape and for dimension
-    ``d``. All operators are then converted together, ragged blocks
-    included, by one :func:`_unpairs`, and each outcome gets a view of the
-    result.
+    Each block must have a shape that :func:`_kraus_shape` accepts, of
+    dimension ``d``. The stack is the result of one :func:`_unpairs` over
+    all operators, ragged blocks included. No blocks give an empty stack.
     """
     if type(blocks) is not list:
         raise ValueError("corrections must be a list of per-outcome Kraus blocks")
     if not blocks:
-        return []
+        return np.zeros((0, d, d), dtype=complex), np.zeros(0, dtype=np.intp)
     operators, sizes = [], []
     for r, block in enumerate(blocks):
         shape = _head_shape(block)
         if shape[-1:] != (2,):
             raise ValueError("corrections: complex data must be nested [re, im] pairs")
-        bare = len(shape) == 3
-        shape = (1, *shape[:-1]) if bare else shape[:-1]
-        if len(shape) != 3 or shape[1] != shape[2]:
-            raise ValueError(f"outcome {r}: Kraus block must have shape (S, d, d), got {shape}")
-        if shape[1] != d:
-            raise ValueError(f"outcome {r}: dimension {shape[1]} != {d}")
-        operators += [block] if bare else block
-        sizes.append(shape[0])
-    return np.split(_unpairs(operators, "corrections"), np.cumsum(sizes)[:-1])
+        sizes.append(_kraus_shape(r, shape[:-1], d)[0])
+        operators += [block] if len(shape) == 3 else block
+    return _unpairs(operators, "corrections"), np.array(sizes, dtype=np.intp)
 
 
 def protocol_to_dict(proto: Protocol) -> dict:
@@ -587,13 +578,15 @@ def _protocol_head(proto: Protocol) -> dict:
     }
 
 
-def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement, list]:
-    """Resource, measurement and raw per-outcome Kraus blocks of a protocol dict.
+def _protocol_parts(
+    data: dict,
+) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray, np.ndarray]:
+    """Resource, measurement, Kraus stack and per-outcome Kraus counts of a protocol dict.
 
     Neither completeness nor Kraus normalization is checked, so that a broken
     protocol can still be diagnosed; :func:`protocol_from_json` enforces both.
-    The Kraus blocks are views of one array (:func:`_kraus_blocks`). A
-    malformed field raises a ValueError that names it.
+    The stack and counts are :func:`_kraus_blocks`', ready for
+    :func:`_kraus_check`. A malformed field raises a ValueError that names it.
     """
     try:
         d, lambdas, phi, corrections = (data[k] for k in ("d", "lambdas", "phi", "corrections"))
@@ -612,7 +605,7 @@ def _protocol_parts(data: dict) -> tuple[SchmidtDecomposition, AliceMeasurement,
             f"declared dimension {d} does not match {schmidt.dim} Schmidt coefficients "
             f"and measurement blocks of dimension {meas.d}"
         )
-    return schmidt, meas, _kraus_blocks(corrections, d)
+    return (schmidt, meas, *_kraus_blocks(corrections, d))
 
 
 def _json_layout(shape: tuple[int, ...], depth: int) -> str:
@@ -675,7 +668,9 @@ def protocol_to_json(proto: Protocol) -> str:
     )
 
 
-def _load_protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurement, list]:
+def _load_protocol_parts(
+    text: str,
+) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray, np.ndarray]:
     """:func:`_protocol_parts` of a protocol text, parsed with the cyclic garbage collector paused.
 
     A protocol file parses into one list per ``[re, im]`` pair, 131 072 of
@@ -689,8 +684,8 @@ def _load_protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurem
     (:func:`_unpairs`), and the lists are freed, since a collector enabled
     while they live would make one more pass over all of them. It holds
     for the whole process, which is safe because the package starts no
-    threads (``--threads`` splits the random stream serially). The collector is re-enabled only if it was enabled on
-    entry, and no collection is forced.
+    threads (``--threads`` splits the random stream serially). The collector
+    is re-enabled only if it was enabled on entry, and no collection is forced.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -703,5 +698,7 @@ def _load_protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurem
 
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
-    schmidt, meas, kraus = _load_protocol_parts(text)
-    return Protocol(schmidt, meas, BobCorrections(tuple(kraus)))
+    schmidt, meas, stack, sizes = _load_protocol_parts(text)
+    # no outcomes split into no blocks, which BobCorrections rejects
+    kraus = tuple(np.split(stack, np.cumsum(sizes))[:-1])
+    return Protocol(schmidt, meas, BobCorrections(kraus))

@@ -10,15 +10,21 @@ import pytest
 
 import teleportsim
 from teleportsim import (
+    BobCorrections,
+    Protocol,
+    SchmidtDecomposition,
     cli,
     m_kl_monte_carlo,
     make_rng,
+    optimal_bob_corrections,
     protocol,
     protocol_from_json,
     protocol_to_json,
+    random_povm,
     standard_protocol,
 )
 from teleportsim.cli import main
+from teleportsim.protocol import _kraus_check
 from helpers import per_pair_verify_mkl
 
 
@@ -87,6 +93,13 @@ class TestBoundErrors:
         code, out, err = run_cli(capsys, "bound", "--d", "2", "--lambdas", "0.8,-0.6")
         assert code == 2
         assert "nonnegative" in err
+
+    def test_negative_lambda_next_to_nan(self, capsys):
+        # normalized, the NaN would turn both coefficients NaN and pass the library's check
+        code, out, err = run_cli(capsys, "bound", "--d", "2", "--lambdas=nan,-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: Schmidt coefficients must be nonnegative\n"
 
     def test_wrong_count(self, capsys):
         code, out, err = run_cli(capsys, "bound", "--d", "3", "--lambdas", "1,0")
@@ -305,7 +318,7 @@ class TestCheckProtocol:
 
     @pytest.mark.parametrize("lambdas", ["3,2,2,1,1,1,1,0.5", "3,2,1,1,0,0,0,0"])
     def test_standard_and_its_file_report_the_same_corrections(self, capsys, tmp_path, lambdas):
-        # 'standard' reads the stack its protocol built; a file's blocks are stacked anew
+        # 'standard' reads the stack its protocol built, a file the stack its reader built
         code, report = run_json(capsys, "check-protocol", "standard", "--d", "8",
                                 "--lambdas", lambdas)
         lam = np.array(report["config"]["lambdas"])
@@ -314,6 +327,34 @@ class TestCheckProtocol:
         file_code, from_file = run_json(capsys, "check-protocol", str(path))
         assert code == file_code == 0
         assert report["results"] == from_file["results"]
+
+    def test_ragged_file_reports_the_error_of_its_stack(self, capsys, tmp_path):
+        gen = make_rng(95)
+        meas = random_povm(3, 11, gen)
+        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.48, 0.36])
+        blocks = optimal_bob_corrections(meas, schmidt).kraus
+        # every third outcome gets two operators B/sqrt(2), one of them slightly off
+        kraus = tuple(np.concatenate([b, b * (1 + 2e-11)]) / np.sqrt(2) if r % 3 == 0 else b
+                      for r, b in enumerate(blocks))
+        text = protocol_to_json(Protocol(schmidt, meas, BobCorrections(kraus)))
+        path = tmp_path / "ragged.json"
+        path.write_text(text)
+        code, report = run_json(capsys, "check-protocol", str(path))
+        corr = protocol_from_json(text).corrections
+        error = _kraus_check(corr.stack, np.bincount(corr.outcome))[1].max()
+        assert code == 1  # a random POVM fails the optimality conditions
+        assert report["results"]["corrections"]["max_error"] == error > 0
+
+    def test_no_corrections_exits_one(self, capsys, tmp_path):
+        data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
+        data["corrections"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="^need at least one outcome$"):
+            protocol_from_json(path.read_text())
+        code, report = run_json(capsys, "check-protocol", str(path))
+        assert code == 1
+        assert report["results"]["corrections"] == {"pass": False, "max_error": 0.0}
 
     def test_protocol_file_reports_its_dimension(self, capsys, tmp_path):
         path = tmp_path / "proto4.json"

@@ -423,6 +423,23 @@ class TestBobCorrections:
             AliceMeasurement(phi)
 
 
+class TestAliceMeasurement:
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_transposed_blocks_are_stored_in_c_order(self, d):
+        view = np.array(standard_measurement(d).phi).transpose(0, 2, 1)
+        assert not view.flags.c_contiguous
+        meas = AliceMeasurement(view)
+        assert meas.phi.flags.c_contiguous and not meas.phi.flags.writeable
+        assert np.array_equal(meas.phi, view)
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_random_povm_channel_is_c_ordered(self, d):
+        # random_povm passes its blocks as a transposed view
+        proto = povm_protocol(d, random_lambdas(d, make_rng(58)), 59)
+        for arr in (proto.measurement.phi, proto.channel.a, proto.channel.kraus):
+            assert arr.flags.c_contiguous
+
+
 class TestProtocol:
     def test_incomplete_measurement_rejected(self):
         phi = np.array(standard_measurement(2).phi)
@@ -730,6 +747,7 @@ class TestSerialization:
             ("corrections", 5, "corrections must be a list of per-outcome Kraus blocks"),
             ("corrections", {}, "corrections must be a list of per-outcome Kraus blocks"),
             ("corrections", [5] * 4, "corrections: complex data must be nested [re, im] pairs"),
+            ("corrections", [], "need at least one outcome"),
         ],
     )
     def test_malformed_field_raises_value_error_naming_it(self, field, value, message):
@@ -766,6 +784,29 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             protocol_from_json(json.dumps(data))
         assert str(info.value) == message
+        # the same block as an array breaks the same shape rule
+        with pytest.raises(ValueError) as info:
+            BobCorrections((np.eye(2), ascontiguous_unpairs(block)))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    @pytest.mark.parametrize("kind", ["one-operator", "multi-kraus"])
+    def test_read_back_protocol_gives_the_same_shots(self, kind, d):
+        gen = make_rng(90, stream=d)
+        if kind == "one-operator":
+            proto = povm_protocol(d, random_lambdas(d, gen), 91)
+        else:
+            proto = multi_kraus_protocol(d, gen)
+        restored = protocol_from_json(protocol_to_json(proto))
+        rng, twin = make_rng(92, stream=d), make_rng(92, stream=d)
+        for amplitudes in sample_haar_states(d, 50, make_rng(93, stream=d)):
+            psi = PureState(amplitudes)
+            assert outcome_distribution(proto, psi).tobytes() == outcome_distribution(
+                restored, psi).tobytes()
+            out, back = teleport_once(proto, psi, rng), teleport_once(restored, psi, twin)
+            assert out.outcome == back.outcome
+            assert np.float64(out.probability).tobytes() == np.float64(back.probability).tobytes()
+            assert out.output_state.amplitudes.tobytes() == back.output_state.amplitudes.tobytes()
 
     @pytest.mark.parametrize("field", ["d", "lambdas", "phi", "corrections"])
     def test_missing_field_raises_value_error(self, field):
