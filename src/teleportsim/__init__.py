@@ -10,9 +10,7 @@ from .qcore import (
     Operator,
     PureState,
     SchmidtDecomposition,
-    basis_state,
     check_schmidt_coefficients,
-    maximally_entangled,
     schmidt_decompose,
 )
 from .haar import (
@@ -76,7 +74,6 @@ __all__ = [
     "SearchResult",
     "TeleportChannel",
     "TeleportOutcome",
-    "basis_state",
     "check_optimality",
     "check_schmidt_coefficients",
     "estimation_fidelity_bound",
@@ -87,7 +84,6 @@ __all__ = [
     "m_kl_monte_carlo",
     "make_rng",
     "max_singlet_fraction",
-    "maximally_entangled",
     "mean_fidelity_exact",
     "mean_fidelity_mkl_form",
     "mean_fidelity_monte_carlo",

@@ -263,7 +263,7 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
         source = args.protocol
     completeness = validate_completeness(meas, args.tol)
     optimality = check_optimality(meas, schmidt, args.tol)
-    kraus_err = float(_kraus_check(stack, sizes)[1].max(initial=0.0))
+    kraus_err = float(_kraus_check(stack, sizes).max(initial=0.0))
     corrections_ok = kraus_err <= args.tol and sizes.size == meas.n_outcomes
     ok = completeness.passed and optimality.passed and corrections_ok
     results = {
@@ -283,7 +283,6 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
         },
         "corrections": {"pass": corrections_ok, "max_error": kraus_err},
         "estimation_bound": estimation_fidelity_bound(lam),
-        "estimation_bound_tight": optimality.passed,
     }
     config = {"source": source, **_base_config(args, lam, flags), "d": meas.d}
     return {"config": config, "results": results}, 0 if ok else 1

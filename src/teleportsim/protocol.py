@@ -101,28 +101,22 @@ def _kraus_stack(kraus) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(blocks), np.array([b.shape[0] for b in blocks], dtype=np.intp)
 
 
-def _kraus_check(stack: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per outcome: whether its Kraus operators B_s are finite, and max |sum_s B_s† B_s - I|.
+def _kraus_check(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per outcome, max |sum_s B_s† B_s - I| over its Kraus operators B_s.
 
-    ``stack`` and ``sizes`` are as :func:`_kraus_stack` returns them. Both
-    checks run once on the whole stack. Where some outcome has several
+    ``stack`` and ``sizes`` are as :func:`_kraus_stack` returns them. The
+    products run once on the whole stack. Where some outcome has several
     operators, they are summed over each outcome's operators by
     ``np.add.reduceat``; with one operator per outcome that sum would only
-    copy, so it is skipped. An outcome that is not finite has a NaN or
-    infinite error. No outcomes give empty arrays.
+    copy, so it is skipped. An outcome with a non-finite operator, or with
+    products that overflow, has a NaN or infinite error, which fails any
+    finite tolerance. No outcomes give an empty array.
     """
-    if not sizes.size:
-        return np.ones(0, dtype=bool), np.zeros(0)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    # non-finite operators make NaN or infinite sums, which ``finite`` already flags
     with np.errstate(invalid="ignore", over="ignore"):
         total = stack.conj().transpose(0, 2, 1) @ stack
         if sizes.size < stack.shape[0]:
-            starts = np.cumsum(sizes) - sizes
-            finite = np.logical_and.reduceat(finite, starts)
-            total = np.add.reduceat(total, starts)
-        error = np.abs(total - np.eye(stack.shape[1])).max(axis=(1, 2))
-    return finite, error
+            total = np.add.reduceat(total, np.cumsum(sizes) - sizes)
+        return np.abs(total - np.eye(stack.shape[1])).max(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -144,11 +138,11 @@ class BobCorrections:
 
     def __post_init__(self) -> None:
         stack, sizes = _kraus_stack(self.kraus)
-        finite, error = _kraus_check(stack, sizes)
-        bad = np.flatnonzero(~finite | ~(error <= KRAUS_ATOL))
+        bad = np.flatnonzero(~(_kraus_check(stack, sizes) <= KRAUS_ATOL))
         if bad.size:
             r = int(bad[0])
-            if not finite[r]:
+            start = int(sizes[:r].sum())
+            if not np.isfinite(stack[start : start + sizes[r]]).all():
                 raise ValueError(f"outcome {r}: Kraus operators must be finite")
             raise ValueError(f"outcome {r}: Kraus operators do not compose to the identity")
         stack = _freeze(stack)
@@ -594,9 +588,12 @@ def _protocol_parts(
         raise ValueError(f"protocol is missing field {exc}") from None
     if type(d) is not int:
         raise ValueError(f"d must be an integer, got {d!r}")
+    # np.array would also convert true, "0.8", null and nested lists
+    if type(lambdas) is not list or not set(map(type, lambdas)) <= {int, float}:
+        raise ValueError("lambdas must be a list of numbers")
     try:
-        lam = np.asarray(lambdas, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        lam = np.array(lambdas, dtype=float)
+    except OverflowError:  # an integer beyond the float range
         raise ValueError("lambdas must be a list of numbers") from None
     schmidt = SchmidtDecomposition.from_lambdas(lam)
     meas = AliceMeasurement(_unpairs(phi, "phi"))

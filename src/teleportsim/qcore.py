@@ -54,19 +54,13 @@ class PureState:
         return abs(self.overlap(other)) ** 2
 
 
-def basis_state(d: int, k: int) -> PureState:
-    """Computational basis ket |k> in dimension d."""
-    amps = np.zeros(d, dtype=complex)
-    amps[k] = 1.0
-    return PureState(amps)
-
-
 @dataclass(frozen=True)
 class Operator:
     """Square complex matrix acting on a d-level system.
 
-    No normalization is required: the same type holds unitaries, Kraus
-    operators and the moment operators of the invariant measure.
+    No normalization is required. The only producer in the package is
+    :func:`haar.m_kl_exact`, which returns a moment operator of the
+    invariant measure as one.
     """
 
     matrix: np.ndarray
@@ -102,11 +96,6 @@ class BipartiteVector:
     @property
     def dims(self) -> tuple[int, int]:
         return self.coeffs.shape
-
-
-def maximally_entangled(d: int) -> BipartiteVector:
-    """The state (1/sqrt(d)) sum_k |k>|k>."""
-    return BipartiteVector(np.eye(d, dtype=complex) / np.sqrt(d))
 
 
 def check_schmidt_coefficients(lambdas) -> np.ndarray:

@@ -307,7 +307,7 @@ class TestCheckProtocol:
         assert res["completeness"]["pass"] is True
         assert res["optimality"]["pass"] is True
         assert res["corrections"]["pass"] is True
-        assert res["estimation_bound_tight"] is True
+        assert list(res) == ["completeness", "optimality", "corrections", "estimation_bound"]
 
     def test_protocol_file_round_trip(self, capsys, tmp_path):
         path = tmp_path / "proto.json"
@@ -341,7 +341,7 @@ class TestCheckProtocol:
         path.write_text(text)
         code, report = run_json(capsys, "check-protocol", str(path))
         corr = protocol_from_json(text).corrections
-        error = _kraus_check(corr.stack, np.bincount(corr.outcome))[1].max()
+        error = _kraus_check(corr.stack, np.bincount(corr.outcome)).max()
         assert code == 1  # a random POVM fails the optimality conditions
         assert report["results"]["corrections"]["max_error"] == error > 0
 
@@ -434,6 +434,19 @@ class TestCheckProtocol:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize(
+        "lambdas",
+        [[True, False], ["0.8", "0.6"], [[0.8, 0.6]], [None, 0.6]],
+        ids=["booleans", "strings", "nested", "null"],
+    )
+    def test_lambdas_other_than_a_flat_list_of_numbers_exit_two(self, capsys, tmp_path, lambdas):
+        data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
+        data["lambdas"] = lambdas
+        path = tmp_path / "lambdas.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert (code, out, err) == (2, "", "error: lambdas must be a list of numbers\n")
 
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "check-protocol", "/nonexistent/proto.json")

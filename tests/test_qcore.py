@@ -8,9 +8,7 @@ from teleportsim import (
     Operator,
     PureState,
     SchmidtDecomposition,
-    basis_state,
     make_rng,
-    maximally_entangled,
     schmidt_decompose,
 )
 from helpers import random_unitary
@@ -65,7 +63,7 @@ class TestTypes:
             PureState([bad, 0.6, 0.8])
 
     def test_states_are_immutable(self):
-        psi = basis_state(2, 0)
+        psi = PureState(np.eye(2)[0])
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
 
@@ -77,7 +75,7 @@ class TestSchmidtDecompose:
         assert dec.effective_rank == 1
 
     def test_maximally_entangled(self):
-        dec = schmidt_decompose(maximally_entangled(2))
+        dec = schmidt_decompose(BipartiteVector(np.eye(2) / np.sqrt(2)))
         assert np.allclose(dec.lambdas, [1 / np.sqrt(2)] * 2)
         assert dec.effective_rank == 2
 
