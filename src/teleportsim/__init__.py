@@ -33,7 +33,6 @@ from .protocol import (
     optimal_bob_corrections,
     outcome_distribution,
     protocol_from_json,
-    protocol_to_dict,
     protocol_to_json,
     standard_measurement,
     standard_protocol,
@@ -92,7 +91,6 @@ __all__ = [
     "optimal_fidelity_given_measurement",
     "outcome_distribution",
     "protocol_from_json",
-    "protocol_to_dict",
     "protocol_to_json",
     "random_povm",
     "sample_haar_state",

@@ -32,7 +32,7 @@ from .haar import (
 )
 from .protocol import (
     _kraus_check,
-    _load_protocol_parts,
+    _protocol_parts,
     check_optimality,
     standard_measurement,
     standard_protocol,
@@ -255,16 +255,15 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
                     "a protocol file sets its own Schmidt coefficients"
                 )
         with open(args.protocol, encoding="utf-8") as fh:
-            text = fh.read()
-        schmidt, meas, stack, sizes = _load_protocol_parts(text)
+            schmidt, meas, stack, sizes = _protocol_parts(json.load(fh))
         if args.d not in (None, meas.d):
             raise ValueError(f"--d {args.d} does not match the protocol file's dimension {meas.d}")
         lam, flags = schmidt.lambdas, {}
         source = args.protocol
     completeness = validate_completeness(meas, args.tol)
     optimality = check_optimality(meas, schmidt, args.tol)
-    kraus_err = float(_kraus_check(stack, sizes).max(initial=0.0))
-    corrections_ok = kraus_err <= args.tol and sizes.size == meas.n_outcomes
+    kraus_err = float(_kraus_check(stack, sizes).max())
+    corrections_ok = kraus_err <= args.tol
     ok = completeness.passed and optimality.passed and corrections_ok
     results = {
         "completeness": {

@@ -18,11 +18,9 @@ single-shot simulation read.
 
 from __future__ import annotations
 
-import gc
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .qcore import PureState, SchmidtDecomposition, _freeze, check_schmidt_coeff
 COMPLETENESS_ATOL = 1e-10
 KRAUS_ATOL = 1e-10
 
-PROTOCOL_SCHEMA = 1
+PROTOCOL_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def _kraus_shape(r: int, shape: tuple[int, ...], d: int | None) -> tuple[int, in
     """
     if len(shape) == 2:
         shape = (1, *shape)
-    if len(shape) != 3 or shape[1] != shape[2] or shape[0] == 0:
+    if len(shape) != 3 or shape[1] != shape[2] or shape[0] < 1:
         raise ValueError(f"outcome {r}: Kraus block must have shape (S, d, d), got {shape}")
     if d is not None and shape[1] != d:
         raise ValueError(f"outcome {r}: dimension {shape[1]} != {d}")
@@ -478,152 +476,84 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
     return TeleportOutcome(outcome=r, probability=probability, output_state=PureState(out))
 
 
-def _pairs(arr: np.ndarray) -> np.ndarray:
-    """Float array with [re, im] innermost, for JSON transport."""
-    return np.stack([arr.real, arr.imag], axis=-1)
+def _numbers(values, field: str) -> np.ndarray:
+    """A field's flat list of JSON numbers as a float64 array.
 
-
-def _head_shape(nest) -> tuple[int, ...]:
-    """Lengths of the nested lists down the first items of ``nest``.
-
-    That is the shape of ``nest`` if it is a rectangular nest of lists.
+    Anything else, an integer beyond the float range included, raises a
+    ValueError that names ``field``.
     """
-    shape = []
-    while type(nest) is list:
-        shape.append(len(nest))
-        if not nest:
-            break
-        nest = nest[0]
-    return tuple(shape)
-
-
-def _unpairs(data, field: str) -> np.ndarray:
-    """Inverse of :func:`_pairs` for the parsed lists of one protocol field.
-
-    One pass walks the nest a level at a time: every item of a level must
-    be a list, of the length that :func:`_head_shape` read off the first
-    items, which the C-level ``set(map(...))`` calls check. The innermost
-    lists must be [re, im] pairs, whose numbers are read by one
-    ``np.fromiter`` and reinterpreted as complex, so signed zeros survive.
-    It accepts what ``np.ascontiguousarray(data, dtype=np.float64)`` reads
-    as a rectangular array of finite pairs, with the same bits; anything
-    else raises a ValueError that names ``field``.
-    """
-    shape = _head_shape(data)
-    nesting = f"{field}: complex data must be nested [re, im] pairs"
-    if shape[-1:] != (2,):
-        raise ValueError(nesting)
-    level = [data]
-    for depth, n in enumerate(shape, 1):
-        if set(map(type, level)) != {list} or set(map(len, level)) != {n}:
-            raise ValueError(nesting)
-        if depth < len(shape):
-            level = list(chain.from_iterable(level))
+    # np.array would also convert true, "0.8", null and nested lists
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{field} must be a list of numbers")
     try:
-        values = np.fromiter(chain.from_iterable(level), np.float64, 2 * len(level))
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field}: [re, im] pairs must hold numbers") from None
-    if not np.isfinite(values).all():
+        return np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{field} must be a list of numbers") from None
+
+
+def _complex_stack(values, field: str, d: int) -> np.ndarray:
+    """A field's flat list of interleaved re/im numbers as an (n, d, d) complex array.
+
+    The list must hold n >= 1 matrices, 2 d^2 finite numbers each, or a
+    ValueError names ``field``. The numbers' bits are reinterpreted as
+    complex, so signed zeros survive.
+    """
+    arr = _numbers(values, field)
+    if arr.size == 0 or arr.size % (2 * d * d):
+        raise ValueError(f"{field} must hold a positive multiple of 2 d^2 = {2 * d * d} numbers")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{field}: complex data must be finite")
-    return values.view(np.complex128).reshape(shape[:-1])
-
-
-def _kraus_blocks(blocks, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """A protocol's parsed ``corrections`` as :func:`_kraus_stack` returns blocks: stack and counts.
-
-    Each block must have a shape that :func:`_kraus_shape` accepts, of
-    dimension ``d``. The stack is the result of one :func:`_unpairs` over
-    all operators, ragged blocks included. No blocks give an empty stack.
-    """
-    if type(blocks) is not list:
-        raise ValueError("corrections must be a list of per-outcome Kraus blocks")
-    if not blocks:
-        return np.zeros((0, d, d), dtype=complex), np.zeros(0, dtype=np.intp)
-    operators, sizes = [], []
-    for r, block in enumerate(blocks):
-        shape = _head_shape(block)
-        if shape[-1:] != (2,):
-            raise ValueError("corrections: complex data must be nested [re, im] pairs")
-        sizes.append(_kraus_shape(r, shape[:-1], d)[0])
-        operators += [block] if len(shape) == 3 else block
-    return _unpairs(operators, "corrections"), np.array(sizes, dtype=np.intp)
-
-
-def protocol_to_dict(proto: Protocol) -> dict:
-    """JSON-ready description: Schmidt coefficients, measurement blocks, Kraus lists.
-
-    Only the Schmidt coefficients of the resource are stored; the local
-    Schmidt bases are a frame choice that the protocol's action does not
-    depend on.
-    """
-    return {
-        **_protocol_head(proto),
-        "phi": _pairs(proto.measurement.phi).tolist(),
-        "corrections": [_pairs(block).tolist() for block in proto.corrections.kraus],
-    }
-
-
-def _protocol_head(proto: Protocol) -> dict:
-    """The fields of a protocol dict that come before its arrays."""
-    return {
-        "schema": PROTOCOL_SCHEMA,
-        "d": proto.d,
-        "lambdas": [float(x) for x in proto.schmidt.lambdas],
-    }
+    return arr.view(np.complex128).reshape(-1, d, d)
 
 
 def _protocol_parts(
     data: dict,
 ) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray, np.ndarray]:
-    """Resource, measurement, Kraus stack and per-outcome Kraus counts of a protocol dict.
+    """Resource, measurement, Kraus stack and per-outcome Kraus counts of a parsed protocol file.
 
     Neither completeness nor Kraus normalization is checked, so that a broken
     protocol can still be diagnosed; :func:`protocol_from_json` enforces both.
-    The stack and counts are :func:`_kraus_blocks`', ready for
-    :func:`_kraus_check`. A malformed field raises a ValueError that names it.
+    The stack and counts are ready for :func:`_kraus_check`. A schema other
+    than :data:`PROTOCOL_SCHEMA` or a malformed field raises a ValueError that
+    names it; a Kraus count below 1 names its outcome, as :func:`_kraus_shape` does.
     """
     try:
-        d, lambdas, phi, corrections = (data[k] for k in ("d", "lambdas", "phi", "corrections"))
+        # the schema comes first: a file of another schema may lack the fields below
+        schema = data["schema"]
+        if type(schema) is not int or schema != PROTOCOL_SCHEMA:
+            raise ValueError(f"unsupported protocol schema {schema!r}; expected {PROTOCOL_SCHEMA}")
+        d, lambdas, counts, phi, corrections = (
+            data[k] for k in ("d", "lambdas", "kraus_counts", "phi", "corrections")
+        )
     except KeyError as exc:
         raise ValueError(f"protocol is missing field {exc}") from None
-    if type(d) is not int:
-        raise ValueError(f"d must be an integer, got {d!r}")
-    # np.array would also convert true, "0.8", null and nested lists
-    if type(lambdas) is not list or not set(map(type, lambdas)) <= {int, float}:
-        raise ValueError("lambdas must be a list of numbers")
-    try:
-        lam = np.array(lambdas, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError("lambdas must be a list of numbers") from None
-    schmidt = SchmidtDecomposition.from_lambdas(lam)
-    meas = AliceMeasurement(_unpairs(phi, "phi"))
-    if schmidt.dim != d or meas.d != d:
+    if type(d) is not int or d < 2:
+        raise ValueError(f"d must be an integer >= 2, got {d!r}")
+    schmidt = SchmidtDecomposition.from_lambdas(_numbers(lambdas, "lambdas"))
+    if schmidt.dim != d:
         raise ValueError(
-            f"declared dimension {d} does not match {schmidt.dim} Schmidt coefficients "
-            f"and measurement blocks of dimension {meas.d}"
+            f"declared dimension {d} does not match {schmidt.dim} Schmidt coefficients"
         )
-    return (schmidt, meas, *_kraus_blocks(corrections, d))
+    meas = AliceMeasurement(_complex_stack(phi, "phi", d))
+    stack = _complex_stack(corrections, "corrections", d)
+    if type(counts) is not list or set(map(type, counts)) - {int}:
+        raise ValueError("kraus_counts must be a list of integers")
+    if len(counts) != meas.n_outcomes:
+        raise ValueError(f"kraus_counts has {len(counts)} entries for {meas.n_outcomes} outcomes")
+    for r, n in enumerate(counts):
+        _kraus_shape(r, (n, d, d), d)
+    if sum(counts) != stack.shape[0]:
+        raise ValueError(
+            f"kraus_counts add up to {sum(counts)}, but corrections hold {stack.shape[0]} operators"
+        )
+    return schmidt, meas, stack, np.array(counts, dtype=np.intp)
 
 
-def _json_layout(shape: tuple[int, ...], depth: int) -> str:
-    """Template of ``json.dumps(arr.tolist(), indent=2)`` for an array of ``shape``.
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of every number, with one call per distinct bit pattern.
 
-    The array is nested ``depth`` levels deep in the document, and each
-    number is a ``%s`` slot. json indents in pure Python, which is slow on
-    large arrays; the layout depends only on the shape, so it is built once
-    per shape and filled with :func:`_float_reprs` in one step. No axis may
-    be empty (json writes ``[]`` there), which a protocol's arrays never are.
-    """
-    template = "%s"
-    for level in reversed(range(depth, depth + len(shape))):
-        item = "\n" + "  " * (level + 1)
-        body = ("," + item).join([template] * shape[level - depth])
-        template = "[" + item + body + "\n" + "  " * level + "]"
-    return template
-
-
-def _float_reprs(values: np.ndarray) -> tuple[str, ...]:
-    """``float.__repr__`` of every entry, in C order, with one call per distinct bit pattern.
+    The numbers of a float64 array are its entries in C order; those of a
+    complex128 array interleave each entry's real and imaginary parts.
 
     ``float.__repr__`` is what json writes for a finite float. A protocol's
     arrays repeat few values (the standard one's are mostly zeros), so
@@ -632,70 +562,39 @@ def _float_reprs(values: np.ndarray) -> tuple[str, ...]:
     from a sort and a binary search, not ``np.unique(..., return_inverse=True)``,
     whose argsort took ten times as long on 131 072 entries.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64).ravel()
+    bits = np.ascontiguousarray(values).view(np.uint64).ravel()
     ordered = np.sort(bits)
     unique = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     reprs = np.array([repr(x) for x in unique.view(np.float64).tolist()], dtype=object)
-    return tuple(reprs[np.searchsorted(unique, bits)].tolist())
+    return reprs[np.searchsorted(unique, bits)].tolist()
 
 
 def protocol_to_json(proto: Protocol) -> str:
     """Serialize a protocol; floats survive the round trip bit-exactly.
 
-    The text is ``json.dumps(protocol_to_dict(proto), indent=2)`` plus a
-    newline. json itself writes the head, so the coefficients keep its float
-    rules; ``phi`` and the Kraus blocks, finite by construction, are laid out
-    by :func:`_json_layout` and filled by :func:`_float_reprs`, once for
-    ``phi`` and once for all blocks together, read off
-    :attr:`BobCorrections.stack`. Blocks of one shape share one
-    layout, so ragged blocks keep their own.
+    The text is ``json.dumps`` of ``{schema, d, lambdas, kraus_counts, phi,
+    corrections}`` plus a newline, where ``phi`` and ``corrections`` are the
+    measurement blocks and :attr:`BobCorrections.stack` as flat lists of
+    interleaved re/im numbers. Only the Schmidt coefficients of the resource
+    are stored; the local Schmidt bases are a frame choice that the
+    protocol's action does not depend on. json itself writes the head; the
+    two arrays, finite by construction, are written from :func:`_float_reprs`.
     """
-    head = json.dumps(_protocol_head(proto), indent=2)[: -len("\n}")]
-    # layouts and [re, im] copies are temporaries, freed as soon as they are filled
-    phi = proto.measurement.phi
-    phi_text = _json_layout(phi.shape + (2,), 1) % _float_reprs(_pairs(phi))
     corr = proto.corrections
-    layouts = {shape: _json_layout(shape + (2,), 2) for shape in {b.shape for b in corr.kraus}}
-    corrections = ",\n    ".join([layouts[b.shape] for b in corr.kraus]) % _float_reprs(
-        _pairs(corr.stack)
+    head = json.dumps({
+        "schema": PROTOCOL_SCHEMA,
+        "d": proto.d,
+        "lambdas": proto.schmidt.lambdas.tolist(),
+        "kraus_counts": [block.shape[0] for block in corr.kraus],
+    })
+    phi, stack = (
+        "[" + ", ".join(_float_reprs(arr)) + "]" for arr in (proto.measurement.phi, corr.stack)
     )
-    return (
-        f'{head},\n  "phi": {phi_text},'
-        f'\n  "corrections": [\n    {corrections}\n  ]\n}}\n'
-    )
-
-
-def _load_protocol_parts(
-    text: str,
-) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray, np.ndarray]:
-    """:func:`_protocol_parts` of a protocol text, parsed with the cyclic garbage collector paused.
-
-    A protocol file parses into one list per ``[re, im]`` pair, 131 072 of
-    them at d = 16. Each allocation counts toward the collector's
-    thresholds, so with the collector on, parsing triggers many passes over
-    a growing heap. They cannot find anything: json builds only dicts,
-    lists, strings and numbers, and no parsed list can be part of a
-    reference cycle, so reference counting frees everything. The pause lasts
-    until :func:`_protocol_parts` has converted the lists to arrays, ``phi``
-    in one pass and every Kraus matrix of the file in one more
-    (:func:`_unpairs`), and the lists are freed, since a collector enabled
-    while they live would make one more pass over all of them. It holds
-    for the whole process, which is safe because the package starts no
-    threads (``--threads`` splits the random stream serially). The collector
-    is re-enabled only if it was enabled on entry, and no collection is forced.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _protocol_parts(json.loads(text))
-    finally:
-        if enabled:
-            gc.enable()
+    return f'{head[:-1]}, "phi": {phi}, "corrections": {stack}}}\n'
 
 
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
-    schmidt, meas, stack, sizes = _load_protocol_parts(text)
-    # no outcomes split into no blocks, which BobCorrections rejects
-    kraus = tuple(np.split(stack, np.cumsum(sizes))[:-1])
+    schmidt, meas, stack, sizes = _protocol_parts(json.loads(text))
+    kraus = tuple(np.split(stack, np.cumsum(sizes)[:-1]))
     return Protocol(schmidt, meas, BobCorrections(kraus))

@@ -1,7 +1,5 @@
 """Shared random-object generators and reference implementations for the test suite."""
 
-import json
-
 import numpy as np
 from scipy.stats import unitary_group
 
@@ -13,7 +11,6 @@ from teleportsim import (
     TeleportOutcome,
     m_kl_exact,
     make_rng,
-    protocol_to_dict,
     sample_haar_states,
     standard_measurement,
 )
@@ -111,11 +108,6 @@ def loop_check_optimality(meas, schmidt, tol):
                 if err > tol:
                     violations.append((r, k, l, err, kind))
     return violations, max_err
-
-
-def reference_protocol_json(proto):
-    """Protocol file text by json's own indenting encoder (reference for the file layout)."""
-    return json.dumps(protocol_to_dict(proto), indent=2) + "\n"
 
 
 def einsum_mean_fidelity_mkl_form(proto):
@@ -219,21 +211,6 @@ def polar_random_povm(d, n_outcomes, rng):
     inv_sqrt = (u / np.sqrt(w)) @ u.conj().T
     joint = v @ inv_sqrt.T
     return AliceMeasurement(joint.reshape(n_outcomes, d, d).transpose(0, 2, 1))
-
-
-def ascontiguous_unpairs(data):
-    """Complex array of nested [re, im] pairs, read by NumPy's own list conversion (reference).
-
-    Raises whatever ``np.ascontiguousarray`` raises, and ValueError where the
-    innermost axis is not a pair or an entry is not finite. The pairs' bits
-    are reinterpreted, so signed zeros survive.
-    """
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ValueError("complex data must be nested [re, im] pairs")
-    if not np.isfinite(arr).all():
-        raise ValueError("complex data must be finite")
-    return arr.view(np.complex128)[..., 0]
 
 
 def loop_kraus_check(kraus):

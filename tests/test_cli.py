@@ -1,4 +1,3 @@
-import gc
 import json
 import os
 import subprocess
@@ -17,7 +16,6 @@ from teleportsim import (
     m_kl_monte_carlo,
     make_rng,
     optimal_bob_corrections,
-    protocol,
     protocol_from_json,
     protocol_to_json,
     random_povm,
@@ -36,6 +34,22 @@ def run_cli(capsys, *argv):
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)
+
+
+#: the d = 2 standard protocol for lambdas (1, 0) as a schema-1 file, with [re, im] pairs
+SCHEMA_1_D2 = """{"schema": 1, "d": 2, "lambdas": [1.0, 0.0], "phi": [
+ [[[0.7071067811865475, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.7071067811865475, 0.0]]],
+ [[[0.7071067811865475, 0.0], [0.0, 0.0]],
+  [[0.0, 0.0], [-0.7071067811865475, 8.659560562354932e-17]]],
+ [[[0.0, 0.0], [0.7071067811865475, 0.0]], [[0.7071067811865475, 0.0], [0.0, 0.0]]],
+ [[[0.0, 0.0], [0.7071067811865475, 0.0]],
+  [[-0.7071067811865475, 8.659560562354932e-17], [0.0, 0.0]]]
+], "corrections": [
+ [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+ [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 1.2246467991473532e-16]]]],
+ [[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]],
+ [[[[0.0, 0.0], [-1.0, 1.2246467991473532e-16]], [[1.0, 0.0], [0.0, 0.0]]]]
+]}"""
 
 
 def run_json(capsys, *argv):
@@ -345,16 +359,17 @@ class TestCheckProtocol:
         assert code == 1  # a random POVM fails the optimality conditions
         assert report["results"]["corrections"]["max_error"] == error > 0
 
-    def test_no_corrections_exits_one(self, capsys, tmp_path):
+    def test_no_corrections_exits_two(self, capsys, tmp_path):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
         data["corrections"] = []
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="^need at least one outcome$"):
+        message = "corrections must hold a positive multiple of 2 d^2 = 8 numbers"
+        with pytest.raises(ValueError) as info:
             protocol_from_json(path.read_text())
-        code, report = run_json(capsys, "check-protocol", str(path))
-        assert code == 1
-        assert report["results"]["corrections"] == {"pass": False, "max_error": 0.0}
+        assert str(info.value) == message
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_protocol_file_reports_its_dimension(self, capsys, tmp_path):
         path = tmp_path / "proto4.json"
@@ -383,7 +398,7 @@ class TestCheckProtocol:
     def test_broken_completeness_exits_one(self, capsys, tmp_path):
         proto = standard_protocol([0.8, 0.6])
         data = json.loads(protocol_to_json(proto))
-        data["phi"][0][0][0][0] *= 1.5  # scale one real component
+        data["phi"][0] *= 1.5  # scale one real component
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "check-protocol", str(path))
@@ -393,7 +408,7 @@ class TestCheckProtocol:
 
     def test_broken_correction_exits_one(self, capsys, tmp_path):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
-        data["corrections"][2] = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        data["corrections"][16:24] = [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0]  # operator 2 is I/2
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "check-protocol", str(path))
@@ -415,7 +430,7 @@ class TestCheckProtocol:
 
     def test_non_finite_correction_exits_two(self, capsys, tmp_path):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
-        data["corrections"][0][0][0][0] = [float("nan"), 0.0]
+        data["corrections"][0] = float("nan")
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "check-protocol", str(path))
@@ -423,7 +438,9 @@ class TestCheckProtocol:
         assert "finite" in err
 
     @pytest.mark.parametrize(
-        "field,value", [("corrections", 5), ("d", None), ("d", [8]), ("d", 2.7)]
+        "field,value",
+        [("corrections", 5), ("phi", [0.5] * 7), ("kraus_counts", [1.0] * 4), ("d", None),
+         ("d", [8]), ("d", 2.7), ("d", 0)],
     )
     def test_malformed_field_exits_two_and_names_it(self, capsys, tmp_path, field, value):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
@@ -433,7 +450,7 @@ class TestCheckProtocol:
         code, out, err = run_cli(capsys, "check-protocol", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {field} must be")
+        assert err.startswith(f"error: {field} must ")
 
     @pytest.mark.parametrize(
         "lambdas",
@@ -448,6 +465,38 @@ class TestCheckProtocol:
         code, out, err = run_cli(capsys, "check-protocol", str(path))
         assert (code, out, err) == (2, "", "error: lambdas must be a list of numbers\n")
 
+    @pytest.mark.parametrize("field", ["phi", "corrections"])
+    @pytest.mark.parametrize(
+        "bad", [True, "0.7", None, [0.5], 10**400],
+        ids=["boolean", "string", "null", "nested", "huge"],
+    )
+    def test_array_entry_that_is_no_number_exits_two(self, capsys, tmp_path, field, bad):
+        data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
+        data[field][5] = bad
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert (code, out, err) == (2, "", f"error: {field} must be a list of numbers\n")
+
+    @pytest.mark.parametrize(
+        "schema,named",
+        [(None, "protocol is missing field 'schema'"),
+         (1, "unsupported protocol schema 1; expected 2"),
+         ("2", "unsupported protocol schema '2'; expected 2"),
+         (True, "unsupported protocol schema True; expected 2")],
+        ids=["missing", "1", "string", "true"],
+    )
+    def test_schema_other_than_2_exits_two_and_names_it(self, capsys, tmp_path, schema, named):
+        data = json.loads(SCHEMA_1_D2)
+        if schema is None:
+            del data["schema"]
+        else:
+            data["schema"] = schema
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert (code, out, err) == (2, "", f"error: {named}\n")
+
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "check-protocol", "/nonexistent/proto.json")
         assert code == 2
@@ -457,45 +506,6 @@ class TestCheckProtocol:
         path.write_text("{not json")
         code, out, err = run_cli(capsys, "check-protocol", str(path))
         assert code == 2
-
-    @pytest.mark.parametrize("malformed", [False, True])
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_readers_parse_with_gc_paused_and_restore_it(
-        self, capsys, tmp_path, monkeypatch, enabled, malformed
-    ):
-        text = "{not json" if malformed else protocol_to_json(standard_protocol([0.8, 0.6]))
-        path = tmp_path / "proto.json"
-        path.write_text(text)
-        loads, parts, paused, converted = json.loads, protocol._protocol_parts, [], []
-
-        def spy(s, **kwargs):
-            paused.append(not gc.isenabled())
-            return loads(s, **kwargs)
-
-        def parts_spy(data):
-            # the parsed lists live until the arrays are built, so the pause must last as long
-            result = parts(data)
-            converted.append(not gc.isenabled())
-            return result
-
-        monkeypatch.setattr(json, "loads", spy)
-        monkeypatch.setattr(protocol, "_protocol_parts", parts_spy)
-        was_enabled = gc.isenabled()
-        (gc.enable if enabled else gc.disable)()
-        try:
-            if malformed:
-                with pytest.raises(ValueError):
-                    protocol_from_json(text)
-            else:
-                protocol_from_json(text)
-            assert gc.isenabled() is enabled
-            code, out, err = run_cli(capsys, "check-protocol", str(path))
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was_enabled else gc.disable)()
-        assert code == (2 if malformed else 0)
-        assert paused == [True, True]
-        assert converted == ([] if malformed else [True, True])
 
 
 class TestSearch:

@@ -25,8 +25,8 @@ from teleportsim import (
     random_povm,
     standard_protocol,
 )
-from teleportsim.protocol import _unpairs
-from helpers import ascontiguous_unpairs, random_kraus_set, random_optimal_measurement
+from teleportsim.protocol import _complex_stack
+from helpers import random_kraus_set, random_optimal_measurement
 
 PROFILE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -100,79 +100,54 @@ def test_optimality_conditions_hold_exactly_when_bound_is_reached(case):
     assert report.passed == (gap <= 1e-12)
 
 
-#: numbers a protocol file's arrays may hold; NumPy reads booleans as 0 and 1
-NUMBERS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(-(2**70), 2**70),
-    st.booleans(),
-)
-#: items no protocol array may hold, as a leaf or where a list belongs
+#: numbers a protocol file's arrays may hold
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
+#: items no protocol array may hold, though NumPy converts the first four to floats
 ODD_ITEMS = st.one_of(
+    st.booleans(),
+    st.sampled_from(["0.7", "-1e3", float("nan"), float("-inf"), 10**400]),
     st.none(),
-    st.sampled_from([float("nan"), float("-inf"), 10**400]),
     st.text(max_size=3),
+    st.lists(NUMBERS, max_size=2),
     st.dictionaries(st.text(max_size=2), NUMBERS, max_size=2),
 )
 
 
 @st.composite
-def nests(draw):
-    """Nested lists as a protocol field might hold them, most of them malformed.
+def flat_arrays(draw):
+    """Flat lists as a d = 2 protocol file's ``phi`` might hold them, many of them malformed.
 
-    A rectangular nest, mostly ending in pairs, then up to three edits at
-    random depths: an item dropped or added (ragged rows, empty lists,
-    triples), wrapped in a list or replaced by a number (mixed depth), or
-    replaced by an empty list, a dict, a string or null. One nest in ten is
-    no list at all.
+    Mostly whole matrices of 8 numbers, or a length that is not a multiple
+    of 8, then up to two items replaced by a boolean, a numeric string, a
+    non-finite or huge number, null, a string, a list or a dict. One in ten
+    is no list at all.
     """
     if draw(st.integers(0, 9)) == 0:
         return draw(st.one_of(NUMBERS, ODD_ITEMS))
-    shape = draw(st.lists(st.integers(0, 3), max_size=3))
-    shape.append(draw(st.sampled_from([2, 2, 2, 0, 1, 3])))
-
-    def build(dims):
-        return [build(dims[1:]) for _ in range(dims[0])] if dims else draw(NUMBERS)
-
-    nest = build(shape)
-    for _ in range(draw(st.integers(0, 3))):
-        node = nest
-        while node and draw(st.booleans()):
-            child = node[draw(st.integers(0, len(node) - 1))]
-            if type(child) is not list:
-                break
-            node = child
-        if not node:
-            node.append(draw(st.one_of(NUMBERS, st.just([]))))
-            continue
-        i = draw(st.integers(0, len(node) - 1))
-        edit = draw(st.sampled_from(["drop", "append", "wrap", "number", "empty", "odd"]))
-        if edit == "drop":
-            del node[i]
-        elif edit == "append":
-            node.append(node[i])
-        elif edit == "wrap":
-            node[i] = [node[i]]
-        elif edit == "number":
-            node[i] = draw(NUMBERS)
-        elif edit == "empty":
-            node[i] = []
-        else:
-            node[i] = draw(ODD_ITEMS)
-    return nest
+    length = draw(st.one_of(st.sampled_from([0, 8, 16, 32]), st.integers(0, 40)))
+    values = draw(st.lists(NUMBERS, min_size=length, max_size=length))
+    for _ in range(draw(st.integers(0, 2)) if values else 0):
+        values[draw(st.integers(0, len(values) - 1))] = draw(ODD_ITEMS)
+    return values
 
 
 @settings(PROFILE, max_examples=500)
-@given(nests())
-def test_pair_reader_matches_numpy_or_raises_value_error(nest):
-    try:
-        expected = ascontiguous_unpairs(nest)
-    except (TypeError, ValueError, OverflowError):
-        event("NumPy rejects")
-        with pytest.raises(ValueError, match="^phi: "):
-            _unpairs(nest, "phi")
+@given(flat_arrays())
+def test_flat_reader_matches_numpy_or_raises_value_error(values):
+    expected = None  # NumPy's reading of a flat list of JSON numbers
+    if type(values) is list and all(type(x) in (int, float) for x in values):
+        try:
+            expected = np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass
+    whole = expected is not None and expected.size and not expected.size % 8
+    if not whole or not np.isfinite(expected).all():
+        event("rejected")
+        with pytest.raises(ValueError, match="^phi"):
+            _complex_stack(values, "phi", 2)
         return
-    event("NumPy accepts")
-    got = _unpairs(nest, "phi")
-    assert got.dtype == expected.dtype
-    assert got.shape == expected.shape
+    event("read")
+    got = _complex_stack(values, "phi", 2)
+    assert got.dtype == np.complex128
+    assert got.shape == (expected.size // 8, 2, 2)
     assert got.tobytes() == expected.tobytes()

@@ -16,7 +16,6 @@ from teleportsim import (
     optimal_bob_corrections,
     outcome_distribution,
     protocol_from_json,
-    protocol_to_dict,
     protocol_to_json,
     random_povm,
     sample_haar_states,
@@ -25,9 +24,8 @@ from teleportsim import (
     teleport_once,
     validate_completeness,
 )
-from teleportsim.protocol import _float_reprs, _json_layout, _kraus_check
+from teleportsim.protocol import _float_reprs, _kraus_check
 from helpers import (
-    ascontiguous_unpairs,
     choice_teleport_once,
     einsum_bob_unitaries,
     loop_check_optimality,
@@ -37,7 +35,6 @@ from helpers import (
     random_lambdas,
     random_optimal_measurement,
     random_unitaries,
-    reference_protocol_json,
 )
 
 
@@ -664,11 +661,36 @@ SERIALIZED_PROTOCOLS = {
 }
 
 
+def protocol_file(proto):
+    """A protocol's file, parsed: every field as json reads it."""
+    return json.loads(protocol_to_json(proto))
+
+
 class TestSerialization:
     @pytest.mark.parametrize("name", SERIALIZED_PROTOCOLS)
-    def test_text_matches_json_indent_2(self, name):
+    def test_text_matches_json_dumps(self, name):
         proto = SERIALIZED_PROTOCOLS[name]()
-        assert protocol_to_json(proto) == reference_protocol_json(proto)
+        corr = proto.corrections
+        expected = json.dumps({
+            "schema": 2,
+            "d": proto.d,
+            "lambdas": proto.schmidt.lambdas.tolist(),
+            "kraus_counts": [len(block) for block in corr.kraus],
+            "phi": np.stack([proto.measurement.phi.real, proto.measurement.phi.imag], -1)
+            .ravel().tolist(),
+            "corrections": np.stack([corr.stack.real, corr.stack.imag], -1).ravel().tolist(),
+        })
+        assert protocol_to_json(proto) == expected + "\n"
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 4), (5, 1, 3, 3)])
+    def test_float_reprs_match_json(self, shape):
+        values = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1, 0.0]
+        arr = np.resize(values + [-v for v in values[1:]], shape)
+        assert ", ".join(_float_reprs(arr)) == json.dumps(arr.ravel().tolist())[1:-1]
+        # a complex array's numbers interleave each entry's real and imaginary parts
+        entries = np.empty(shape, dtype=complex)
+        entries.real, entries.imag = arr, arr[::-1]
+        assert _float_reprs(entries) == _float_reprs(np.stack([arr, arr[::-1]], axis=-1))
 
     def test_round_trip_bit_exact(self):
         rng = make_rng(70)
@@ -680,68 +702,54 @@ class TestSerialization:
         for a, b in zip(restored.corrections.kraus, proto.corrections.kraus):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("depth", [0, 1, 2])
-    @pytest.mark.parametrize("shape", [(1, 1, 2), (3, 2, 4, 2), (5, 1, 3, 3, 2)])
-    def test_array_layout_matches_json(self, shape, depth):
-        values = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1, 0.0]
-        arr = np.resize(values + [-v for v in values[1:]], shape)
-        expected = json.dumps(arr.tolist(), indent=2).replace("\n", "\n" + "  " * depth)
-        assert _json_layout(arr.shape, depth) % _float_reprs(arr) == expected
-
-    def test_round_trip_keeps_every_bit_at_d16(self):
-        proto = standard_protocol(random_lambdas(16, make_rng(72)))
+    @pytest.mark.parametrize("d", range(2, 17))
+    @pytest.mark.parametrize("kind", ["standard", "random-povm", "ragged"])
+    def test_round_trip_keeps_every_bit(self, kind, d):
+        # the standard protocol's arrays carry signed zeros, which value equality ignores
+        gen = make_rng(71, stream=d)
+        proto = standard_protocol(random_lambdas(d, gen))
+        if kind == "random-povm":
+            proto = povm_protocol(d, proto.schmidt.lambdas, 72)
+        elif kind == "ragged":  # every even outcome's correction split into two B/sqrt(2)
+            kraus = [np.concatenate([b, b]) / np.sqrt(2) if r % 2 == 0 else b
+                     for r, b in enumerate(proto.corrections.kraus)]
+            proto = Protocol(proto.schmidt, proto.measurement, BobCorrections(kraus))
         restored = protocol_from_json(protocol_to_json(proto))
         pairs = [(proto.schmidt.lambdas, restored.schmidt.lambdas),
                  (proto.measurement.phi, restored.measurement.phi)]
         pairs += list(zip(proto.corrections.kraus, restored.corrections.kraus, strict=True))
-        for a, b in pairs:
-            assert a.dtype == b.dtype
-            assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
-                                  np.ascontiguousarray(b).view(np.uint64))
-
-    def test_round_trip_keeps_every_bit(self):
-        # the standard protocol's arrays carry signed zeros, which value equality ignores
-        proto = standard_protocol(random_lambdas(8, make_rng(71)))
-        restored = protocol_from_json(protocol_to_json(proto))
-        pairs = [(proto.schmidt.lambdas, restored.schmidt.lambdas),
-                 (proto.measurement.phi, restored.measurement.phi)]
-        pairs += list(zip(proto.corrections.kraus, restored.corrections.kraus))
-        assert len(pairs) == 2 + proto.n_outcomes
         bits = [(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
                 for a, b in pairs]
-        assert any(np.signbit(k.view(float)).any() for k, _ in bits[2:])
+        if kind == "standard":
+            assert any(np.signbit(k.view(float)).any() for k, _ in bits[2:])
         for (a, b), (a_bits, b_bits) in zip(pairs, bits):
             assert a.dtype == b.dtype
+            assert a.shape == b.shape
             assert np.array_equal(a_bits, b_bits)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["phi", "corrections"])
     def test_non_finite_entry_raises_value_error(self, field, bad):
-        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
-        entries = np.array(data[field])
-        entries[1, 0, 0, 0] = bad
-        data[field] = entries.tolist()
-        with pytest.raises(ValueError, match="finite"):
+        data = protocol_file(standard_protocol([0.8, 0.6]))
+        data[field][9] = bad
+        with pytest.raises(ValueError, match=f"^{field}: complex data must be finite$"):
             protocol_from_json(json.dumps(data))
 
-    @pytest.mark.parametrize("bare", [False, True], ids=["kraus-lists", "bare-matrices"])
     @pytest.mark.parametrize(
         "make",
         [lambda: ragged_povm_protocol(make_rng(89)),
          lambda: standard_protocol(random_lambdas(4, make_rng(73)))],
         ids=["ragged-povm-d3", "standard-d4"],
     )
-    def test_corrections_read_bit_for_bit_into_one_stack(self, make, bare):
+    def test_corrections_read_bit_for_bit_into_one_stack(self, make):
         proto = make()
-        data = protocol_to_dict(proto)
-        if bare:  # each one-operator outcome as a bare (d, d) matrix
-            data["corrections"] = [b[0] if len(b) == 1 else b for b in data["corrections"]]
-        text = json.dumps(data)
-        parsed = json.loads(text)["corrections"]
-        # a bare matrix has d rows; every Kraus list here has fewer than d operators
-        assert any(len(b) == proto.d for b in parsed) is bare
-        expected = loop_kraus_check([ascontiguous_unpairs(b) for b in parsed])
-        corr = protocol_from_json(text).corrections
+        data = protocol_file(proto)
+        d, counts = data["d"], data["kraus_counts"]
+        assert (len(set(counts)) > 1) is (proto.corrections.stack.shape[0] > proto.n_outcomes)
+        # NumPy's own list conversion, split per outcome and checked one outcome at a time
+        operators = np.array(data["corrections"], dtype=np.float64).view(complex).reshape(-1, d, d)
+        expected = loop_kraus_check(np.split(operators, np.cumsum(counts)[:-1]))
+        corr = protocol_from_json(json.dumps(data)).corrections
         assert len(corr.kraus) == len(expected) == proto.n_outcomes
         for got, want, written in zip(corr.kraus, expected, proto.corrections.kraus):
             assert got.shape == want.shape == written.shape
@@ -752,23 +760,44 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("d", None, "d must be an integer, got None"),
-            ("d", [2], "d must be an integer, got [2]"),
-            ("d", 2.7, "d must be an integer, got 2.7"),
-            ("d", "2", "d must be an integer, got '2'"),
+            ("schema", 1, "unsupported protocol schema 1; expected 2"),
+            ("schema", "2", "unsupported protocol schema '2'; expected 2"),
+            ("schema", True, "unsupported protocol schema True; expected 2"),
+            ("schema", 2.0, "unsupported protocol schema 2.0; expected 2"),
+            ("schema", None, "unsupported protocol schema None; expected 2"),
+            ("d", None, "d must be an integer >= 2, got None"),
+            ("d", [2], "d must be an integer >= 2, got [2]"),
+            ("d", 2.7, "d must be an integer >= 2, got 2.7"),
+            ("d", "2", "d must be an integer >= 2, got '2'"),
+            ("d", True, "d must be an integer >= 2, got True"),
+            ("d", 0, "d must be an integer >= 2, got 0"),
+            ("d", 1, "d must be an integer >= 2, got 1"),
+            ("d", 3, "declared dimension 3 does not match 2 Schmidt coefficients"),
             ("lambdas", {"k": 0.8}, "lambdas must be a list of numbers"),
             ("lambdas", [{}, 0.6], "lambdas must be a list of numbers"),
             ("lambdas", [10**400, 0.6], "lambdas must be a list of numbers"),
-            ("phi", 5, "phi: complex data must be nested [re, im] pairs"),
-            ("phi", {}, "phi: complex data must be nested [re, im] pairs"),
-            ("corrections", 5, "corrections must be a list of per-outcome Kraus blocks"),
-            ("corrections", {}, "corrections must be a list of per-outcome Kraus blocks"),
-            ("corrections", [5] * 4, "corrections: complex data must be nested [re, im] pairs"),
-            ("corrections", [], "need at least one outcome"),
+            ("phi", 5, "phi must be a list of numbers"),
+            ("phi", {}, "phi must be a list of numbers"),
+            ("phi", [], "phi must hold a positive multiple of 2 d^2 = 8 numbers"),
+            ("phi", [0.5] * 31, "phi must hold a positive multiple of 2 d^2 = 8 numbers"),
+            ("corrections", 5, "corrections must be a list of numbers"),
+            ("corrections", [], "corrections must hold a positive multiple of 2 d^2 = 8 numbers"),
+            ("corrections", [0.0] * 12,
+             "corrections must hold a positive multiple of 2 d^2 = 8 numbers"),
+            ("kraus_counts", 4, "kraus_counts must be a list of integers"),
+            ("kraus_counts", [1, 1, 1, 1.0], "kraus_counts must be a list of integers"),
+            ("kraus_counts", [1, 1, 1, True], "kraus_counts must be a list of integers"),
+            ("kraus_counts", [[1], 1, 1, 1], "kraus_counts must be a list of integers"),
+            ("kraus_counts", [1, 1, 1], "kraus_counts has 3 entries for 4 outcomes"),
+            ("kraus_counts", [1] * 5, "kraus_counts has 5 entries for 4 outcomes"),
+            ("kraus_counts", [1, 1, 1, 2],
+             "kraus_counts add up to 5, but corrections hold 4 operators"),
+            ("kraus_counts", [1, 1, 1, 10**400],
+             f"kraus_counts add up to {3 + 10**400}, but corrections hold 4 operators"),
         ],
     )
     def test_malformed_field_raises_value_error_naming_it(self, field, value, message):
-        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
+        data = protocol_file(standard_protocol([0.8, 0.6]))
         data[field] = value
         with pytest.raises(ValueError) as info:
             protocol_from_json(json.dumps(data))
@@ -776,35 +805,30 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field", ["phi", "corrections"])
     @pytest.mark.parametrize(
-        "bad", [{}, "x", 10**400, [0.0, 1.0]], ids=["dict", "string", "huge", "list"]
+        "bad", [True, "0.7", None, {}, [0.5], 10**400],
+        ids=["boolean", "string", "null", "dict", "list", "huge"],
     )
     def test_entry_that_is_no_number_raises_value_error(self, field, bad):
-        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
-        matrix = data["phi"][1] if field == "phi" else data["corrections"][1][0]
-        matrix[0][0][1] = bad  # an imaginary part
-        with pytest.raises(ValueError, match=f"^{field}: "):
+        data = protocol_file(standard_protocol([0.8, 0.6]))
+        data[field][3] = bad  # an imaginary part
+        with pytest.raises(ValueError) as info:
             protocol_from_json(json.dumps(data))
+        assert str(info.value) == f"{field} must be a list of numbers"
 
-    @pytest.mark.parametrize(
-        "block,message",
-        [
-            ([[[1.0, 0.0]] * 3] * 2,
-             "outcome 1: Kraus block must have shape (S, d, d), got (1, 2, 3)"),
-            ([[[[1.0, 0.0]] * 3] * 3], "outcome 1: dimension 3 != 2"),
-            ([[1.0, 0.0]] * 2, "outcome 1: Kraus block must have shape (S, d, d), got (2,)"),
-        ],
-        ids=["non-square", "wrong-dimension", "vector"],
-    )
-    def test_malformed_kraus_block_names_its_outcome(self, block, message):
-        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
-        data["corrections"][1] = block
+    @pytest.mark.parametrize("counts,shape", [([1, 0, 2, 1], (0, 2, 2)),
+                                              ([1, -1, 3, 1], (-1, 2, 2))],
+                             ids=["empty", "negative"])
+    def test_malformed_kraus_block_names_its_outcome(self, counts, shape):
+        data = protocol_file(standard_protocol([0.8, 0.6]))
+        data["kraus_counts"] = counts
+        message = f"outcome 1: Kraus block must have shape (S, d, d), got {shape}"
         with pytest.raises(ValueError) as info:
             protocol_from_json(json.dumps(data))
         assert str(info.value) == message
-        # the same block as an array breaks the same shape rule
-        with pytest.raises(ValueError) as info:
-            BobCorrections((np.eye(2), ascontiguous_unpairs(block)))
-        assert str(info.value) == message
+        if shape[0] == 0:  # the same block as an array breaks the same shape rule
+            with pytest.raises(ValueError) as info:
+                BobCorrections((np.eye(2), np.zeros(shape)))
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     @pytest.mark.parametrize("kind", ["one-operator", "multi-kraus"])
@@ -825,20 +849,24 @@ class TestSerialization:
             assert np.float64(out.probability).tobytes() == np.float64(back.probability).tobytes()
             assert out.output_state.amplitudes.tobytes() == back.output_state.amplitudes.tobytes()
 
-    @pytest.mark.parametrize("field", ["d", "lambdas", "phi", "corrections"])
+    @pytest.mark.parametrize("field", ["schema", "d", "lambdas", "kraus_counts", "phi",
+                                       "corrections"])
     def test_missing_field_raises_value_error(self, field):
-        data = protocol_to_dict(standard_protocol([0.8, 0.6]))
+        data = protocol_file(standard_protocol([0.8, 0.6]))
         del data[field]
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ValueError) as info:
             protocol_from_json(json.dumps(data))
+        assert str(info.value) == f"protocol is missing field '{field}'"
 
-    def test_dict_schema_fields(self):
+    def test_file_fields(self):
         proto = standard_protocol([0.8, 0.6])
-        data = protocol_to_dict(proto)
-        assert set(data) == {"schema", "d", "lambdas", "phi", "corrections"}
-        assert data["schema"] == 1
-        # innermost entries are [re, im] pairs
-        assert len(data["phi"][0][0][0]) == 2
+        data = protocol_file(proto)
+        assert list(data) == ["schema", "d", "lambdas", "kraus_counts", "phi", "corrections"]
+        assert data["schema"] == 2
+        assert data["kraus_counts"] == [1, 1, 1, 1]
+        # every array is one flat list of interleaved re/im numbers
+        assert len(data["phi"]) == len(data["corrections"]) == 4 * 2 * 2 * 2
+        assert {type(x) for x in data["phi"] + data["corrections"]} == {float}
 
     def test_json_is_valid(self):
         text = protocol_to_json(standard_protocol([0.8, 0.6]))
