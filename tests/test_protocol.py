@@ -825,10 +825,25 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             protocol_from_json(json.dumps(data))
         assert str(info.value) == message
-        if shape[0] == 0:  # the same block as an array breaks the same shape rule
-            with pytest.raises(ValueError) as info:
-                BobCorrections((np.eye(2), np.zeros(shape)))
-            assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            ((0, 2, 2), "outcome 1: Kraus block must have shape (S, d, d), got (0, 2, 2)"),
+            ((1, 2, 3), "outcome 1: Kraus block must have shape (S, d, d), got (1, 2, 3)"),
+            ((1, 3, 3), "outcome 1: dimension 3 != 2"),
+            ((2,), "outcome 1: Kraus block must have shape (S, d, d), got (2,)"),
+        ],
+        ids=["empty", "non-square", "wrong-dimension", "vector"],
+    )
+    def test_malformed_kraus_array_names_its_outcome(self, shape, message):
+        with pytest.raises(ValueError) as info:
+            BobCorrections((np.eye(2), np.zeros(shape)))
+        assert str(info.value) == message
+
+    def test_no_kraus_blocks_raises_value_error(self):
+        with pytest.raises(ValueError, match="^need at least one outcome$"):
+            BobCorrections(())
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     @pytest.mark.parametrize("kind", ["one-operator", "multi-kraus"])
