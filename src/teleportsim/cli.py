@@ -265,6 +265,8 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
     kraus_err = float(_kraus_check(stack, sizes).max())
     corrections_ok = kraus_err <= args.tol
     ok = completeness.passed and optimality.passed and corrections_ok
+    # the pairs k <= l whose error exceeds the tolerance, in (outcome, k, l) order
+    violations = np.argwhere(np.triu(optimality.errors > args.tol))
     results = {
         "completeness": {
             "pass": completeness.passed,
@@ -274,10 +276,11 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
         "optimality": {
             "pass": optimality.passed,
             "max_error": optimality.max_error,
-            "n_violations": len(optimality.violations),
+            "n_violations": len(violations),
             "violations": [
-                {"outcome": v.outcome, "k": v.k, "l": v.l, "error": v.error, "kind": v.kind}
-                for v in optimality.violations[:10]
+                {"outcome": r, "k": k, "l": l, "error": float(optimality.errors[r, k, l]),
+                 "kind": "unequal_norm" if k == l else "non_orthogonal"}
+                for r, k, l in violations[:10].tolist()
             ],
         },
         "corrections": {"pass": corrections_ok, "max_error": kraus_err},

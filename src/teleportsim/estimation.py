@@ -27,15 +27,9 @@ ZERO_BLOCK_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class EstimationStrategy:
-    """Outcome-indexed guesses, one unit vector per measurement outcome.
-
-    ``degenerate[r]`` marks outcomes whose natural guess was undefined
-    (vanishing leading measurement block); the stored guess is then an
-    arbitrary unit vector.
-    """
+    """Outcome-indexed guesses, one unit vector per measurement outcome."""
 
     guesses: np.ndarray
-    degenerate: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         guesses = np.array(self.guesses, dtype=complex)
@@ -47,14 +41,7 @@ class EstimationStrategy:
         norms = np.linalg.norm(guesses, axis=1)
         if not np.max(np.abs(norms - 1.0)) <= 1e-12:
             raise ValueError("every guess must be a unit vector")
-        if self.degenerate is None:
-            degenerate = np.zeros(guesses.shape[0], dtype=bool)
-        else:
-            degenerate = np.array(self.degenerate, dtype=bool).reshape(-1)
-            if degenerate.size != guesses.shape[0]:
-                raise ValueError("degenerate flags must match the number of outcomes")
         object.__setattr__(self, "guesses", _freeze(guesses))
-        object.__setattr__(self, "degenerate", _freeze(degenerate))
 
     @property
     def n_outcomes(self) -> int:
@@ -68,7 +55,8 @@ class EstimationStrategy:
 def optimal_estimates(meas: AliceMeasurement) -> EstimationStrategy:
     """Best guess per outcome: the normalized leading measurement block.
 
-    Outcomes with a vanishing leading block get a flagged placeholder guess
+    An outcome whose leading block has norm at most
+    :data:`ZERO_BLOCK_CUTOFF` has no such guess and gets the unit vector
     |0>; such outcomes contribute nothing to the leading-coefficient term
     the optimal strategy maximizes.
     """
@@ -79,7 +67,7 @@ def optimal_estimates(meas: AliceMeasurement) -> EstimationStrategy:
     guesses[degenerate, 0] = 1.0
     ok = ~degenerate
     guesses[ok] = phi0[ok] / norms[ok, None]
-    return EstimationStrategy(guesses, degenerate)
+    return EstimationStrategy(guesses)
 
 
 def _check_inputs(meas: AliceMeasurement, lambdas, strategy: EstimationStrategy) -> np.ndarray:

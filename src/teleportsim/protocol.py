@@ -327,15 +327,6 @@ def validate_completeness(
 
 
 @dataclass(frozen=True)
-class OptimalityViolation:
-    outcome: int
-    k: int
-    l: int
-    error: float
-    kind: str  # "unequal_norm" or "non_orthogonal"
-
-
-@dataclass(frozen=True)
 class OptimalityReport:
     """Outcome of the per-outcome equal-norm and orthogonality conditions.
 
@@ -344,12 +335,18 @@ class OptimalityReport:
     share the norm of block 0 and be mutually orthogonal. Together with
     completeness they are necessary and sufficient for the measurement to
     admit corrections that attain the optimal-fidelity bound.
+
+    ``errors`` is a read-only (R, m + 1, m + 1) array. For k <= l,
+    ``errors[r, k, l]`` is the error of the pair (k, l) of outcome r:
+    ||phi_r^k|^2 - |phi_r^0|^2| on the diagonal and |<phi_r^k|phi_r^l>| above
+    it. Below the diagonal it is 0. The check fails where an error of a pair
+    k <= l exceeds ``tol``, so its violations are
+    ``np.argwhere(np.triu(errors > tol))``, in (outcome, k, l) order.
     """
 
     passed: bool
     max_error: float
-    violations: tuple[OptimalityViolation, ...]
-    effective_rank: int
+    errors: np.ndarray
     tol: float
 
 
@@ -362,17 +359,13 @@ def check_optimality(
     blocks = meas.phi[:, :m1]
     gram = blocks @ blocks.conj().transpose(0, 2, 1)
     norms = gram.real.diagonal(axis1=1, axis2=2)
-    k, l = np.triu_indices(m1)
-    # errors of the pairs k <= l of each outcome, in row-major (k, l) order
-    err = np.where(k == l, np.abs(norms[:, k] - norms[:, :1]), np.abs(gram[:, k, l]))
-    violations = tuple(
-        OptimalityViolation(
-            int(r), int(k[p]), int(l[p]), float(err[r, p]),
-            "unequal_norm" if k[p] == l[p] else "non_orthogonal",
-        )
-        for r, p in np.argwhere(err > tol)
-    )
-    return OptimalityReport(not violations, float(err.max()), violations, m1, tol)
+    errors = np.abs(gram)
+    diag = np.arange(m1)
+    errors[:, diag, diag] = np.abs(norms - norms[:, :1])
+    # np.triu(errors > tol) would be the same mask, but np.triu is slow on booleans
+    upper = ~np.tri(m1, k=-1, dtype=bool)
+    errors = _freeze(np.where(upper, errors, 0.0))
+    return OptimalityReport(not (upper & (errors > tol)).any(), float(errors.max()), errors, tol)
 
 
 def optimal_bob_corrections(
@@ -477,18 +470,21 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
 
 
 def _numbers(values, field: str) -> np.ndarray:
-    """A field's flat list of JSON numbers as a float64 array.
+    """A field's flat list of finite JSON numbers as a float64 array.
 
-    Anything else, an integer beyond the float range included, raises a
-    ValueError that names ``field``.
+    Anything else, an integer beyond the float range or a non-finite float
+    included, raises a ValueError that names ``field``.
     """
     # np.array would also convert true, "0.8", null and nested lists
     if type(values) is not list or not set(map(type, values)) <= {int, float}:
         raise ValueError(f"{field} must be a list of numbers")
     try:
-        return np.array(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         raise ValueError(f"{field} must be a list of numbers") from None
+    if not np.isfinite(arr).all():  # json reads NaN, Infinity and 1e400 as non-finite floats
+        raise ValueError(f"{field}: numbers must be finite")
+    return arr
 
 
 def _complex_stack(values, field: str, d: int) -> np.ndarray:
@@ -501,8 +497,6 @@ def _complex_stack(values, field: str, d: int) -> np.ndarray:
     arr = _numbers(values, field)
     if arr.size == 0 or arr.size % (2 * d * d):
         raise ValueError(f"{field} must hold a positive multiple of 2 d^2 = {2 * d * d} numbers")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{field}: complex data must be finite")
     return arr.view(np.complex128).reshape(-1, d, d)
 
 

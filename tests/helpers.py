@@ -110,6 +110,18 @@ def loop_check_optimality(meas, schmidt, tol):
     return violations, max_err
 
 
+def report_violations(report):
+    """(outcome, k, l, error, kind) of each pair k <= l whose error exceeds ``report.tol``.
+
+    The pairs come from ``np.argwhere(np.triu(report.errors > report.tol))``, as
+    check-protocol reads them, in (outcome, k, l) order.
+    """
+    return [
+        (r, k, l, float(report.errors[r, k, l]), "unequal_norm" if k == l else "non_orthogonal")
+        for r, k, l in np.argwhere(np.triu(report.errors > report.tol)).tolist()
+    ]
+
+
 def einsum_mean_fidelity_mkl_form(proto):
     """Mean fidelity by one moment-operator einsum per Kraus operator (reference).
 

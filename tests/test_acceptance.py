@@ -30,7 +30,7 @@ from teleportsim import (
     standard_protocol,
     validate_completeness,
 )
-from helpers import random_kraus_set, random_lambdas
+from helpers import random_kraus_set, random_lambdas, report_violations
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -173,14 +173,14 @@ def test_criterion_8_optimality_condition_detector():
     phi = np.array(standard_measurement(2).phi)
     phi[1, 1] *= 1.3
     rep = check_optimality(AliceMeasurement(phi), schmidt, tol=1e-10)
-    if rep.passed or {v.kind for v in rep.violations} != {"unequal_norm"}:
+    if rep.passed or {kind for *_, kind in report_violations(rep)} != {"unequal_norm"}:
         ok = False
         details.append("unequal-norm violation not classified")
     # non-orthogonal pair within an outcome
     phi = np.array(standard_measurement(2).phi)
     phi[0, 1] = phi[0, 0]
     rep = check_optimality(AliceMeasurement(phi), schmidt, tol=1e-10)
-    if rep.passed or {v.kind for v in rep.violations} != {"non_orthogonal"}:
+    if rep.passed or {kind for *_, kind in report_violations(rep)} != {"non_orthogonal"}:
         ok = False
         details.append("non-orthogonal violation not classified")
     # broken completeness

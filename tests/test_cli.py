@@ -9,6 +9,7 @@ import pytest
 
 import teleportsim
 from teleportsim import (
+    AliceMeasurement,
     BobCorrections,
     Protocol,
     SchmidtDecomposition,
@@ -19,11 +20,12 @@ from teleportsim import (
     protocol_from_json,
     protocol_to_json,
     random_povm,
+    standard_measurement,
     standard_protocol,
 )
 from teleportsim.cli import main
 from teleportsim.protocol import _kraus_check
-from helpers import per_pair_verify_mkl
+from helpers import loop_check_optimality, per_pair_verify_mkl
 
 
 def run_cli(capsys, *argv):
@@ -436,6 +438,40 @@ class TestCheckProtocol:
         code, out, err = run_cli(capsys, "check-protocol", str(path))
         assert code == 2
         assert "finite" in err
+
+    def test_nan_lambda_exits_two(self, capsys, tmp_path):
+        data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
+        data["lambdas"] = [float("nan"), 0.6]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-protocol", str(path))
+        assert (code, out, err) == (2, "", "error: lambdas: numbers must be finite\n")
+
+    @pytest.mark.parametrize("tol", ["1e-10", "1e-3", "-1", "nan"])
+    @pytest.mark.parametrize("kind", ["random-povm", "duplicated-block"])
+    def test_violations_match_loop_reference(self, capsys, tmp_path, kind, tol):
+        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.48, 0.36])
+        if kind == "random-povm":
+            meas = random_povm(3, 9, make_rng(97))
+            data = json.loads(protocol_to_json(
+                Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))))
+        else:  # outcome 1's block 2 copies its block 0, which breaks completeness as well
+            data = json.loads(protocol_to_json(standard_protocol(schmidt.lambdas)))
+            phi = np.array(standard_measurement(3).phi)
+            phi[1, 2] = phi[1, 0]
+            meas = AliceMeasurement(phi)
+            data["phi"] = phi.view(np.float64).ravel().tolist()
+        path = tmp_path / "proto.json"
+        path.write_text(json.dumps(data))
+        code, report = run_json(capsys, "check-protocol", str(path), "--tol", tol)
+        ref, _ = loop_check_optimality(meas, schmidt, float(tol))
+        optimality = report["results"]["optimality"]
+        assert code == 1  # every case fails a check: optimality, completeness or a NaN tolerance
+        assert optimality["n_violations"] == len(ref)
+        assert len(optimality["violations"]) == min(len(ref), 10)
+        for got, (r, k, l, err, kind_) in zip(optimality["violations"], ref):
+            assert (got["outcome"], got["k"], got["l"], got["kind"]) == (r, k, l, kind_)
+            assert abs(got["error"] - err) <= 1e-15
 
     @pytest.mark.parametrize(
         "field,value",

@@ -25,7 +25,9 @@ class TestOptimalEstimates:
         # r = p + q*d: outcomes 0,1 guess |0>, outcomes 2,3 guess |1>
         expected = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=complex)
         assert np.allclose(np.abs(strategy.guesses), np.abs(expected))
-        assert not strategy.degenerate.any()
+        # no leading block vanishes, so every guess is its normalized block, none the unit |0>
+        phi0 = standard_measurement(2).phi[:, 0]
+        assert np.array_equal(strategy.guesses, phi0 / np.linalg.norm(phi0, axis=1, keepdims=True))
 
     def test_standard_d3_guesses_follow_shift(self):
         strategy = optimal_estimates(standard_measurement(3))
@@ -38,12 +40,12 @@ class TestOptimalEstimates:
         strategy = optimal_estimates(random_optimal_measurement(3, 2, make_rng(1)))
         assert np.allclose(np.linalg.norm(strategy.guesses, axis=1), 1.0)
 
-    def test_zero_leading_block_is_flagged(self):
+    def test_zero_leading_block_guesses_unit_zero(self):
         phi = np.zeros((2, 2, 2), dtype=complex)
         phi[0, 1] = [1, 0]  # outcome 0 has no k=0 block
         phi[1, 0] = [0, 1]
         strategy = optimal_estimates(AliceMeasurement(phi))
-        assert strategy.degenerate[0] and not strategy.degenerate[1]
+        assert np.array_equal(strategy.guesses, [[1, 0], [0, 1]])
         assert np.linalg.norm(strategy.guesses[0]) == pytest.approx(1.0)
 
 

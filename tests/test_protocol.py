@@ -35,6 +35,7 @@ from helpers import (
     random_lambdas,
     random_optimal_measurement,
     random_unitaries,
+    report_violations,
 )
 
 
@@ -149,9 +150,10 @@ class TestCheckOptimality:
         schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
         report = check_optimality(AliceMeasurement(phi), schmidt)
         assert not report.passed
-        kinds = {v.kind for v in report.violations}
+        violations = report_violations(report)
+        kinds = {kind for *_, kind in violations}
         assert kinds == {"non_orthogonal"}
-        assert report.violations[0].outcome == 0
+        assert violations[0][0] == 0
 
     def test_scaled_block_flags_norm(self):
         phi = np.array(standard_measurement(2).phi)
@@ -159,7 +161,7 @@ class TestCheckOptimality:
         schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
         report = check_optimality(AliceMeasurement(phi), schmidt)
         assert not report.passed
-        kinds = {v.kind for v in report.violations}
+        kinds = {kind for *_, kind in report_violations(report)}
         assert kinds == {"unequal_norm"}
 
     def test_product_resource_is_vacuous(self):
@@ -196,14 +198,18 @@ class TestCheckOptimality:
             for tol in (1e-10, 1e-3):
                 report = check_optimality(meas, schmidt, tol)
                 ref, ref_max = loop_check_optimality(meas, schmidt, tol)
-                assert [(v.outcome, v.k, v.l, v.kind) for v in report.violations] == [
+                violations = report_violations(report)
+                assert [(r, k, l, kind) for r, k, l, _, kind in violations] == [
                     (r, k, l, kind) for r, k, l, _, kind in ref
                 ]
-                for v, (*_, err, _) in zip(report.violations, ref):
-                    assert abs(v.error - err) <= 1e-15
+                for (*_, got, _), (*_, err, _) in zip(violations, ref):
+                    assert abs(got - err) <= 1e-15
                 assert abs(report.max_error - ref_max) <= 1e-15
                 assert report.passed == (not ref)
-                assert report.effective_rank == schmidt.effective_rank
+                m1 = schmidt.effective_rank
+                below = np.tril_indices(m1, -1)
+                assert report.errors.shape == (meas.n_outcomes, m1, m1)
+                assert not report.errors[:, below[0], below[1]].any()
 
 
 class TestOptimalBobCorrections:
@@ -732,8 +738,17 @@ class TestSerialization:
     def test_non_finite_entry_raises_value_error(self, field, bad):
         data = protocol_file(standard_protocol([0.8, 0.6]))
         data[field][9] = bad
-        with pytest.raises(ValueError, match=f"^{field}: complex data must be finite$"):
+        with pytest.raises(ValueError, match=f"^{field}: numbers must be finite$"):
             protocol_from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_lambda_raises_value_error(self, bad):
+        # json reads all three as non-finite floats; 1e400 overflows to inf
+        data = protocol_file(standard_protocol([0.8, 0.6]))
+        data["lambdas"][0] = "bad"
+        text = json.dumps(data).replace('"bad"', bad)
+        with pytest.raises(ValueError, match="^lambdas: numbers must be finite$"):
+            protocol_from_json(text)
 
     @pytest.mark.parametrize(
         "make",
