@@ -1,5 +1,7 @@
 """Shared random-object generators and reference implementations for the test suite."""
 
+import base64
+
 import numpy as np
 from scipy.stats import unitary_group
 
@@ -282,3 +284,17 @@ def choice_teleport_once(proto, psi, rng):
     s = int(rng.choice(weights.size, p=weights / weights.sum()))
     out = branches[s] / np.sqrt(weights[s])
     return TeleportOutcome(outcome=r, probability=float(probs[r]), output_state=PureState(out))
+
+
+def to_base64(arr):
+    """An array's bytes as little-endian complex128 in C order, in standard padded base64.
+
+    This is what a schema-3 protocol file holds for ``phi`` and ``corrections``,
+    written here with the standard library and NumPy alone.
+    """
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<c16").tobytes()).decode("ascii")
+
+
+def from_base64(text, d):
+    """A schema-3 protocol file's array field as a writable (n, d, d) complex array."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<c16").reshape(-1, d, d).copy()

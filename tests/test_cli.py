@@ -25,7 +25,7 @@ from teleportsim import (
 )
 from teleportsim.cli import main
 from teleportsim.protocol import _kraus_check
-from helpers import loop_check_optimality, per_pair_verify_mkl
+from helpers import from_base64, loop_check_optimality, per_pair_verify_mkl, to_base64
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +51,20 @@ SCHEMA_1_D2 = """{"schema": 1, "d": 2, "lambdas": [1.0, 0.0], "phi": [
  [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 1.2246467991473532e-16]]]],
  [[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]],
  [[[[0.0, 0.0], [-1.0, 1.2246467991473532e-16]], [[1.0, 0.0], [0.0, 0.0]]]]
+]}"""
+
+#: the same protocol as a schema-2 file, each array one flat list of interleaved re/im numbers
+SCHEMA_2_D2 = """{"schema": 2, "d": 2, "lambdas": [1.0, 0.0], "kraus_counts": [1, 1, 1, 1],
+"phi": [
+ 0.7071067811865475, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7071067811865475, 0.0,
+ 0.7071067811865475, 0.0, 0.0, 0.0, 0.0, 0.0, -0.7071067811865475, 8.659560562354932e-17,
+ 0.0, 0.0, 0.7071067811865475, 0.0, 0.7071067811865475, 0.0, 0.0, 0.0,
+ 0.0, 0.0, 0.7071067811865475, 0.0, -0.7071067811865475, 8.659560562354932e-17, 0.0, 0.0
+], "corrections": [
+ 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0,
+ 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.2246467991473532e-16,
+ 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+ 0.0, 0.0, -1.0, 1.2246467991473532e-16, 1.0, 0.0, 0.0, 0.0
 ]}"""
 
 
@@ -363,10 +377,10 @@ class TestCheckProtocol:
 
     def test_no_corrections_exits_two(self, capsys, tmp_path):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
-        data["corrections"] = []
+        data["corrections"] = ""
         path = tmp_path / "empty.json"
         path.write_text(json.dumps(data))
-        message = "corrections must hold a positive multiple of 2 d^2 = 8 numbers"
+        message = "corrections must hold a positive multiple of 16 d^2 = 64 bytes"
         with pytest.raises(ValueError) as info:
             protocol_from_json(path.read_text())
         assert str(info.value) == message
@@ -400,7 +414,9 @@ class TestCheckProtocol:
     def test_broken_completeness_exits_one(self, capsys, tmp_path):
         proto = standard_protocol([0.8, 0.6])
         data = json.loads(protocol_to_json(proto))
-        data["phi"][0] *= 1.5  # scale one real component
+        phi = from_base64(data["phi"], 2)
+        phi[0, 0, 0] *= 1.5  # scale one real component
+        data["phi"] = to_base64(phi)
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "check-protocol", str(path))
@@ -410,7 +426,9 @@ class TestCheckProtocol:
 
     def test_broken_correction_exits_one(self, capsys, tmp_path):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
-        data["corrections"][16:24] = [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0]  # operator 2 is I/2
+        corrections = from_base64(data["corrections"], 2)
+        corrections[2] = 0.5 * np.eye(2)  # operator 2 is I/2
+        data["corrections"] = to_base64(corrections)
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "check-protocol", str(path))
@@ -432,7 +450,9 @@ class TestCheckProtocol:
 
     def test_non_finite_correction_exits_two(self, capsys, tmp_path):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
-        data["corrections"][0] = float("nan")
+        corrections = from_base64(data["corrections"], 2)
+        corrections[0, 0, 0] = float("nan")
+        data["corrections"] = to_base64(corrections)
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "check-protocol", str(path))
@@ -460,7 +480,7 @@ class TestCheckProtocol:
             phi = np.array(standard_measurement(3).phi)
             phi[1, 2] = phi[1, 0]
             meas = AliceMeasurement(phi)
-            data["phi"] = phi.view(np.float64).ravel().tolist()
+            data["phi"] = to_base64(phi)
         path = tmp_path / "proto.json"
         path.write_text(json.dumps(data))
         code, report = run_json(capsys, "check-protocol", str(path), "--tol", tol)
@@ -475,8 +495,8 @@ class TestCheckProtocol:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("corrections", 5), ("phi", [0.5] * 7), ("kraus_counts", [1.0] * 4), ("d", None),
-         ("d", [8]), ("d", 2.7), ("d", 0)],
+        [("corrections", 5), ("phi", [0.5] * 7), ("phi", "AAAA===="), ("kraus_counts", [1.0] * 4),
+         ("d", None), ("d", [8]), ("d", 2.7), ("d", 0)],
     )
     def test_malformed_field_exits_two_and_names_it(self, capsys, tmp_path, field, value):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
@@ -503,27 +523,37 @@ class TestCheckProtocol:
 
     @pytest.mark.parametrize("field", ["phi", "corrections"])
     @pytest.mark.parametrize(
-        "bad", [True, "0.7", None, [0.5], 10**400],
-        ids=["boolean", "string", "null", "nested", "huge"],
+        "bad,message",
+        [(True, "must be a base64 string"),
+         (None, "must be a base64 string"),
+         ([0.5], "must be a base64 string"),
+         (10**400, "must be a base64 string"),
+         ("0.7", "must be padded standard base64 with nothing else"),
+         ("-_-_", "must be padded standard base64 with nothing else"),
+         ("AAAA====", "must be padded standard base64 with nothing else")],
+        ids=["boolean", "null", "list", "huge", "number-text", "url-safe", "excess-padding"],
     )
-    def test_array_entry_that_is_no_number_exits_two(self, capsys, tmp_path, field, bad):
+    def test_array_that_is_no_base64_exits_two(self, capsys, tmp_path, field, bad, message):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
-        data[field][5] = bad
-        path = tmp_path / "entry.json"
+        data[field] = bad
+        path = tmp_path / "array.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "check-protocol", str(path))
-        assert (code, out, err) == (2, "", f"error: {field} must be a list of numbers\n")
+        assert (code, out, err) == (2, "", f"error: {field} {message}\n")
 
     @pytest.mark.parametrize(
-        "schema,named",
-        [(None, "protocol is missing field 'schema'"),
-         (1, "unsupported protocol schema 1; expected 2"),
-         ("2", "unsupported protocol schema '2'; expected 2"),
-         (True, "unsupported protocol schema True; expected 2")],
-        ids=["missing", "1", "string", "true"],
+        "text,schema,named",
+        [(SCHEMA_2_D2, None, "protocol is missing field 'schema'"),
+         (SCHEMA_1_D2, 1, "unsupported protocol schema 1; expected 3"),
+         (SCHEMA_2_D2, 2, "unsupported protocol schema 2; expected 3"),
+         (SCHEMA_2_D2, "3", "unsupported protocol schema '3'; expected 3"),
+         (SCHEMA_2_D2, True, "unsupported protocol schema True; expected 3")],
+        ids=["missing", "1", "2", "string", "true"],
     )
-    def test_schema_other_than_2_exits_two_and_names_it(self, capsys, tmp_path, schema, named):
-        data = json.loads(SCHEMA_1_D2)
+    def test_schema_other_than_3_exits_two_and_names_it(
+        self, capsys, tmp_path, text, schema, named
+    ):
+        data = json.loads(text)
         if schema is None:
             del data["schema"]
         else:

@@ -6,6 +6,10 @@ examples and no example database, so a run is deterministic and short. The
 protocol-file reader's test, whose examples are cheap, draws more of them.
 """
 
+import base64
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -100,54 +104,52 @@ def test_optimality_conditions_hold_exactly_when_bound_is_reached(case):
     assert report.passed == (gap <= 1e-12)
 
 
-#: numbers a protocol file's arrays may hold
-NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
-#: items no protocol array may hold, though NumPy converts the first four to floats
-ODD_ITEMS = st.one_of(
-    st.booleans(),
-    st.sampled_from(["0.7", "-1e3", float("nan"), float("-inf"), 10**400]),
-    st.none(),
-    st.text(max_size=3),
-    st.lists(NUMBERS, max_size=2),
-    st.dictionaries(st.text(max_size=2), NUMBERS, max_size=2),
-)
+#: padded base64 of the standard alphabet and nothing else, which the reader must accept
+STRICT_BASE64 = re.compile(r"(?:[A-Za-z0-9+/]{4})*(?:[A-Za-z0-9+/]{2}==|[A-Za-z0-9+/]{3}=)?")
+#: characters that can break a base64 text: padding, whitespace, URL-safe, non-ASCII
+ODD_CHARS = st.sampled_from(["=", " ", "\n", "-", "_", "*", "\u00e9", "A", "+", "/"])
 
 
 @st.composite
-def flat_arrays(draw):
-    """Flat lists as a d = 2 protocol file's ``phi`` might hold them, many of them malformed.
+def base64_texts(draw):
+    """Texts as a d = 2 protocol file's ``phi`` might hold them, many of them malformed.
 
-    Mostly whole matrices of 8 numbers, or a length that is not a multiple
-    of 8, then up to two items replaced by a boolean, a numeric string, a
-    non-finite or huge number, null, a string, a list or a dict. One in ten
-    is no list at all.
+    Mostly the base64 of whole 2 x 2 complex matrices of 64 bytes, or of a byte
+    count that is not a multiple of 64, holding any floats (NaN and infinities
+    included), then up to two characters replaced, inserted or deleted. One in
+    ten is any text at all.
     """
     if draw(st.integers(0, 9)) == 0:
-        return draw(st.one_of(NUMBERS, ODD_ITEMS))
-    length = draw(st.one_of(st.sampled_from([0, 8, 16, 32]), st.integers(0, 40)))
-    values = draw(st.lists(NUMBERS, min_size=length, max_size=length))
-    for _ in range(draw(st.integers(0, 2)) if values else 0):
-        values[draw(st.integers(0, len(values) - 1))] = draw(ODD_ITEMS)
-    return values
+        return draw(st.text(max_size=12))
+    n_floats = 8 * draw(st.integers(0, 4)) if draw(st.booleans()) else draw(st.integers(0, 40))
+    floats = draw(st.lists(st.floats(), min_size=n_floats, max_size=n_floats))
+    raw = struct.pack(f"<{n_floats}d", *floats) + draw(st.sampled_from([b""] * 3 + [b"\0", b"ab"]))
+    text = base64.b64encode(raw).decode("ascii")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        tail = text[i + 1 :] if edit != "insert" else text[i:]
+        text = text[:i] + (draw(ODD_CHARS) if edit != "delete" else "") + tail
+    return text
 
 
 @settings(PROFILE, max_examples=500)
-@given(flat_arrays())
-def test_flat_reader_matches_numpy_or_raises_value_error(values):
-    expected = None  # NumPy's reading of a flat list of JSON numbers
-    if type(values) is list and all(type(x) in (int, float) for x in values):
-        try:
-            expected = np.array(values, dtype=np.float64)
-        except OverflowError:
-            pass
-    whole = expected is not None and expected.size and not expected.size % 8
-    if not whole or not np.isfinite(expected).all():
+@given(base64_texts())
+def test_base64_reader_matches_numpy_or_raises_value_error(text):
+    raw = base64.b64decode(text) if STRICT_BASE64.fullmatch(text) else None
+    if not raw or len(raw) % 64:  # not strict base64, or no whole 2 x 2 matrices
         event("rejected")
         with pytest.raises(ValueError, match="^phi"):
-            _complex_stack(values, "phi", 2)
+            _complex_stack(text, "phi", 2)
+        return
+    expected = np.frombuffer(raw, "<c16").reshape(-1, 2, 2)
+    if not np.isfinite(expected).all():
+        event("rejected: not finite")
+        with pytest.raises(ValueError, match="^phi: numbers must be finite$"):
+            _complex_stack(text, "phi", 2)
         return
     event("read")
-    got = _complex_stack(values, "phi", 2)
+    got = _complex_stack(text, "phi", 2)
     assert got.dtype == np.complex128
-    assert got.shape == (expected.size // 8, 2, 2)
+    assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()

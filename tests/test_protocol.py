@@ -1,4 +1,8 @@
+import base64
 import json
+import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +28,11 @@ from teleportsim import (
     teleport_once,
     validate_completeness,
 )
-from teleportsim.protocol import _float_reprs, _kraus_check
+from teleportsim.protocol import _base64, _kraus_check
 from helpers import (
     choice_teleport_once,
     einsum_bob_unitaries,
+    from_base64,
     loop_check_optimality,
     loop_kraus_check,
     loop_standard_measurement,
@@ -36,6 +41,7 @@ from helpers import (
     random_optimal_measurement,
     random_unitaries,
     report_violations,
+    to_base64,
 )
 
 
@@ -60,6 +66,22 @@ def povm_protocol(d, lambdas, seed):
     meas = random_povm(d, d * d, make_rng(seed, stream=d))
     schmidt = SchmidtDecomposition.from_lambdas(lambdas)
     return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
+
+
+def kind_protocol(kind, d):
+    """A seeded standard, random-POVM or ragged protocol of dimension d.
+
+    The ragged one is the standard protocol with every even outcome's
+    correction split into two operators B/sqrt(2).
+    """
+    proto = standard_protocol(random_lambdas(d, make_rng(71, stream=d)))
+    if kind == "random-povm":
+        return povm_protocol(d, proto.schmidt.lambdas, 72)
+    if kind == "ragged":
+        kraus = [np.concatenate([b, b]) / np.sqrt(2) if r % 2 == 0 else b
+                 for r, b in enumerate(proto.corrections.kraus)]
+        return Protocol(proto.schmidt, proto.measurement, BobCorrections(kraus))
+    return proto
 
 
 def local_product_protocol(d):
@@ -667,6 +689,9 @@ SERIALIZED_PROTOCOLS = {
 }
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def protocol_file(proto):
     """A protocol's file, parsed: every field as json reads it."""
     return json.loads(protocol_to_json(proto))
@@ -678,25 +703,26 @@ class TestSerialization:
         proto = SERIALIZED_PROTOCOLS[name]()
         corr = proto.corrections
         expected = json.dumps({
-            "schema": 2,
+            "schema": 3,
             "d": proto.d,
             "lambdas": proto.schmidt.lambdas.tolist(),
             "kraus_counts": [len(block) for block in corr.kraus],
-            "phi": np.stack([proto.measurement.phi.real, proto.measurement.phi.imag], -1)
-            .ravel().tolist(),
-            "corrections": np.stack([corr.stack.real, corr.stack.imag], -1).ravel().tolist(),
+            "phi": to_base64(proto.measurement.phi),
+            "corrections": to_base64(corr.stack),
         })
         assert protocol_to_json(proto) == expected + "\n"
 
     @pytest.mark.parametrize("shape", [(1,), (3, 4), (5, 1, 3, 3)])
-    def test_float_reprs_match_json(self, shape):
+    def test_base64_holds_little_endian_bytes_in_c_order(self, shape):
         values = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 0.1, 0.0]
         arr = np.resize(values + [-v for v in values[1:]], shape)
-        assert ", ".join(_float_reprs(arr)) == json.dumps(arr.ravel().tolist())[1:-1]
-        # a complex array's numbers interleave each entry's real and imaginary parts
         entries = np.empty(shape, dtype=complex)
         entries.real, entries.imag = arr, arr[::-1]
-        assert _float_reprs(entries) == _float_reprs(np.stack([arr, arr[::-1]], axis=-1))
+        # each entry's real then imaginary part, entries in C order, also from a transposed view
+        for view in (entries, entries.T):
+            numbers = [x for z in view.ravel().tolist() for x in (z.real, z.imag)]
+            raw = base64.b64decode(_base64(view), validate=True)
+            assert raw == struct.pack(f"<{len(numbers)}d", *numbers)
 
     def test_round_trip_bit_exact(self):
         rng = make_rng(70)
@@ -712,15 +738,10 @@ class TestSerialization:
     @pytest.mark.parametrize("kind", ["standard", "random-povm", "ragged"])
     def test_round_trip_keeps_every_bit(self, kind, d):
         # the standard protocol's arrays carry signed zeros, which value equality ignores
-        gen = make_rng(71, stream=d)
-        proto = standard_protocol(random_lambdas(d, gen))
-        if kind == "random-povm":
-            proto = povm_protocol(d, proto.schmidt.lambdas, 72)
-        elif kind == "ragged":  # every even outcome's correction split into two B/sqrt(2)
-            kraus = [np.concatenate([b, b]) / np.sqrt(2) if r % 2 == 0 else b
-                     for r, b in enumerate(proto.corrections.kraus)]
-            proto = Protocol(proto.schmidt, proto.measurement, BobCorrections(kraus))
-        restored = protocol_from_json(protocol_to_json(proto))
+        proto = kind_protocol(kind, d)
+        text = protocol_to_json(proto)
+        restored = protocol_from_json(text)
+        assert protocol_to_json(restored) == text
         pairs = [(proto.schmidt.lambdas, restored.schmidt.lambdas),
                  (proto.measurement.phi, restored.measurement.phi)]
         pairs += list(zip(proto.corrections.kraus, restored.corrections.kraus, strict=True))
@@ -733,11 +754,41 @@ class TestSerialization:
             assert a.shape == b.shape
             assert np.array_equal(a_bits, b_bits)
 
+    @pytest.mark.parametrize("d", [3, 16])
+    @pytest.mark.parametrize("kind", ["standard", "random-povm", "ragged"])
+    def test_file_arrays_decode_with_base64_and_numpy_alone(self, kind, d):
+        proto = kind_protocol(kind, d)
+        data = json.loads(protocol_to_json(proto))
+        arrays = {"phi": proto.measurement.phi, "corrections": proto.corrections.stack}
+        for field, want in arrays.items():
+            raw = base64.b64decode(data[field], validate=True)
+            got = np.frombuffer(raw, "<c16").reshape(want.shape)
+            assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
+            # little-endian, real part first, whatever the byte order of this machine
+            for i in (0, want.size - 1):
+                z = want.flat[i]
+                assert raw[16 * i : 16 * i + 16] == struct.pack("<2d", z.real, z.imag)
+
+    def test_readme_snippet_reads_phi(self, tmp_path, monkeypatch):
+        # the README's three lines that read an array with the standard library and NumPy alone
+        snippets = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+        (snippet,) = [text for text in snippets if "b64decode" in text]
+        assert len(snippet.splitlines()) == 3
+        proto = kind_protocol("random-povm", 3)
+        (tmp_path / "protocol.json").write_text(protocol_to_json(proto))
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(snippet, namespace)
+        assert namespace["phi"].shape == proto.measurement.phi.shape
+        assert namespace["phi"].tobytes() == proto.measurement.phi.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["phi", "corrections"])
     def test_non_finite_entry_raises_value_error(self, field, bad):
         data = protocol_file(standard_protocol([0.8, 0.6]))
-        data[field][9] = bad
+        values = from_base64(data[field], 2)
+        values.view(np.float64).flat[9] = bad  # an imaginary part, written as its bits
+        data[field] = to_base64(values)
         with pytest.raises(ValueError, match=f"^{field}: numbers must be finite$"):
             protocol_from_json(json.dumps(data))
 
@@ -761,8 +812,8 @@ class TestSerialization:
         data = protocol_file(proto)
         d, counts = data["d"], data["kraus_counts"]
         assert (len(set(counts)) > 1) is (proto.corrections.stack.shape[0] > proto.n_outcomes)
-        # NumPy's own list conversion, split per outcome and checked one outcome at a time
-        operators = np.array(data["corrections"], dtype=np.float64).view(complex).reshape(-1, d, d)
+        # the file's bytes read by NumPy alone, split per outcome and checked one outcome at a time
+        operators = from_base64(data["corrections"], d)
         expected = loop_kraus_check(np.split(operators, np.cumsum(counts)[:-1]))
         corr = protocol_from_json(json.dumps(data)).corrections
         assert len(corr.kraus) == len(expected) == proto.n_outcomes
@@ -775,11 +826,12 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("schema", 1, "unsupported protocol schema 1; expected 2"),
-            ("schema", "2", "unsupported protocol schema '2'; expected 2"),
-            ("schema", True, "unsupported protocol schema True; expected 2"),
-            ("schema", 2.0, "unsupported protocol schema 2.0; expected 2"),
-            ("schema", None, "unsupported protocol schema None; expected 2"),
+            ("schema", 1, "unsupported protocol schema 1; expected 3"),
+            ("schema", 2, "unsupported protocol schema 2; expected 3"),
+            ("schema", "3", "unsupported protocol schema '3'; expected 3"),
+            ("schema", True, "unsupported protocol schema True; expected 3"),
+            ("schema", 3.0, "unsupported protocol schema 3.0; expected 3"),
+            ("schema", None, "unsupported protocol schema None; expected 3"),
             ("d", None, "d must be an integer >= 2, got None"),
             ("d", [2], "d must be an integer >= 2, got [2]"),
             ("d", 2.7, "d must be an integer >= 2, got 2.7"),
@@ -791,14 +843,15 @@ class TestSerialization:
             ("lambdas", {"k": 0.8}, "lambdas must be a list of numbers"),
             ("lambdas", [{}, 0.6], "lambdas must be a list of numbers"),
             ("lambdas", [10**400, 0.6], "lambdas must be a list of numbers"),
-            ("phi", 5, "phi must be a list of numbers"),
-            ("phi", {}, "phi must be a list of numbers"),
-            ("phi", [], "phi must hold a positive multiple of 2 d^2 = 8 numbers"),
-            ("phi", [0.5] * 31, "phi must hold a positive multiple of 2 d^2 = 8 numbers"),
-            ("corrections", 5, "corrections must be a list of numbers"),
-            ("corrections", [], "corrections must hold a positive multiple of 2 d^2 = 8 numbers"),
-            ("corrections", [0.0] * 12,
-             "corrections must hold a positive multiple of 2 d^2 = 8 numbers"),
+            ("phi", 5, "phi must be a base64 string"),
+            ("phi", {}, "phi must be a base64 string"),
+            ("phi", "", "phi must hold a positive multiple of 16 d^2 = 64 bytes"),
+            ("phi", base64.b64encode(bytes(31 * 8)).decode(),
+             "phi must hold a positive multiple of 16 d^2 = 64 bytes"),
+            ("corrections", 5, "corrections must be a base64 string"),
+            ("corrections", "", "corrections must hold a positive multiple of 16 d^2 = 64 bytes"),
+            ("corrections", base64.b64encode(bytes(12 * 8)).decode(),
+             "corrections must hold a positive multiple of 16 d^2 = 64 bytes"),
             ("kraus_counts", 4, "kraus_counts must be a list of integers"),
             ("kraus_counts", [1, 1, 1, 1.0], "kraus_counts must be a list of integers"),
             ("kraus_counts", [1, 1, 1, True], "kraus_counts must be a list of integers"),
@@ -820,15 +873,52 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field", ["phi", "corrections"])
     @pytest.mark.parametrize(
-        "bad", [True, "0.7", None, {}, [0.5], 10**400],
-        ids=["boolean", "string", "null", "dict", "list", "huge"],
+        "bad", [True, 0.7, None, {}, [0.5], [], 10**400, "schema 2"],
+        ids=["boolean", "number", "null", "dict", "list", "empty-list", "huge", "schema-2-list"],
     )
-    def test_entry_that_is_no_number_raises_value_error(self, field, bad):
+    def test_field_that_is_no_string_raises_value_error(self, field, bad):
         data = protocol_file(standard_protocol([0.8, 0.6]))
-        data[field][3] = bad  # an imaginary part
+        if bad == "schema 2":  # the field as schema 2 wrote it: interleaved re/im numbers
+            bad = from_base64(data[field], 2).view(np.float64).ravel().tolist()
+        data[field] = bad
         with pytest.raises(ValueError) as info:
             protocol_from_json(json.dumps(data))
-        assert str(info.value) == f"{field} must be a list of numbers"
+        assert str(info.value) == f"{field} must be a base64 string"
+
+    @pytest.mark.parametrize("field", ["phi", "corrections"])
+    @pytest.mark.parametrize(
+        "d,edit",
+        [
+            (2, lambda t: t[:5] + "*" + t[6:]),
+            (2, lambda t: t[:5] + "\u00e9" + t[6:]),
+            (2, lambda t: t[:8] + " " + t[8:]),
+            (2, lambda t: t[:76] + "\n" + t[76:]),
+            (2, lambda t: t + "\n"),
+            (2, lambda t: t[:4] + "-" + t[5:]),
+            (2, lambda t: t[:4] + "_" + t[5:]),
+            (2, lambda t: t[:-2]),
+            (2, lambda t: t[:-1]),
+            (2, lambda t: t + "="),
+            (2, lambda t: t + "AAAA"),
+            (3, lambda t: t + "===="),
+            (3, lambda t: t + "="),
+            (3, lambda t: t[:8] + "====" + t[8:]),
+            (3, lambda t: t[:-1]),
+        ],
+        ids=["non-alphabet", "non-ascii", "space", "inner-newline", "trailing-newline",
+             "url-safe-dash", "url-safe-underscore", "missing-padding", "short-padding",
+             "excess-padding", "data-after-padding", "excess-padding-of-whole-groups",
+             "padding-of-whole-groups", "padding-inside", "truncated"],
+    )
+    def test_invalid_base64_raises_value_error(self, field, d, edit):
+        # at d = 2 a field holds 1 mod 3 bytes, so its text ends in "=="; at d = 3 it holds
+        # a multiple of 3 bytes and needs no padding
+        data = protocol_file(standard_protocol(np.full(d, d**-0.5)))
+        assert data[field].endswith("==") if d == 2 else not data[field].endswith("=")
+        data[field] = edit(data[field])
+        with pytest.raises(ValueError) as info:
+            protocol_from_json(json.dumps(data))
+        assert str(info.value) == f"{field} must be padded standard base64 with nothing else"
 
     @pytest.mark.parametrize("counts,shape", [([1, 0, 2, 1], (0, 2, 2)),
                                               ([1, -1, 3, 1], (-1, 2, 2))],
@@ -892,11 +982,12 @@ class TestSerialization:
         proto = standard_protocol([0.8, 0.6])
         data = protocol_file(proto)
         assert list(data) == ["schema", "d", "lambdas", "kraus_counts", "phi", "corrections"]
-        assert data["schema"] == 2
+        assert data["schema"] == 3
         assert data["kraus_counts"] == [1, 1, 1, 1]
-        # every array is one flat list of interleaved re/im numbers
-        assert len(data["phi"]) == len(data["corrections"]) == 4 * 2 * 2 * 2
-        assert {type(x) for x in data["phi"] + data["corrections"]} == {float}
+        # every array is one base64 string of 16 bytes per complex entry
+        for field in ("phi", "corrections"):
+            assert type(data[field]) is str
+            assert len(base64.b64decode(data[field], validate=True)) == 4 * 2 * 2 * 16
 
     def test_json_is_valid(self):
         text = protocol_to_json(standard_protocol([0.8, 0.6]))
