@@ -97,9 +97,18 @@ def optimal_fidelity_given_measurement(meas: AliceMeasurement, lambdas) -> float
     Completeness of the measurement is assumed (the incoherent term is then
     exactly d).
     """
-    a = _a_matrices(meas.phi, _matched_lambdas(meas, lambdas))
-    nuclear = np.sum(np.linalg.svd(a, compute_uv=False), axis=1)
-    return (meas.d + float(np.sum(nuclear**2))) / (meas.d * (meas.d + 1))
+    return float(_optimal_fidelities(meas.phi, _matched_lambdas(meas, lambdas)))
+
+
+def _optimal_fidelities(phi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """:func:`optimal_fidelity_given_measurement` of every measurement in a (..., R, d, d) stack.
+
+    One batched SVD scores the whole stack; each measurement's value has the
+    bits of scoring it alone.
+    """
+    d = phi.shape[-1]
+    nuclear = np.sum(np.linalg.svd(_a_matrices(phi, lam), compute_uv=False), axis=-1)
+    return (d + np.sum(nuclear**2, axis=-1)) / (d * (d + 1))
 
 
 def max_singlet_fraction(lambdas) -> float:

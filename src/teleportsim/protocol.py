@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import base64
 import json
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -67,6 +68,20 @@ class AliceMeasurement:
     def n_outcomes(self) -> int:
         return self.phi.shape[0]
 
+    @cached_property
+    def completeness_error(self) -> np.ndarray:
+        """Read-only (d, d) array: entry (k, l) is max |sum_r |phi_r^k><phi_r^l| - delta_kl I|.
+
+        Computed on first use and kept. The blocks are read off one joint-space
+        product: with the outcomes as rows of Phi (column k d + i holding
+        phi_r^k[i]), Phi^T Phi* - I is the d^2 x d^2 error, and block (k, l) of
+        it is the error of pair (k, l).
+        """
+        d = self.d
+        joint = self.phi.reshape(self.n_outcomes, d * d)
+        gram = joint.T @ joint.conj() - np.eye(d * d)
+        return _freeze(np.abs(gram).reshape(d, d, d, d).max(axis=(1, 3)))
+
 
 def _kraus_shape(r: int, shape: tuple[int, ...], d: int | None) -> tuple[int, int, int]:
     """Outcome r's Kraus block ``shape`` as (S, d, d); a bare (d, d) matrix is one operator.
@@ -88,7 +103,8 @@ def _kraus_stack(kraus) -> tuple[np.ndarray, np.ndarray]:
 
     Each block must have a shape that :func:`_kraus_shape` accepts, of the
     first block's dimension, and no blocks raise; only shapes are checked.
-    Blocks are read with ``np.asarray``, so the concatenation is the only copy.
+    Blocks are read with ``np.asarray``, so the concatenation is the only copy,
+    into a C-ordered stack whatever the blocks' layout.
     """
     blocks = []
     for r, block in enumerate(kraus):
@@ -97,7 +113,9 @@ def _kraus_stack(kraus) -> tuple[np.ndarray, np.ndarray]:
         blocks.append(arr.reshape(_kraus_shape(r, arr.shape, d)))
     if not blocks:
         raise ValueError("need at least one outcome")
-    return np.concatenate(blocks), np.array([b.shape[0] for b in blocks], dtype=np.intp)
+    sizes = np.array([b.shape[0] for b in blocks], dtype=np.intp)
+    stack = np.empty((int(sizes.sum()), *blocks[0].shape[1:]), dtype=complex)
+    return np.concatenate(blocks, out=stack), sizes
 
 
 def _kraus_check(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -202,8 +220,11 @@ class Protocol:
 
 
 def _a_matrices(phi: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """A_r = sum_k lambda_k |k><phi_r^k| for every outcome, as an (R, d, d) array."""
-    return lambdas[None, :, None] * phi.conj()
+    """A_r = sum_k lambda_k |k><phi_r^k| for every outcome, as an (R, d, d) array.
+
+    ``phi`` may also be a stack (..., R, d, d) of measurements.
+    """
+    return lambdas[:, None] * phi.conj()
 
 
 def _effect_coords(a: np.ndarray) -> np.ndarray:
@@ -284,10 +305,24 @@ def standard_measurement(d: int) -> AliceMeasurement:
 
     Outcome (p, q) combines the phase ramp exp(2 pi i k p / d) with a cyclic
     shift by q; the 1/sqrt(d) scale makes the POVM resolve the identity
-    exactly.
+    exactly. Built once per dimension and shared (see :func:`_standard_pair`).
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
+    # the cache is keyed by int: a float d raises here, as range(d) would, and an
+    # integer of another type, such as np.int64, shares the int's entry
+    return _standard_pair(operator.index(d))[0]
+
+
+@cache
+def _standard_pair(d: int) -> tuple[AliceMeasurement, BobCorrections]:
+    """The standard measurement of dimension d and its corrections sqrt(d) phi_r^T, built once.
+
+    Every Schmidt spectrum of dimension d shares them (see
+    :func:`standard_protocol`), so they are kept for the life of the process:
+    32 d^4 bytes of arrays per dimension, 2 MiB at d = 16. Both are immutable,
+    their arrays read-only (:func:`qcore._freeze`).
+    """
     scale = 1.0 / np.sqrt(d)
     # each exponent is formed by Python scalar arithmetic, in this order: a
     # vectorized 2j * pi * k * p / d differs in the last bit at several d (6, 12)
@@ -296,7 +331,8 @@ def standard_measurement(d: int) -> AliceMeasurement:
     p, q, k = np.ogrid[:d, :d, :d]
     phi = np.zeros((d * d, d, d), dtype=complex)
     phi[p + q * d, k, (k + q) % d] = phase[:, None, :]
-    return AliceMeasurement(phi)
+    meas = AliceMeasurement(phi)
+    return meas, BobCorrections(np.sqrt(d) * meas.phi.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -314,14 +350,11 @@ def validate_completeness(
 ) -> CompletenessReport:
     """Check sum_r |phi_r^k><phi_r^l| = delta_kl * I entrywise against tol.
 
-    The blocks are read off one joint-space product: with the outcomes as
-    rows of Phi (column k d + i holding phi_r^k[i]), Phi^T Phi* - I is the
-    d^2 x d^2 error, and block (k, l) of it is the error of pair (k, l).
+    The report is read off :attr:`AliceMeasurement.completeness_error`, which
+    each measurement computes once, so a check of any tol on a measurement
+    already checked costs no product.
     """
-    d = meas.d
-    joint = meas.phi.reshape(meas.n_outcomes, d * d)
-    gram = joint.T @ joint.conj() - np.eye(d * d)
-    err = np.abs(gram).reshape(d, d, d, d).max(axis=(1, 3))
+    err = meas.completeness_error
     k, l = np.unravel_index(int(np.argmax(err)), err.shape)
     worst = float(err[k, l])
     return CompletenessReport(worst <= tol, worst, (int(k), int(l)), tol)
@@ -407,10 +440,13 @@ def standard_protocol(lambdas) -> Protocol:
     choice. Every C_r = B_r A_r = V_r† diag(lambda) V_r is diagonal, with
     off-diagonal entries exactly zero, because each row of phi_r has one
     nonzero entry.
+
+    Since the corrections do not depend on the spectrum, every protocol of
+    dimension d shares one measurement and one :class:`BobCorrections`,
+    built and checked on the first call for d (:func:`_standard_pair`).
     """
     schmidt = SchmidtDecomposition.from_lambdas(lambdas)
-    meas = standard_measurement(schmidt.dim)
-    corrections = BobCorrections(np.sqrt(schmidt.dim) * meas.phi.transpose(0, 2, 1))
+    meas, corrections = _standard_pair(schmidt.dim)
     return Protocol(schmidt, meas, corrections)
 
 

@@ -21,8 +21,15 @@ RANK_CUTOFF = 1e-12
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """arr's values as a read-only view of a read-only array, so ``setflags(write=True)`` raises.
+
+    A view is copied first, in its own memory layout, since its base (a
+    caller's array, say) may still be written through another name.
+    """
+    if arr.base is not None:
+        arr = arr.copy(order="K")
     arr.setflags(write=False)
-    return arr
+    return arr.view()
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        # np.array after the ravel, so that the amplitudes are copied once and own their memory
+        amps = np.array(np.ravel(self.amplitudes), dtype=complex)
         if amps.size < 2:
             raise ValueError(f"state dimension must be at least 2, got {amps.size}")
         # a BLAS dot may round with the thread count; only this check and its message read it

@@ -11,8 +11,10 @@ from teleportsim import (
     Protocol,
     PureState,
     TeleportOutcome,
+    check_schmidt_coefficients,
     m_kl_exact,
     make_rng,
+    optimal_fidelity_given_measurement,
     sample_haar_states,
     standard_measurement,
 )
@@ -225,6 +227,50 @@ def polar_random_povm(d, n_outcomes, rng):
     inv_sqrt = (u / np.sqrt(w)) @ u.conj().T
     joint = v @ inv_sqrt.T
     return AliceMeasurement(joint.reshape(n_outcomes, d, d).transpose(0, 2, 1))
+
+
+def loop_random_povm(d, n_outcomes, rng):
+    """Random complete measurement, one Gaussian frame at a time (reference).
+
+    Draws the real and then the imaginary part of an (n_outcomes, d^2) frame,
+    and draws again, up to 8 frames, while its QR factor R has a vanishing
+    diagonal; the phases of R's diagonal fix Q's columns.
+    """
+    dd = d * d
+    if n_outcomes < dd:
+        raise ValueError(
+            f"a complete rank-one measurement on a {dd}-dimensional joint space "
+            f"needs at least {dd} outcomes, got {n_outcomes}"
+        )
+    for _ in range(8):
+        v = rng.standard_normal((n_outcomes, dd)) + 1j * rng.standard_normal((n_outcomes, dd))
+        q, r = np.linalg.qr(v)
+        diag = np.diagonal(r)
+        mag = np.abs(diag)
+        if mag.min() ** 2 > dd * 1e-12 * mag.max() ** 2:
+            break
+    else:
+        raise RuntimeError("failed to draw a full-rank Gaussian frame")
+    joint = q * (diag / mag)
+    return AliceMeasurement(joint.reshape(n_outcomes, d, d).transpose(0, 2, 1))
+
+
+def loop_search_best_protocol(lambdas, n_outcomes, iterations, rng):
+    """Best fidelity, its measurement and the candidate count, one candidate at a time (reference).
+
+    Starts from the standard measurement and keeps each ``loop_random_povm``
+    draw that scores strictly higher by ``optimal_fidelity_given_measurement``.
+    """
+    lam = check_schmidt_coefficients(lambdas)
+    d = lam.size
+    best_meas = standard_measurement(d)
+    best_f = optimal_fidelity_given_measurement(best_meas, lam)
+    for _ in range(iterations):
+        meas = loop_random_povm(d, n_outcomes, rng)
+        f = optimal_fidelity_given_measurement(meas, lam)
+        if f > best_f:
+            best_f, best_meas = f, meas
+    return best_f, best_meas, iterations + 1
 
 
 def loop_kraus_check(kraus):

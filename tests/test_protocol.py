@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import re
 import struct
@@ -28,7 +29,7 @@ from teleportsim import (
     teleport_once,
     validate_completeness,
 )
-from teleportsim.protocol import _base64, _kraus_check
+from teleportsim.protocol import COMPLETENESS_ATOL, _base64, _kraus_check
 from helpers import (
     choice_teleport_once,
     einsum_bob_unitaries,
@@ -137,7 +138,51 @@ class TestStandardMeasurement:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+class TestStandardCache:
+    """One standard measurement and one set of corrections per dimension, shared."""
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_measurement_is_built_once_per_dimension(self, d):
+        assert standard_measurement(d) is standard_measurement(d)
+        assert standard_measurement(np.int64(d)) is standard_measurement(d)
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_spectra_share_the_measurement_and_the_corrections(self, d):
+        a = standard_protocol(random_lambdas(d, make_rng(150 + d)))
+        b = standard_protocol(np.eye(d)[0])
+        assert a.measurement is b.measurement is standard_measurement(d)
+        assert a.corrections is b.corrections
+        assert a.schmidt is not b.schmidt
+
+    @pytest.mark.parametrize("d", [3.0, 3.5, np.float64(3.0)])
+    def test_non_integer_dimension_raises_also_when_cached(self, d):
+        standard_measurement(3)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            standard_measurement(d)
+
+    def test_dimension_below_two_raises(self):
+        for d in (1, 1.5, True):
+            with pytest.raises(ValueError, match="at least 2"):
+                standard_measurement(d)
+
+
 class TestValidateCompleteness:
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_report_on_the_cached_measurement_equals_a_fresh_copy(self, d):
+        meas = standard_measurement(d)
+        fresh = AliceMeasurement(np.array(meas.phi))
+        for tol in (0.0, 1e-16, 1e-15, 3e-15, 1e-12, COMPLETENESS_ATOL, 1.0):
+            got, want = validate_completeness(meas, tol), validate_completeness(fresh, tol)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            assert type(got.max_error) is type(want.max_error) is float
+
+    def test_error_is_computed_once_per_measurement(self):
+        meas = random_povm(3, 11, make_rng(151))
+        err = meas.completeness_error
+        assert meas.completeness_error is err
+        assert err.shape == (3, 3) and not err.flags.writeable
+        assert validate_completeness(meas).max_error == float(err.max())
+
     def test_standard_d3_passes(self):
         report = validate_completeness(standard_measurement(3))
         assert report.passed and report.max_error < 1e-12
@@ -374,6 +419,19 @@ class TestBobCorrections:
             assert np.array_equal(block, want)
             assert np.array_equal(corr.stack[corr.outcome == r], want)
 
+    @pytest.mark.parametrize("kind", ["standard", "svd", "file", "ragged"])
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_stack_is_c_contiguous(self, kind, d):
+        proto = kind_protocol("ragged" if kind == "ragged" else "standard", d)
+        if kind == "svd":
+            proto = Protocol(proto.schmidt, proto.measurement,
+                             optimal_bob_corrections(proto.measurement, proto.schmidt))
+        elif kind == "file":
+            proto = protocol_from_json(protocol_to_json(proto))
+        stack = proto.corrections.stack
+        assert stack.flags.c_contiguous
+        assert stack.strides == (16 * d * d, 16 * d, 16)
+
     def test_later_changes_to_the_input_do_not_reach_the_corrections(self):
         rng = make_rng(53)
         blocks = [random_kraus_set(2, s, rng) for s in (2, 1, 3, 1)]
@@ -479,6 +537,56 @@ class TestAliceMeasurement:
         proto = povm_protocol(d, random_lambdas(d, make_rng(58)), 59)
         for arr in (proto.measurement.phi, proto.channel.a, proto.channel.kraus):
             assert arr.flags.c_contiguous
+
+
+def handed_out_arrays(proto):
+    """(name, array) of every array a protocol, its channel and its reports hand out."""
+    meas, corr, channel = proto.measurement, proto.corrections, proto.channel
+    yield "phi", meas.phi
+    yield "completeness_error", meas.completeness_error
+    yield "stack", corr.stack
+    yield "outcome", corr.outcome
+    for r, block in enumerate(corr.kraus):
+        yield f"kraus[{r}]", block
+    for name in ("lambdas", "left_basis", "right_basis"):
+        yield name, getattr(proto.schmidt, name)
+    yield "channel.a", channel.a
+    yield "channel.kraus", channel.kraus
+    yield "channel.gram", channel.gram
+    yield "channel.effects", channel.effects[0]
+    yield "OptimalityReport.errors", check_optimality(meas, proto.schmidt).errors
+
+
+class TestReadOnlyArrays:
+    """No array the package hands out can be made writable again."""
+
+    @pytest.mark.parametrize("kind", ["standard", "random-povm", "ragged", "file"])
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_setflags_write_raises(self, kind, d):
+        proto = kind_protocol("standard" if kind == "file" else kind, d)
+        if kind == "file":
+            proto = protocol_from_json(protocol_to_json(proto))
+        for name, arr in handed_out_arrays(proto):
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.setflags(write=True)
+
+    def test_a_write_attempt_cannot_reach_the_shared_standard_measurement(self):
+        phi = standard_measurement(3).phi
+        before = np.array(phi)
+        with pytest.raises(ValueError):
+            phi.setflags(write=True)
+        with pytest.raises(ValueError, match="read-only"):
+            phi[0, 0, 0] = 2.0
+        assert np.array_equal(standard_measurement(3).phi, before)
+
+    def test_later_changes_to_the_caller_lambdas_do_not_reach_the_resource(self):
+        lam = np.array([0.8, 0.6])
+        schmidt = SchmidtDecomposition.from_lambdas(lam)
+        lam[:] = [0.6, 0.8]
+        assert np.array_equal(schmidt.lambdas, [0.8, 0.6])
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            schmidt.lambdas.setflags(write=True)
 
 
 class TestProtocol:
@@ -820,7 +928,8 @@ class TestSerialization:
         for got, want, written in zip(corr.kraus, expected, proto.corrections.kraus):
             assert got.shape == want.shape == written.shape
             assert got.tobytes() == want.tobytes() == written.tobytes()
-            assert got.base is corr.stack
+            # the stack and its blocks are read-only views of one read-only array
+            assert got.base is corr.stack.base
             assert not got.flags.writeable
 
     @pytest.mark.parametrize(

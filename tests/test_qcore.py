@@ -67,6 +67,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            (lambda a: PureState(a[0]), "amplitudes"),
+            (lambda a: PureState(a[:, :1].reshape(2, 1)), "amplitudes"),
+            (lambda a: Operator(a), "matrix"),
+            (lambda a: BipartiteVector(a / np.sqrt(2)), "coeffs"),
+            (lambda a: SchmidtDecomposition(np.full(2, 2**-0.5), a, a), "left_basis"),
+        ],
+        ids=["state", "state-from-column", "operator", "bipartite", "schmidt-basis"],
+    )
+    def test_arrays_cannot_be_made_writable_or_reached_through_the_input(self, make, field):
+        source = np.eye(2, dtype=complex)
+        arr = getattr(make(source), field)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            arr.setflags(write=True)
+        before = np.array(arr)
+        source[:] = 0.0
+        assert np.array_equal(arr, before)
+
 
 class TestSchmidtDecompose:
     def test_product_state(self):

@@ -6,9 +6,58 @@ from teleportsim import (
     make_rng,
     random_povm,
     search_best_protocol,
+    standard_measurement,
     validate_completeness,
 )
-from helpers import polar_random_povm, random_lambdas
+from teleportsim.search import BLOCK_ENTRIES, MAX_FAILED_FRAMES
+from helpers import (
+    loop_random_povm,
+    loop_search_best_protocol,
+    polar_random_povm,
+    random_lambdas,
+)
+
+
+def block_size(d, n_outcomes):
+    """Candidates per search block."""
+    return max(1, BLOCK_ENTRIES // (n_outcomes * d * d))
+
+
+class ScriptedGaussian:
+    """A seeded generator whose chosen Gaussian frames are rank one.
+
+    Frame f is the f-th run of 2 n_outcomes d^2 normals drawn, however the
+    draws are split into calls; the frames in ``rank_one`` are all ones.
+    ``shapes`` records the shape of each ``standard_normal`` call.
+    """
+
+    def __init__(self, seed, d, n_outcomes, rank_one=()):
+        self.rng = make_rng(seed)
+        self.frame = 2 * n_outcomes * d * d
+        self.rank_one = sorted(rank_one)
+        self.drawn = 0
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        values = self.rng.standard_normal(shape)
+        flat = values.reshape(-1)
+        frames = (self.drawn + np.arange(flat.size)) // self.frame
+        flat[np.isin(frames, self.rank_one)] = 1.0
+        self.drawn += flat.size
+        return values
+
+    def random(self):
+        return self.rng.random()
+
+
+def assert_same_search(result, reference, rng, reference_rng):
+    best_f, best_meas, n_evaluated = reference
+    assert result.best_fidelity == best_f
+    assert np.array_equal(result.best_measurement.phi.view(np.uint64),
+                          best_meas.phi.view(np.uint64))
+    assert result.n_evaluated == n_evaluated
+    assert rng.random() == reference_rng.random()
 
 
 class TestRandomPovm:
@@ -67,6 +116,84 @@ class TestRandomPovm:
             random_povm(2, 5, RankOneGaussian())
 
 
+class TestSearchBlocks:
+    """Blocked search against the one-candidate-at-a-time reference, bit for bit."""
+
+    @pytest.mark.parametrize("spectrum", ["random", "product"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["n=d^2", "n=d^2+d"])
+    def test_matches_one_at_a_time_reference(self, d, extra, spectrum):
+        n_outcomes = d * d + extra * d
+        lam = random_lambdas(d, make_rng(120 + d)) if spectrum == "random" else np.eye(d)[0]
+        # two whole blocks and a partial third
+        iterations = 2 * block_size(d, n_outcomes) + 3
+        rng, reference_rng = make_rng(130 + d), make_rng(130 + d)
+        result = search_best_protocol(lam, n_outcomes, iterations, rng)
+        reference = loop_search_best_protocol(lam, n_outcomes, iterations, reference_rng)
+        assert_same_search(result, reference, rng, reference_rng)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_product_spectrum_search_keeps_a_random_candidate(self, d):
+        # every complete measurement scores 2 / (d + 1) on a product resource up to
+        # rounding, so at d = 2 and 4 some draws beat the standard measurement by
+        # rounding and several share the best score: the reference comparison above
+        # then checks which of equal scores wins
+        result = search_best_protocol(np.eye(d)[0], d * d, 2000, make_rng(133))
+        assert result.best_measurement is not standard_measurement(d)
+        assert 0 < result.best_fidelity - 2 / (d + 1) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "rank_one",
+        [[0], [0, 1, 2], [5], [15], [15, 16], [7, 20, 33, 39], list(range(3, 10))],
+        ids=["first", "first-three", "mid-block", "last-in-block", "across-blocks",
+             "scattered", "seven-in-a-row"],
+    )
+    def test_rank_deficient_frames_are_skipped_as_the_reference_skips_them(self, rank_one):
+        d, n_outcomes = 8, 64
+        assert block_size(d, n_outcomes) == 16
+        lam = random_lambdas(d, make_rng(140))
+        rng = ScriptedGaussian(141, d, n_outcomes, rank_one)
+        reference_rng = ScriptedGaussian(141, d, n_outcomes, rank_one)
+        result = search_best_protocol(lam, n_outcomes, 40, rng)
+        reference = loop_search_best_protocol(lam, n_outcomes, 40, reference_rng)
+        assert_same_search(result, reference, rng, reference_rng)
+
+    @pytest.mark.parametrize("start", [0, 5, 12])
+    def test_eight_rank_deficient_frames_in_a_row_raise_as_the_reference_does(self, start):
+        d, n_outcomes = 8, 64
+        rank_one = range(start, start + MAX_FAILED_FRAMES)
+        lam = random_lambdas(d, make_rng(142))
+        with pytest.raises(RuntimeError) as reference:
+            loop_search_best_protocol(lam, n_outcomes, 40, ScriptedGaussian(143, d, n_outcomes,
+                                                                            rank_one))
+        with pytest.raises(RuntimeError) as got:
+            search_best_protocol(lam, n_outcomes, 40, ScriptedGaussian(143, d, n_outcomes,
+                                                                       rank_one))
+        assert str(got.value) == str(reference.value) == "failed to draw a full-rank Gaussian frame"
+
+    @pytest.mark.parametrize("rank_one", [[], [0], list(range(7))])
+    def test_random_povm_matches_the_reference(self, rank_one):
+        d, n_outcomes = 3, 12
+        rng = ScriptedGaussian(144, d, n_outcomes, rank_one)
+        reference_rng = ScriptedGaussian(144, d, n_outcomes, rank_one)
+        for _ in range(3):
+            got, want = random_povm(d, n_outcomes, rng), loop_random_povm(d, n_outcomes,
+                                                                          reference_rng)
+            assert np.array_equal(got.phi.view(np.uint64), want.phi.view(np.uint64))
+        assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize(
+        "d,n_outcomes,iterations,counts",
+        [(2, 4, 5000, [4096, 904]), (8, 64, 40, [16, 16, 8]), (16, 256, 2, [1, 1]),
+         (16, 272, 1, [1])],
+    )
+    def test_each_block_draws_its_frames_in_one_call(self, d, n_outcomes, iterations, counts):
+        # at most 2^16 complex frame entries per block: one candidate at d = 16
+        rng = ScriptedGaussian(145, d, n_outcomes)
+        search_best_protocol(np.eye(d)[0], n_outcomes, iterations, rng)
+        assert rng.shapes == [(c, 2, n_outcomes, d * d) for c in counts]
+
+
 class TestSearchBestProtocol:
     def test_maximally_entangled_reaches_one(self):
         lam = np.full(2, 1 / np.sqrt(2))
@@ -94,6 +221,11 @@ class TestSearchBestProtocol:
             lam = random_lambdas(d, rng)
             result = search_best_protocol(lam, d * d, 1, rng)
             assert abs(result.gap) <= 1e-10
+
+    @pytest.mark.parametrize("n_outcomes", [-1, 0, 3])
+    def test_too_few_outcomes_rejected(self, n_outcomes):
+        with pytest.raises(ValueError, match="at least 4 outcomes"):
+            search_best_protocol([0.8, 0.6], n_outcomes, 5, make_rng(0))
 
     def test_iteration_floor(self):
         with pytest.raises(ValueError, match="iteration"):
