@@ -30,12 +30,9 @@ def main():
         coeffs = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         state = BipartiteVector(coeffs / np.linalg.norm(coeffs))
         dec = schmidt_decompose(state)
-
-        recon_err = np.linalg.norm(dec.reconstruct().coeffs - state.coeffs)
         print(f"d = {d}")
         print(f"  Schmidt coefficients : {np.round(dec.lambdas, 6)}")
         print(f"  effective rank       : {dec.effective_rank}")
-        print(f"  reconstruction error : {recon_err:.2e}")
         print(f"  fidelity bound       : {fidelity_bound(dec.lambdas):.6f}")
         print(f"  estimation bound     : {estimation_fidelity_bound(dec.lambdas):.6f}")
         print(f"  max singlet fraction : {max_singlet_fraction(dec.lambdas):.6f}")

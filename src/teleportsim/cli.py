@@ -255,7 +255,7 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
                     "a protocol file sets its own Schmidt coefficients"
                 )
         with open(args.protocol, encoding="utf-8") as fh:
-            schmidt, meas, stack, sizes = _protocol_parts(json.load(fh))
+            schmidt, meas, stack, sizes = _protocol_parts(fh.read())
         if args.d not in (None, meas.d):
             raise ValueError(f"--d {args.d} does not match the protocol file's dimension {meas.d}")
         lam, flags = schmidt.lambdas, {}

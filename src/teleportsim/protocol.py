@@ -178,7 +178,11 @@ class BobCorrections:
 
 @dataclass(frozen=True)
 class Protocol:
-    """Complete teleportation protocol: resource state, measurement, corrections."""
+    """Complete teleportation protocol: resource state, measurement, corrections.
+
+    The resource is held as its Schmidt spectrum; the measurement blocks are
+    written in its Schmidt basis, so no local basis is needed.
+    """
 
     schmidt: SchmidtDecomposition
     measurement: AliceMeasurement
@@ -445,7 +449,7 @@ def standard_protocol(lambdas) -> Protocol:
     dimension d shares one measurement and one :class:`BobCorrections`,
     built and checked on the first call for d (:func:`_standard_pair`).
     """
-    schmidt = SchmidtDecomposition.from_lambdas(lambdas)
+    schmidt = SchmidtDecomposition(lambdas)
     meas, corrections = _standard_pair(schmidt.dim)
     return Protocol(schmidt, meas, corrections)
 
@@ -550,16 +554,22 @@ def _complex_stack(text, field: str, d: int) -> np.ndarray:
 
 
 def _protocol_parts(
-    data: dict,
+    text: str,
 ) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray, np.ndarray]:
-    """Resource, measurement, Kraus stack and per-outcome Kraus counts of a parsed protocol file.
+    """Resource, measurement, Kraus stack and per-outcome Kraus counts of a protocol file's text.
 
     Neither completeness nor Kraus normalization is checked, so that a broken
     protocol can still be diagnosed; :func:`protocol_from_json` enforces both.
     The stack and counts are ready for :func:`_kraus_check`. A schema other
     than :data:`PROTOCOL_SCHEMA` or a malformed field raises a ValueError that
     names it; a Kraus count below 1 names its outcome, as :func:`_kraus_shape` does.
+    Text that is not JSON, or that nests too deeply for ``json.loads``, raises
+    a ValueError too.
     """
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("protocol JSON nests too deeply to be read") from None
     try:
         # the schema comes first: a file of another schema may lack the fields below
         schema = data["schema"]
@@ -572,7 +582,7 @@ def _protocol_parts(
         raise ValueError(f"protocol is missing field {exc}") from None
     if type(d) is not int or d < 2:
         raise ValueError(f"d must be an integer >= 2, got {d!r}")
-    schmidt = SchmidtDecomposition.from_lambdas(_numbers(lambdas, "lambdas"))
+    schmidt = SchmidtDecomposition(_numbers(lambdas, "lambdas"))
     if schmidt.dim != d:
         raise ValueError(
             f"declared dimension {d} does not match {schmidt.dim} Schmidt coefficients"
@@ -603,9 +613,8 @@ def protocol_to_json(proto: Protocol) -> str:
     The text is ``json.dumps`` of ``{schema, d, lambdas, kraus_counts, phi,
     corrections}`` plus a newline, where ``phi`` and ``corrections`` are the
     measurement blocks and :attr:`BobCorrections.stack`, each as one base64
-    string of its bytes (:func:`_base64`). Only the Schmidt coefficients of
-    the resource are stored; the local Schmidt bases are a frame choice that
-    the protocol's action does not depend on.
+    string of its bytes (:func:`_base64`). The resource is stored as its
+    Schmidt coefficients, which is all a :class:`SchmidtDecomposition` holds.
     """
     corr = proto.corrections
     head = json.dumps({
@@ -622,6 +631,6 @@ def protocol_to_json(proto: Protocol) -> str:
 
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
-    schmidt, meas, stack, sizes = _protocol_parts(json.loads(text))
+    schmidt, meas, stack, sizes = _protocol_parts(text)
     kraus = tuple(np.split(stack, np.cumsum(sizes)[:-1]))
     return Protocol(schmidt, meas, BobCorrections(kraus))

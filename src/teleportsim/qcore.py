@@ -1,9 +1,9 @@
 """Dense complex linear algebra for d-level quantum systems.
 
 Immutable wrappers for state vectors, operators and bipartite coefficient
-matrices, plus the SVD-based Schmidt decomposition the teleportation
-machinery hinges on. Everything here is a pure function of its inputs, so
-instances are safe to share across threads.
+matrices, plus the Schmidt spectrum of a shared pure state, which is all of
+the state the teleportation machinery reads. Everything here is a pure
+function of its inputs, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import numpy as np
 
 #: construction-time normalization tolerance
 NORM_ATOL = 1e-12
-#: reconstruction / equality tolerance (headroom for SVD conditioning)
-RECON_ATOL = 1e-10
 #: Schmidt coefficients at or below this are treated as exact zeros
 RANK_CUTOFF = 1e-12
 
@@ -127,34 +125,19 @@ def check_schmidt_coefficients(lambdas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Canonical form sum_k lambda_k |left_k> x |right_k> of a bipartite vector.
+    """Schmidt coefficients lambda of a bipartite pure state sum_k lambda_k |k>|k>.
 
-    Coefficients are nonnegative and sorted descending; the local bases are
-    stored as rows (``left_basis[k]`` holds the amplitudes of the k-th left
-    vector).
+    The coefficients are checked by :func:`check_schmidt_coefficients`:
+    nonnegative, sorted descending and of unit sum of squares. The local
+    Schmidt bases are not kept: the fidelity, its bound, the optimality
+    conditions and the estimation figure depend on the state only through
+    lambda, and every protocol is written in Schmidt-block form.
     """
 
     lambdas: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = check_schmidt_coefficients(self.lambdas)
-        left = np.array(self.left_basis, dtype=complex)
-        right = np.array(self.right_basis, dtype=complex)
-        d = lam.size
-        for name, basis in (("left_basis", left), ("right_basis", right)):
-            if basis.shape != (d, d):
-                raise ValueError(f"{name} must have shape {(d, d)}, got {basis.shape}")
-            # checked before the product, which warns on an infinite entry
-            if not np.isfinite(basis).all():
-                raise ValueError(f"{name} rows are not orthonormal: entries must be finite")
-            gram = basis @ basis.conj().T
-            if not np.max(np.abs(gram - np.eye(d))) <= RECON_ATOL:
-                raise ValueError(f"{name} rows are not orthonormal")
-        object.__setattr__(self, "lambdas", _freeze(lam))
-        object.__setattr__(self, "left_basis", _freeze(left))
-        object.__setattr__(self, "right_basis", _freeze(right))
+        object.__setattr__(self, "lambdas", _freeze(check_schmidt_coefficients(self.lambdas)))
 
     @property
     def dim(self) -> int:
@@ -165,34 +148,14 @@ class SchmidtDecomposition:
         """Number of Schmidt coefficients strictly above the zero cutoff."""
         return int(np.sum(self.lambdas > RANK_CUTOFF))
 
-    @classmethod
-    def from_lambdas(cls, lambdas) -> "SchmidtDecomposition":
-        """Decomposition with computational-basis local bases.
-
-        The coefficients are checked once, by ``__post_init__``.
-        """
-        lam = np.asarray(lambdas, dtype=float).reshape(-1)
-        eye = np.eye(lam.size, dtype=complex)
-        return cls(lam, eye, eye)
-
-    def reconstruct(self) -> BipartiteVector:
-        """Rebuild the coefficient matrix sum_k lambda_k |left_k>|right_k>."""
-        coeffs = np.einsum("k,kj,kl->jl", self.lambdas, self.left_basis, self.right_basis)
-        return BipartiteVector(coeffs)
-
 
 def schmidt_decompose(state: BipartiteVector) -> SchmidtDecomposition:
-    """Schmidt decomposition of a normalized bipartite state via SVD.
+    """Schmidt spectrum of a normalized bipartite state: its coefficient matrix's singular values.
 
-    Returns the singular values of the coefficient matrix sorted descending
-    together with the matching orthonormal local bases, so that the input
-    equals sum_k lambda_k |left_k> x |right_k> within ``RECON_ATOL``. With
-    degenerate singular values any valid SVD basis may be returned; all
-    downstream quantities are insensitive to that freedom.
+    LAPACK returns them sorted descending. The local bases are not computed
+    (see :class:`SchmidtDecomposition`).
     """
     d_a, d_b = state.dims
     if d_a != d_b:
         raise ValueError(f"subsystem dimensions must match, got {state.dims}")
-    u, s, vh = np.linalg.svd(state.coeffs)
-    return SchmidtDecomposition(s, u.T, vh)
-
+    return SchmidtDecomposition(np.linalg.svd(state.coeffs, compute_uv=False))

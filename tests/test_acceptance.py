@@ -163,12 +163,12 @@ def test_criterion_8_optimality_condition_detector():
     ok = True
     details = []
     for d in range(2, 7):
-        schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(d, rng))
+        schmidt = SchmidtDecomposition(random_lambdas(d, rng))
         rep = check_optimality(standard_measurement(d), schmidt, tol=1e-10)
         if not rep.passed:
             ok = False
             details.append(f"standard d={d} flagged")
-    schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
+    schmidt = SchmidtDecomposition([0.8, 0.6])
     # unequal norms within an outcome
     phi = np.array(standard_measurement(2).phi)
     phi[1, 1] *= 1.3
@@ -223,7 +223,7 @@ def test_criterion_10_fidelity_formulation_equivalence():
             corr = BobCorrections(blocks)
         else:
             corr = BobCorrections([random_kraus_set(2, 1, rng)[0] for _ in range(meas.n_outcomes)])
-        proto = Protocol(SchmidtDecomposition.from_lambdas(lam), meas, corr)
+        proto = Protocol(SchmidtDecomposition(lam), meas, corr)
         worst = max(worst, abs(mean_fidelity_exact(proto) - mean_fidelity_mkl_form(proto)))
     report(
         "criterion-10 formulation equivalence",

@@ -73,7 +73,7 @@ def multi_kraus_protocol(d, kind, rng):
     meas = random_povm(d, d * d, rng)
     blocks = tuple(random_kraus_set(d, 1 + r % 3, rng) for r in range(meas.n_outcomes))
     lam = spectrum(kind, d, rng)
-    return Protocol(SchmidtDecomposition.from_lambdas(lam), meas, BobCorrections(blocks))
+    return Protocol(SchmidtDecomposition(lam), meas, BobCorrections(blocks))
 
 
 def cases():
@@ -159,7 +159,7 @@ class TestFormSupport:
         proto = standard_protocol(lam)
         meas = proto.measurement
         povm = random_povm(d, d * d + 1, make_rng(351 + d))
-        schmidt = SchmidtDecomposition.from_lambdas(lam)
+        schmidt = SchmidtDecomposition(lam)
         dense = Protocol(schmidt, povm, optimal_bob_corrections(povm, schmidt))
         forms = {
             "fidelity": (proto.channel.gram, d),
@@ -315,7 +315,7 @@ class TestAMatrices:
         # with lambda = (1, 0, 0) each A_r is |0><phi_r^0|, so its one
         # nonzero singular value (its nuclear norm) is the norm of phi_r^0
         meas = random_povm(3, 11, make_rng(270))
-        schmidt = SchmidtDecomposition.from_lambdas([1.0, 0.0, 0.0])
+        schmidt = SchmidtDecomposition([1.0, 0.0, 0.0])
         proto = Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
         svals = np.linalg.svd(proto.channel.a, compute_uv=False)
         assert np.all(svals[:, 1:] <= 1e-14)
@@ -384,7 +384,7 @@ class TestBlockMemory:
 
     @pytest.fixture(scope="class")
     def proto(self):
-        schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(16, make_rng(280)))
+        schmidt = SchmidtDecomposition(random_lambdas(16, make_rng(280)))
         meas = random_povm(16, 256, make_rng(284))
         return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
 

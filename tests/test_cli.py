@@ -361,7 +361,7 @@ class TestCheckProtocol:
     def test_ragged_file_reports_the_error_of_its_stack(self, capsys, tmp_path):
         gen = make_rng(95)
         meas = random_povm(3, 11, gen)
-        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.48, 0.36])
+        schmidt = SchmidtDecomposition([0.8, 0.48, 0.36])
         blocks = optimal_bob_corrections(meas, schmidt).kraus
         # every third outcome gets two operators B/sqrt(2), one of them slightly off
         kraus = tuple(np.concatenate([b, b * (1 + 2e-11)]) / np.sqrt(2) if r % 3 == 0 else b
@@ -470,7 +470,7 @@ class TestCheckProtocol:
     @pytest.mark.parametrize("tol", ["1e-10", "1e-3", "-1", "nan"])
     @pytest.mark.parametrize("kind", ["random-povm", "duplicated-block"])
     def test_violations_match_loop_reference(self, capsys, tmp_path, kind, tol):
-        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.48, 0.36])
+        schmidt = SchmidtDecomposition([0.8, 0.48, 0.36])
         if kind == "random-povm":
             meas = random_povm(3, 9, make_rng(97))
             data = json.loads(protocol_to_json(
@@ -572,6 +572,19 @@ class TestCheckProtocol:
         path.write_text("{not json")
         code, out, err = run_cli(capsys, "check-protocol", str(path))
         assert code == 2
+
+    def test_deeply_nested_json_exits_two_without_a_traceback(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"schema": ' + "[" * 10**5 + "]" * 10**5 + "}")
+        # a fresh interpreter, so that stderr holds all the run prints, a traceback included
+        src = str(Path(teleportsim.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "teleportsim.cli", "check-protocol", str(path)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: protocol JSON nests too deeply to be read\n"
+        )
 
 
 class TestSearch:

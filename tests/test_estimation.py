@@ -164,7 +164,7 @@ class TestOptimalityOfStrategy:
         rng = make_rng(100 + d)
         for _ in range(25):
             meas = random_optimal_measurement(d, int(rng.integers(1, 4)), rng)
-            schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(d, rng))
+            schmidt = SchmidtDecomposition(random_lambdas(d, rng))
             assert check_optimality(meas, schmidt).passed
             value = estimation_fidelity_exact(
                 meas, schmidt.lambdas, optimal_estimates(meas)

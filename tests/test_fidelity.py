@@ -30,7 +30,7 @@ def random_protocol(d, rng, multi_kraus=False):
         corr = BobCorrections(blocks)
     else:
         corr = BobCorrections(random_unitaries(d, meas.n_outcomes, rng))
-    return Protocol(SchmidtDecomposition.from_lambdas(lam), meas, corr)
+    return Protocol(SchmidtDecomposition(lam), meas, corr)
 
 
 class TestMeanFidelityExact:
@@ -85,7 +85,7 @@ class TestMeanFidelityMonteCarlo:
 
     def test_identity_corrections_are_suboptimal(self):
         proto = Protocol(
-            SchmidtDecomposition.from_lambdas([1 / np.sqrt(2)] * 2),
+            SchmidtDecomposition([1 / np.sqrt(2)] * 2),
             standard_measurement(2),
             BobCorrections([np.eye(2)] * 4),
         )
@@ -181,7 +181,7 @@ class TestOptimalFidelityGivenMeasurement:
         for d in (2, 3):
             lam = random_lambdas(d, rng)
             meas = random_povm(d, d * d, rng)
-            schmidt = SchmidtDecomposition.from_lambdas(lam)
+            schmidt = SchmidtDecomposition(lam)
             proto = Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
             assert mean_fidelity_exact(proto) == pytest.approx(
                 optimal_fidelity_given_measurement(meas, lam), abs=1e-12

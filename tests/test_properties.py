@@ -54,7 +54,7 @@ def protocols(draw):
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     meas = random_povm(d, n_outcomes, rng)
     blocks = tuple(random_kraus_set(d, s, rng) for s in n_kraus)
-    return Protocol(SchmidtDecomposition.from_lambdas(lam), meas, BobCorrections(blocks))
+    return Protocol(SchmidtDecomposition(lam), meas, BobCorrections(blocks))
 
 
 @st.composite
@@ -98,7 +98,7 @@ def test_optimality_conditions_hold_exactly_when_bound_is_reached(case):
     # the paper's conditions are necessary and sufficient: with a 1e-10 tolerance
     # on the blocks, the best fidelity reaches the bound to 1e-12 exactly when they pass
     lam, meas = case
-    report = check_optimality(meas, SchmidtDecomposition.from_lambdas(lam))
+    report = check_optimality(meas, SchmidtDecomposition(lam))
     gap = fidelity_bound(lam) - optimal_fidelity_given_measurement(meas, lam)
     assert gap >= -1e-12
     assert report.passed == (gap <= 1e-12)

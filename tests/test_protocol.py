@@ -58,14 +58,13 @@ def multi_kraus_protocol(d, gen):
     """
     meas = random_povm(d, d * d, gen)
     kraus = tuple(random_kraus_set(d, 1 + r % 3, gen) for r in range(meas.n_outcomes))
-    return Protocol(SchmidtDecomposition.from_lambdas(random_lambdas(d, gen)), meas,
-                    BobCorrections(kraus))
+    return Protocol(SchmidtDecomposition(random_lambdas(d, gen)), meas, BobCorrections(kraus))
 
 
 def povm_protocol(d, lambdas, seed):
     """Random complete measurement of d^2 outcomes with one optimal correction per outcome."""
     meas = random_povm(d, d * d, make_rng(seed, stream=d))
-    schmidt = SchmidtDecomposition.from_lambdas(lambdas)
+    schmidt = SchmidtDecomposition(lambdas)
     return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
 
 
@@ -95,7 +94,7 @@ def local_product_protocol(d):
     phi = np.zeros((d * d, d, d), dtype=complex)
     phi[r, r // d, r % d] = 1.0
     meas = AliceMeasurement(phi)
-    schmidt = SchmidtDecomposition.from_lambdas(np.eye(d)[0])
+    schmidt = SchmidtDecomposition(np.eye(d)[0])
     return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
 
 
@@ -206,7 +205,7 @@ class TestValidateCompleteness:
 class TestCheckOptimality:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_standard_passes(self, d):
-        schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(d, make_rng(d)))
+        schmidt = SchmidtDecomposition(random_lambdas(d, make_rng(d)))
         report = check_optimality(standard_measurement(d), schmidt, tol=1e-10)
         assert report.passed
         assert report.max_error < 1e-12
@@ -214,7 +213,7 @@ class TestCheckOptimality:
     def test_duplicate_block_flags_orthogonality(self):
         phi = np.array(standard_measurement(2).phi)
         phi[0, 1] = phi[0, 0]
-        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
+        schmidt = SchmidtDecomposition([0.8, 0.6])
         report = check_optimality(AliceMeasurement(phi), schmidt)
         assert not report.passed
         violations = report_violations(report)
@@ -225,7 +224,7 @@ class TestCheckOptimality:
     def test_scaled_block_flags_norm(self):
         phi = np.array(standard_measurement(2).phi)
         phi[1, 1] *= 1.3
-        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
+        schmidt = SchmidtDecomposition([0.8, 0.6])
         report = check_optimality(AliceMeasurement(phi), schmidt)
         assert not report.passed
         kinds = {kind for *_, kind in report_violations(report)}
@@ -235,12 +234,12 @@ class TestCheckOptimality:
         # only k = 0 is constrained, and a single block is trivially fine
         phi = np.array(standard_measurement(2).phi)
         phi[0, 1] = phi[0, 0]  # would violate orthogonality at full rank
-        schmidt = SchmidtDecomposition.from_lambdas([1.0, 0.0])
+        schmidt = SchmidtDecomposition([1.0, 0.0])
         assert schmidt.effective_rank == 1
         assert check_optimality(AliceMeasurement(phi), schmidt).passed
 
     def test_dimension_mismatch_rejected(self):
-        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
+        schmidt = SchmidtDecomposition([0.8, 0.6])
         with pytest.raises(ValueError, match="dimension"):
             check_optimality(standard_measurement(3), schmidt)
 
@@ -261,7 +260,7 @@ class TestCheckOptimality:
             (standard_measurement(d), lam),
         ]
         for meas, spectrum in cases:
-            schmidt = SchmidtDecomposition.from_lambdas(spectrum)
+            schmidt = SchmidtDecomposition(spectrum)
             for tol in (1e-10, 1e-3):
                 report = check_optimality(meas, schmidt, tol)
                 ref, ref_max = loop_check_optimality(meas, schmidt, tol)
@@ -282,7 +281,7 @@ class TestCheckOptimality:
 class TestOptimalBobCorrections:
     def test_pauli_type_corrections_for_bell_measurement(self):
         meas = standard_measurement(2)
-        schmidt = SchmidtDecomposition.from_lambdas([1 / np.sqrt(2)] * 2)
+        schmidt = SchmidtDecomposition([1 / np.sqrt(2)] * 2)
         corr = optimal_bob_corrections(meas, schmidt)
         eye = np.eye(2)
         z = np.diag([1.0, -1.0])
@@ -294,7 +293,7 @@ class TestOptimalBobCorrections:
 
     def test_product_resource_maps_zero_to_leading_block(self):
         meas = random_povm(2, 4, make_rng(12))
-        schmidt = SchmidtDecomposition.from_lambdas([1.0, 0.0])
+        schmidt = SchmidtDecomposition([1.0, 0.0])
         corr = optimal_bob_corrections(meas, schmidt)
         for r in range(4):
             image = corr.kraus[r][0] @ np.array([1.0, 0.0])
@@ -307,7 +306,7 @@ class TestOptimalBobCorrections:
         rng = make_rng(40 + d)
         lam = random_lambdas(d, rng)
         meas = random_povm(d, d * d, rng)
-        schmidt = SchmidtDecomposition.from_lambdas(lam)
+        schmidt = SchmidtDecomposition(lam)
         corr = optimal_bob_corrections(meas, schmidt)
         a = lam[None, :, None] * meas.phi.conj()
         nuclear = np.linalg.svd(a, compute_uv=False).sum(axis=1)
@@ -319,7 +318,7 @@ class TestOptimalBobCorrections:
             assert best_random <= achieved + 1e-10
 
     def test_dimension_mismatch_rejected(self):
-        schmidt = SchmidtDecomposition.from_lambdas([0.8, 0.6])
+        schmidt = SchmidtDecomposition([0.8, 0.6])
         with pytest.raises(ValueError, match="dimension"):
             optimal_bob_corrections(standard_measurement(3), schmidt)
 
@@ -327,7 +326,7 @@ class TestOptimalBobCorrections:
     def test_matches_einsum_reference_on_standard(self, d):
         lam = random_lambdas(d, make_rng(60 + d))
         meas = standard_measurement(d)
-        corr = optimal_bob_corrections(meas, SchmidtDecomposition.from_lambdas(lam))
+        corr = optimal_bob_corrections(meas, SchmidtDecomposition(lam))
         want = einsum_bob_unitaries(meas, lam)
         assert np.max(np.abs(np.concatenate(corr.kraus) - want)) <= 1e-15
 
@@ -337,7 +336,7 @@ class TestOptimalBobCorrections:
         for _ in range(5):
             meas = random_povm(d, n_outcomes, rng)
             lam = random_lambdas(d, rng)
-            corr = optimal_bob_corrections(meas, SchmidtDecomposition.from_lambdas(lam))
+            corr = optimal_bob_corrections(meas, SchmidtDecomposition(lam))
             want = einsum_bob_unitaries(meas, lam)
             assert np.max(np.abs(np.concatenate(corr.kraus) - want)) <= 1e-15
 
@@ -345,7 +344,7 @@ class TestOptimalBobCorrections:
         rng = make_rng(44)
         for d in (2, 3):
             for meas in (random_povm(d, d * d, rng), random_optimal_measurement(d, 2, rng)):
-                schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(d, rng))
+                schmidt = SchmidtDecomposition(random_lambdas(d, rng))
                 corr = optimal_bob_corrections(meas, schmidt)
                 assert all(block.shape[0] == 1 for block in corr.kraus)
                 for block in corr.kraus:
@@ -548,8 +547,7 @@ def handed_out_arrays(proto):
     yield "outcome", corr.outcome
     for r, block in enumerate(corr.kraus):
         yield f"kraus[{r}]", block
-    for name in ("lambdas", "left_basis", "right_basis"):
-        yield name, getattr(proto.schmidt, name)
+    yield "lambdas", proto.schmidt.lambdas
     yield "channel.a", channel.a
     yield "channel.kraus", channel.kraus
     yield "channel.gram", channel.gram
@@ -582,7 +580,7 @@ class TestReadOnlyArrays:
 
     def test_later_changes_to_the_caller_lambdas_do_not_reach_the_resource(self):
         lam = np.array([0.8, 0.6])
-        schmidt = SchmidtDecomposition.from_lambdas(lam)
+        schmidt = SchmidtDecomposition(lam)
         lam[:] = [0.6, 0.8]
         assert np.array_equal(schmidt.lambdas, [0.8, 0.6])
         with pytest.raises(ValueError, match="WRITEABLE"):
@@ -595,7 +593,7 @@ class TestProtocol:
         phi[0, 0] *= 1.01
         with pytest.raises(ValueError, match="not complete"):
             Protocol(
-                SchmidtDecomposition.from_lambdas([0.8, 0.6]),
+                SchmidtDecomposition([0.8, 0.6]),
                 AliceMeasurement(phi),
                 BobCorrections([np.eye(2)] * 4),
             )
@@ -603,7 +601,7 @@ class TestProtocol:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             Protocol(
-                SchmidtDecomposition.from_lambdas([0.8, 0.6]),
+                SchmidtDecomposition([0.8, 0.6]),
                 standard_measurement(3),
                 BobCorrections([np.eye(3)] * 9),
             )
@@ -611,7 +609,7 @@ class TestProtocol:
     def test_outcome_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="outcomes"):
             Protocol(
-                SchmidtDecomposition.from_lambdas([0.8, 0.6]),
+                SchmidtDecomposition([0.8, 0.6]),
                 standard_measurement(2),
                 BobCorrections([np.eye(2)] * 3),
             )
@@ -633,7 +631,7 @@ class TestTeleportOnce:
         # reaches Bob, so before correction his state is along |0>
         rng = make_rng(65)
         meas = random_povm(3, 11, rng)
-        schmidt = SchmidtDecomposition.from_lambdas([1.0, 0.0, 0.0])
+        schmidt = SchmidtDecomposition([1.0, 0.0, 0.0])
         proto = Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
         zero = PureState(np.eye(3)[0])
         for _ in range(50):
@@ -751,7 +749,7 @@ class TestOutcomeDistribution:
         # completeness alone fixes the total, for any measurement and resource
         rng = make_rng(5)
         meas = random_povm(3, 11, rng)
-        schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(3, rng))
+        schmidt = SchmidtDecomposition(random_lambdas(3, rng))
         proto = Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
         for _ in range(100):
             probs = outcome_distribution(proto, haar_input(3, rng))
@@ -778,7 +776,7 @@ class TestOutcomeDistribution:
 
 def ragged_povm_protocol(rng):
     """Random complete POVM with optimal corrections; every third outcome gets two B/sqrt(2)."""
-    schmidt = SchmidtDecomposition.from_lambdas(random_lambdas(3, rng))
+    schmidt = SchmidtDecomposition(random_lambdas(3, rng))
     meas = random_povm(3, 11, rng)
     kraus = [
         np.concatenate([block, block]) / np.sqrt(2) if r % 3 == 0 else block
@@ -979,6 +977,16 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             protocol_from_json(json.dumps(data))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"schema": ' + "[" * 10**5 + "]" * 10**5 + "}", "[" * 10**5 + "]" * 10**5],
+        ids=["in-an-object", "top-level-array"],
+    )
+    def test_text_nested_too_deeply_raises_value_error(self, text):
+        with pytest.raises(ValueError) as info:
+            protocol_from_json(text)
+        assert str(info.value) == "protocol JSON nests too deeply to be read"
 
     @pytest.mark.parametrize("field", ["phi", "corrections"])
     @pytest.mark.parametrize(

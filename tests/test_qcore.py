@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from teleportsim import (
     make_rng,
     schmidt_decompose,
 )
-from helpers import random_unitary
+from helpers import random_lambdas, random_unitary
 
 
 def random_bipartite(d, rng):
@@ -74,9 +72,9 @@ class TestTypes:
             (lambda a: PureState(a[:, :1].reshape(2, 1)), "amplitudes"),
             (lambda a: Operator(a), "matrix"),
             (lambda a: BipartiteVector(a / np.sqrt(2)), "coeffs"),
-            (lambda a: SchmidtDecomposition(np.full(2, 2**-0.5), a, a), "left_basis"),
+            (lambda a: SchmidtDecomposition(a[:, 0].real), "lambdas"),
         ],
-        ids=["state", "state-from-column", "operator", "bipartite", "schmidt-basis"],
+        ids=["state", "state-from-column", "operator", "bipartite", "schmidt-lambdas"],
     )
     def test_arrays_cannot_be_made_writable_or_reached_through_the_input(self, make, field):
         source = np.eye(2, dtype=complex)
@@ -102,23 +100,32 @@ class TestSchmidtDecompose:
     def test_diagonal_sorting(self):
         dec = schmidt_decompose(BipartiteVector([[0.6, 0], [0, 0.8]]))
         assert np.allclose(dec.lambdas, [0.8, 0.6])
-        # descending order forces the basis for lambda=0.8 to be |1>
-        assert abs(dec.left_basis[0, 1]) == pytest.approx(1.0)
-        assert abs(dec.right_basis[0, 1]) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions must match"):
             schmidt_decompose(BipartiteVector(np.eye(2, 3) / np.sqrt(2)))
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-    def test_reconstruction(self, d):
+    @pytest.mark.parametrize("rank", ["full", "deficient"])
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_returns_the_spectrum_of_u_diag_lambda_v_transpose(self, d, rank):
         rng = make_rng(10 + d)
-        for _ in range(200):
+        for _ in range(20):
+            lam = random_lambdas(d, rng)
+            if rank == "deficient":
+                lam[(d + 1) // 2 :] = 0.0
+                lam /= np.linalg.norm(lam)
+            coeffs = random_unitary(d, rng) @ np.diag(lam) @ random_unitary(d, rng).T
+            dec = schmidt_decompose(BipartiteVector(coeffs))
+            assert np.max(np.abs(dec.lambdas - lam)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_squared_spectrum_is_the_eigenvalues_of_c_c_dagger(self, d):
+        rng = make_rng(30 + d)
+        for _ in range(20):
             state = random_bipartite(d, rng)
-            dec = schmidt_decompose(state)
-            err = np.linalg.norm(dec.reconstruct().coeffs - state.coeffs)
-            assert err <= 1e-10
-            assert np.all(np.diff(dec.lambdas) <= 0)
+            c = state.coeffs
+            eig = np.linalg.eigvalsh(c @ c.conj().T)[::-1]
+            assert np.max(np.abs(schmidt_decompose(state).lambdas ** 2 - eig)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_lambdas_invariant_under_local_unitaries(self, d):
@@ -134,29 +141,20 @@ class TestSchmidtDecompose:
 
 
 class TestSchmidtType:
-    def test_from_lambdas_roundtrip(self):
-        dec = SchmidtDecomposition.from_lambdas([0.8, 0.6])
+    def test_keeps_the_checked_spectrum(self):
+        dec = SchmidtDecomposition([0.8, 0.6])
+        assert dec.dim == 2
         assert dec.effective_rank == 2
-        assert np.allclose(dec.reconstruct().coeffs, np.diag([0.8, 0.6]))
+        assert np.array_equal(dec.lambdas, [0.8, 0.6])
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="descending"):
-            SchmidtDecomposition.from_lambdas([0.6, 0.8])
+            SchmidtDecomposition([0.6, 0.8])
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            SchmidtDecomposition.from_lambdas([1.0, 0.5])
-
-    def test_rejects_nan_basis(self):
-        with pytest.raises(ValueError, match="left_basis rows are not orthonormal"):
-            SchmidtDecomposition([0.8, 0.6], [[np.nan, 0], [0, 1]], np.eye(2))
-
-    def test_rejects_infinite_basis_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="left_basis .* must be finite"):
-                SchmidtDecomposition([0.8, 0.6], [[np.inf, 0], [0, 1]], np.eye(2))
+            SchmidtDecomposition([1.0, 0.5])
 
     def test_effective_rank_cutoff(self):
-        dec = SchmidtDecomposition.from_lambdas([1.0, 1e-13])
+        dec = SchmidtDecomposition([1.0, 1e-13])
         assert dec.effective_rank == 1
