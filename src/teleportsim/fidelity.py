@@ -74,8 +74,10 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     sampling), so the only statistical noise left is the Haar average. It
     is the real quadratic form x^T K x in the coordinates x of psi psi†
     (:class:`TeleportChannel`), evaluated by :func:`haar.form_monte_carlo`
-    on the coordinates where K is nonzero: the d diagonal ones for the
-    standard protocol.
+    on the coordinates where K is nonzero. For the standard protocol these
+    are the d diagonal ones, x_i = |psi_i|^2, so its inputs are drawn as
+    points uniform on the probability simplex rather than as Haar states;
+    the mean and standard error are the same, the seeded values are not.
     """
     return form_monte_carlo(proto.channel.gram, n, rng)
 

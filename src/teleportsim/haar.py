@@ -15,6 +15,9 @@ fidelity formula in this package.
 Both Monte-Carlo fidelities, of teleportation and of estimation, are real
 quadratic forms x^T F x in the coordinates x of psi psi†. This module holds
 those coordinates and :func:`form_monte_carlo`, the one estimator of a form.
+A form that reads only the diagonal coordinates |psi_i|^2, as the standard
+protocol's do, needs no phases: for Haar-random psi those are uniform on the
+probability simplex, and :func:`_sample_simplex` draws them directly.
 """
 
 from __future__ import annotations
@@ -159,7 +162,11 @@ def form_values(
 
     Given a ``support``, x and F hold only its coordinates (:func:`_state_coords`).
     """
-    x = _state_coords(psi, support)
+    return _form_rows(form, _state_coords(psi, support))
+
+
+def _form_rows(form: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x^T F x for every row x of an (n, k) array of coordinates."""
     return np.einsum("na,na->n", x, x @ form)
 
 
@@ -172,19 +179,27 @@ def _form_support(form: np.ndarray) -> CoordSupport:
 def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEstimate:
     """Haar mean and standard error of x^T F x for a real (d^2, d^2) form F.
 
+    Only the form's support S (:func:`_form_support`), found once per call,
+    is evaluated: x_S^T F_SS x_S. How the n inputs are drawn follows from S.
+
+    - S holds a pair i < j: n Haar states are drawn by
+      :func:`sample_haar_states`, and each row computes just the support's
+      coordinates of x, each product psi_i psi_j* formed once. A dense form,
+      such as a random POVM's, keeps every coordinate.
+    - S holds only diagonal coordinates: the form reads psi only through
+      x_i = |psi_i|^2, which for Haar-random psi is uniform on the
+      probability simplex. :func:`_sample_simplex` draws those points
+      directly, and S's columns of them are x_S. The standard protocol's
+      fidelity form and the standard measurement's estimation form are of
+      this kind. The estimator's mean and standard error are those of the
+      Haar draw; the random stream, and so each seeded value, differs.
+
     All n inputs are drawn first, in one call. The form is then evaluated on
     blocks of rows whose intermediates hold at most ``MC_BLOCK_ENTRIES``
     complex entries, which keeps a block's working set near cache size and
     its memory fixed, independently of n. The block size changes the
     per-row values by rounding at most, since a matrix product may sum in
     another order for another number of rows.
-
-    Only the form's support (:func:`_form_support`), found once per call, is
-    evaluated: each row computes just those coordinates of x, and
-    x_S^T F_SS x_S. The standard protocol's fidelity form and the standard
-    measurement's estimation form are supported on the d diagonal
-    coordinates, where x is |psi_i|^2. A dense form keeps every coordinate,
-    each product psi_i psi_j* formed once.
     Dropping the zero rows and columns changes the per-row values by
     rounding at most, as the block size does.
     """
@@ -193,12 +208,22 @@ def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEs
     d = math.isqrt(form.shape[0])
     support = _form_support(form)
     form = form.take(support.index, axis=0).take(support.index, axis=1)
-    psi = sample_haar_states(d, n, rng)
-    # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
-    step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
+    if support.rows.size:
+        psi = sample_haar_states(d, n, rng)
+        # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
+        step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
+        coords = lambda block: _state_coords(psi[block], support)
+    else:
+        p = _sample_simplex(d, n, rng)
+        # x_S and x_S @ F hold |S| reals each per row
+        step = max(1, MC_BLOCK_ENTRIES // (2 * max(1, support.diag.size)))
+        # a view when S is the whole diagonal, as for the standard protocol
+        cols = support.diag if support.diag.size < d else slice(None)
+        coords = lambda block: p[block, cols]
     f = np.empty(n)
     for start in range(0, n, step):
-        f[start : start + step] = form_values(form, psi[start : start + step], support)
+        block = slice(start, start + step)
+        f[block] = _form_rows(form, coords(block))
     return McEstimate(
         value=float(f.mean()),
         std_error=float(f.std(ddof=1) / np.sqrt(n)),
@@ -213,10 +238,29 @@ def sample_haar_state(d: int, rng: np.random.Generator) -> PureState:
 
 def sample_haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-random pure states, returned as rows of an (n, d) complex array."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dim(d)
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _sample_simplex(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """|psi_i|^2 of n Haar-random states, drawn directly, as rows of an (n, d) real array.
+
+    For Haar-random psi, p = |psi|^2 is uniform on the probability simplex
+    (Wootters, Found. Phys. 20, 1365 (1990)), and so are d i.i.d. standard
+    exponentials divided by their sum (Devroye, Non-Uniform Random Variate
+    Generation, ch. V). Each row is divided in place, so the draw holds one
+    (n, d) real array, half the bytes of :func:`sample_haar_states`' output.
+    """
+    _check_dim(d)
+    p = rng.standard_exponential((n, d))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def _check_dim(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
 
 
 def _check_indices(d: int, k: int, l: int) -> None:

@@ -170,9 +170,22 @@ class TestFormSupport:
         for name, (form, support) in forms.items():
             assert _form_support(form).index.size == support, name
             est = haar.form_monte_carlo(form, n, make_rng(352, stream=d))
-            full = form_values(form, sample_haar_states(d, n, make_rng(352, stream=d)))
+            full = form_values(form, self.drawn_inputs(name, d, n, make_rng(352, stream=d)))
             assert abs(est.value - full.mean()) <= AGREE_TOL, name
             assert abs(est.std_error - full.std(ddof=1) / np.sqrt(n)) <= AGREE_TOL, name
+
+    @staticmethod
+    def drawn_inputs(name, d, n, rng):
+        """The inputs form_monte_carlo draws for a form, as states.
+
+        The dense form reads Haar states. The two diagonal forms read only
+        x = |psi|^2, drawn uniformly on the simplex as normalized standard
+        exponentials, so psi_i = sqrt(x_i) stands for any state with that x.
+        """
+        if name == "dense":
+            return sample_haar_states(d, n, rng)
+        x = rng.standard_exponential((n, d))
+        return np.sqrt(x / x.sum(axis=1, keepdims=True))
 
 
 def random_strategy(d, n_outcomes, rng):
@@ -373,11 +386,12 @@ class TestLaziness:
 class TestBlockMemory:
     """Traced peak of one d = 16 call with n = 20000 on dense forms: blocks keep it bounded.
 
-    The peaks are 10.1 MB for the fidelity and 10.6 MB for the estimation,
-    and 27.5 and 28.0 MB if blocks hold 2^21 entries, so the limit fails
-    blocks grown back eightfold. The protocol is a random POVM, whose forms
-    use every coordinate; the standard protocol's are evaluated on 16
-    coordinates, and their peak (10.1 MB) does not depend on the blocks.
+    The peaks are 10.6 MB for the fidelity and for the estimation, and
+    36.5 MB if blocks hold 2^21 entries, so the limit fails blocks grown
+    back eightfold. The protocol is a random POVM, whose forms use every
+    coordinate; the standard protocol's read the 16 diagonal ones, drawn
+    from the simplex without phases, and peak at 3.7 MB (5.2 MB with
+    2^21-entry blocks).
     """
 
     LIMIT_MB = 16

@@ -18,7 +18,14 @@ from teleportsim import (
     standard_protocol,
 )
 from teleportsim import haar
-from teleportsim.haar import _hermitian_coords, _moment_blocks, form_monte_carlo
+from teleportsim.haar import (
+    _form_support,
+    _hermitian_coords,
+    _moment_blocks,
+    _sample_simplex,
+    form_monte_carlo,
+    form_values,
+)
 from helpers import random_unitary
 
 
@@ -156,6 +163,112 @@ class TestFormMonteCarlo:
         assert est.n_samples == n
         assert abs(est.value - 1) <= 1e-14
         assert est.std_error <= 1e-14
+
+
+def linspace_protocol(d):
+    lam = np.linspace(2, 0.5, d)
+    return standard_protocol(lam / np.linalg.norm(lam))
+
+
+class TestSimplexDraw:
+    """|psi|^2 of Haar states drawn directly, for forms that read only the diagonal."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_rows_are_points_of_the_simplex(self, d):
+        p = _sample_simplex(d, 20_000, make_rng(60 + d))
+        assert p.shape == (20_000, d)
+        assert np.all(p >= 0)
+        assert np.max(np.abs(p.sum(axis=1) - 1)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_first_and_second_moments_are_the_haar_diagonal_block(self, d):
+        # E[x_i] = 1/d, and E[x_i x_j] = (1 + delta_ij) / (d (d+1)): the diagonal
+        # block of the Haar moment (I + e e^T) / (d (d+1)), where e is ones there
+        n = 40_000
+        p = _sample_simplex(d, n, make_rng(70 + d))
+        se = p.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(p.mean(axis=0) - 1 / d) <= 4 * se)
+        second = p.T @ p / n
+        # the sample variance of x_i x_j from its mean and the mean of its square
+        var = np.clip((p**2).T @ p**2 / n - second**2, 0, None) * n / (n - 1)
+        exact = (np.eye(d) + 1) / (d * (d + 1))
+        assert np.all(np.abs(second - exact) <= 4 * np.sqrt(var / n))
+
+    def test_rejects_small_dimension(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            form_monte_carlo(np.ones((1, 1)), 1000, make_rng(0))
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_part_of_the_diagonal_reads_its_columns_of_the_whole_draw(self, d):
+        # x_1^2 + x_1 x_2: each row is normalized over all d entries before
+        # the support's two columns are taken
+        form = np.zeros((d * d, d * d))
+        form[1, 1] = 1.0
+        form[1, 2] = 1.0
+        assert _form_support(form).index.tolist() == [1, 2]
+        n = 5000
+        est = form_monte_carlo(form, n, make_rng(85 + d))
+        p = _sample_simplex(d, n, make_rng(85 + d))
+        rows = p[:, 1] ** 2 + p[:, 1] * p[:, 2]
+        assert est.value == pytest.approx(rows.mean(), abs=1e-13)
+        assert est.std_error == pytest.approx(rows.std(ddof=1) / np.sqrt(n), abs=1e-13)
+
+    @pytest.mark.parametrize("d", [8, 16])
+    @pytest.mark.parametrize("integrand", ["fidelity", "estimation"])
+    def test_cache_and_memory_sized_blocks_agree(self, d, integrand, monkeypatch):
+        # blocks of MC_BLOCK_ENTRIES // (2 |S|) rows: 16384 at d = 8 and 8192 at
+        # d = 16 under 2^18 entries, so 20000 rows end in a ragged block; 2^21
+        # takes them whole
+        proto = linspace_protocol(d)
+        meas, lam = proto.measurement, proto.schmidt.lambdas
+        estimate = {
+            "fidelity": lambda rng: mean_fidelity_monte_carlo(proto, 20_000, rng),
+            "estimation": lambda rng: estimation_fidelity_mc(
+                meas, lam, optimal_estimates(meas), 20_000, rng),
+        }[integrand]
+        ests = []
+        for entries in (2**21, 2**18):
+            monkeypatch.setattr(haar, "MC_BLOCK_ENTRIES", entries)
+            ests.append(estimate(make_rng(90 + d)))
+        assert ests[1].value == pytest.approx(ests[0].value, abs=1e-13)
+        assert ests[1].std_error == pytest.approx(ests[0].std_error, abs=1e-13)
+
+    def test_peak_is_below_the_haar_states(self):
+        # the draw is divided in place: one n x d real array, half the bytes of
+        # the n x d complex states it replaces (25.6 MB here)
+        d, n = 16, 100_000
+        proto = linspace_protocol(d)
+        proto.channel.gram  # build the Gram operator first
+        tracemalloc.start()
+        try:
+            mean_fidelity_monte_carlo(proto, n, make_rng(95))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_a_single_off_diagonal_pair_keeps_the_haar_draw(self, d):
+        # the standard fidelity form, coupled to the Re coordinate of psi_0 psi_1*
+        form = np.array(linspace_protocol(d).channel.gram)
+        form[0, d] = form[d, 0] = 0.05
+        support = _form_support(form)
+        assert support.rows.tolist() == [0] and support.cols.tolist() == [1]
+        n = 3000
+        rng, ref_rng = make_rng(80 + d), make_rng(80 + d)
+        est = form_monte_carlo(form, n, rng)
+        # the estimator as it was before the simplex draw: Haar states, in
+        # blocks sized for d^2 coordinates
+        psi = sample_haar_states(d, n, ref_rng)
+        on_support = form[np.ix_(support.index, support.index)]
+        step = haar.MC_BLOCK_ENTRIES // (2 * d * d)
+        rows = np.concatenate([
+            form_values(on_support, psi[start : start + step], support)
+            for start in range(0, n, step)
+        ])
+        assert est.value == float(rows.mean())
+        assert est.std_error == float(rows.std(ddof=1) / np.sqrt(n))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 MEAS_D2 = standard_measurement(2)
