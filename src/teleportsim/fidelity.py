@@ -73,11 +73,12 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     sum_{r,s} |<psi| B_rs A_r |psi>|^2 is taken (no outcome or branch
     sampling), so the only statistical noise left is the Haar average. It
     is the real quadratic form x^T K x in the coordinates x of psi psi†
-    (:class:`TeleportChannel`), evaluated by :func:`haar.form_monte_carlo`
-    on the coordinates where K is nonzero. For the standard protocol these
-    are the d diagonal ones, x_i = |psi_i|^2, so its inputs are drawn as
-    points uniform on the probability simplex rather than as Haar states;
-    the mean and standard error are the same, the seeded values are not.
+    (:class:`TeleportChannel`), evaluated by :func:`haar.form_monte_carlo`.
+    The standard protocol's K reads only the d diagonal coordinates
+    x_i = |psi_i|^2, so its inputs are drawn as points uniform on the
+    probability simplex rather than as Haar states; the mean and standard
+    error are the same, the seeded values are not. A K that reads any other
+    coordinate, as a random POVM's does, is evaluated on all d^2 of them.
     """
     return form_monte_carlo(proto.channel.gram, n, rng)
 

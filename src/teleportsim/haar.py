@@ -15,20 +15,23 @@ fidelity formula in this package.
 Both Monte-Carlo fidelities, of teleportation and of estimation, are real
 quadratic forms x^T F x in the coordinates x of psi psi†. This module holds
 those coordinates and :func:`form_monte_carlo`, the one estimator of a form.
-A form that reads only the diagonal coordinates |psi_i|^2, as the standard
-protocol's do, needs no phases: for Haar-random psi those are uniform on the
-probability simplex, and :func:`_sample_simplex` draws them directly.
+A form reads either only the d diagonal coordinates |psi_i|^2 or all d^2 of
+them. One that reads only the diagonal, as the standard protocol's do, needs
+no phases: for Haar-random psi those are uniform on the probability simplex,
+and :func:`_sample_simplex` draws them directly. Any other form, such as a
+random POVM's, is evaluated on all coordinates of Haar states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from functools import cache
+from typing import Sequence, Union
 
 import numpy as np
 
-from .qcore import Operator, PureState
+from .qcore import Operator, PureState, _freeze
 
 #: complex entries that one block of a Monte-Carlo estimator's widest
 #: intermediate may hold (4 MiB). This bounds each block's cache footprint, and
@@ -92,6 +95,16 @@ class McEstimate:
         return McEstimate(mean, std_error, int(n))
 
 
+@cache
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows i and columns j of the entries i < j of a (d, d) matrix, in row-major order.
+
+    Built once per dimension and kept read-only: a shot's coordinates need
+    them, and ``np.triu_indices`` takes about as long as a whole shot.
+    """
+    return tuple(_freeze(index) for index in np.triu_indices(d, 1))
+
+
 def _hermitian_coords(h: np.ndarray) -> np.ndarray:
     """Real coordinates of a stack of Hermitian (d, d) matrices, as a (..., d^2) array.
 
@@ -100,69 +113,26 @@ def _hermitian_coords(h: np.ndarray) -> np.ndarray:
     orthonormal for the trace product: tr(E F) = coords(E) . coords(F) for
     Hermitian E and F. Only the diagonal and the upper triangle are read.
     """
-    i, j = np.triu_indices(h.shape[-1], 1)
+    i, j = _pairs(h.shape[-1])
     upper = np.sqrt(2) * h[..., i, j]
     return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
-class CoordSupport(NamedTuple):
-    """Some of the coordinates of psi psi†, in the order of :func:`_state_coords`.
-
-    ``diag`` holds the diagonal entries i whose |psi_i|^2 is kept, and
-    ``rows`` and ``cols`` the pairs i < j whose sqrt(2) Re and sqrt(2) Im of
-    psi_i psi_j* are kept. ``index`` holds the kept coordinates' positions
-    among all d^2, so that ``x[..., index]`` selects them from a full set x.
-    """
-
-    diag: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    index: np.ndarray
-
-
-def _coord_support(read: np.ndarray) -> CoordSupport:
-    """The coordinates marked in a boolean d^2 vector, with whole pairs.
-
-    A pair is kept when either of its coordinates, Re or Im, is marked,
-    since both come from one product psi_i psi_j*.
-    """
-    d = math.isqrt(read.size)
-    n_pairs = d * (d - 1) // 2
-    diag = np.flatnonzero(read[:d])
-    pairs = np.flatnonzero(read[d : d + n_pairs] | read[d + n_pairs :])
-    i, j = np.triu_indices(d, 1)
-    return CoordSupport(
-        diag, i[pairs], j[pairs], np.concatenate([diag, d + pairs, d + n_pairs + pairs])
-    )
-
-
-def _state_coords(psi: np.ndarray, support: CoordSupport | None = None) -> np.ndarray:
+def _state_coords(psi: np.ndarray, diagonal: bool = False) -> np.ndarray:
     """:func:`_hermitian_coords` of psi psi† for a state psi, or for every row of an (n, d) array.
 
     They are read off psi, without forming psi psi†: its diagonal is
     |psi_i|^2 and its entry (i, j) is psi_i psi_j*. Their norm is |psi|^2.
-    Given a ``support``, only its coordinates are computed, with the same
-    arithmetic as the full set; without one, all d^2 are.
+    With ``diagonal``, only the d coordinates |psi_i|^2 are computed, which
+    are the first d of the full set, with the same arithmetic.
     """
-    if support is None:
-        support = _coord_support(np.ones(psi.shape[-1] ** 2, dtype=bool))
+    x = np.abs(psi) ** 2
+    if diagonal:
+        return x
+    i, j = _pairs(psi.shape[-1])
     # take is the cheapest selection on one state; it gives the same entries as indexing
-    x = np.abs(psi.take(support.diag, axis=-1)) ** 2
-    if support.rows.size:  # a diagonal support, as the standard protocol's, has no pairs
-        left, right = psi.take(support.rows, axis=-1), psi.take(support.cols, axis=-1)
-        upper = np.sqrt(2) * left * right.conj()
-        x = np.concatenate([x, upper.real, upper.imag], axis=-1)
-    return x
-
-
-def form_values(
-    form: np.ndarray, psi: np.ndarray, support: CoordSupport | None = None
-) -> np.ndarray:
-    """x^T F x for every row psi of an (n, d) array, with x the coordinates of psi psi†.
-
-    Given a ``support``, x and F hold only its coordinates (:func:`_state_coords`).
-    """
-    return _form_rows(form, _state_coords(psi, support))
+    upper = np.sqrt(2) * psi.take(i, axis=-1) * psi.take(j, axis=-1).conj()
+    return np.concatenate([x, upper.real, upper.imag], axis=-1)
 
 
 def _form_rows(form: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -170,29 +140,28 @@ def _form_rows(form: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("na,na->n", x, x @ form)
 
 
-def _form_support(form: np.ndarray) -> CoordSupport:
-    """The coordinates that x^T F x reads: those whose row or column of F holds a nonzero entry."""
-    nonzero = form != 0
-    return _coord_support(nonzero.any(axis=0) | nonzero.any(axis=1))
-
-
 def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEstimate:
     """Haar mean and standard error of x^T F x for a real (d^2, d^2) form F.
 
-    Only the form's support S (:func:`_form_support`), found once per call,
-    is evaluated: x_S^T F_SS x_S. How the n inputs are drawn follows from S.
+    How the n inputs are drawn follows from which coordinates F reads, found
+    once per call. F is not symmetric in general (the estimation form E^T N
+    is not), so both its rows and its columns past the first d are checked.
 
-    - S holds a pair i < j: n Haar states are drawn by
-      :func:`sample_haar_states`, and each row computes just the support's
-      coordinates of x, each product psi_i psi_j* formed once. A dense form,
-      such as a random POVM's, keeps every coordinate.
-    - S holds only diagonal coordinates: the form reads psi only through
-      x_i = |psi_i|^2, which for Haar-random psi is uniform on the
-      probability simplex. :func:`_sample_simplex` draws those points
-      directly, and S's columns of them are x_S. The standard protocol's
-      fidelity form and the standard measurement's estimation form are of
-      this kind. The estimator's mean and standard error are those of the
-      Haar draw; the random stream, and so each seeded value, differs.
+    - Some row or column past the first d holds a nonzero entry, as a random
+      POVM's forms do: F reads pairs psi_i psi_j*. n Haar states are drawn
+      by :func:`sample_haar_states`, and each row computes all d^2
+      coordinates of x.
+    - None does: F reads psi only through x_i = |psi_i|^2, which for
+      Haar-random psi is uniform on the probability simplex.
+      :func:`_sample_simplex` draws those points directly, and the form is
+      F's leading (d, d) block. The standard protocol's fidelity form and the
+      standard measurement's estimation form are of this kind. The
+      estimator's mean and standard error are those of the Haar draw; the
+      random stream, and so each seeded value, differs.
+
+    A form that reads only some pairs, or only some diagonal entries, is
+    evaluated on all d^2 or all d coordinates; its zero rows and columns
+    change the per-row values by rounding at most.
 
     All n inputs are drawn first, in one call. The form is then evaluated on
     blocks of rows whose intermediates hold at most ``MC_BLOCK_ENTRIES``
@@ -200,26 +169,21 @@ def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEs
     its memory fixed, independently of n. The block size changes the
     per-row values by rounding at most, since a matrix product may sum in
     another order for another number of rows.
-    Dropping the zero rows and columns changes the per-row values by
-    rounding at most, as the block size does.
     """
     if n < MC_MIN_SAMPLES:
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
     d = math.isqrt(form.shape[0])
-    support = _form_support(form)
-    form = form.take(support.index, axis=0).take(support.index, axis=1)
-    if support.rows.size:
+    if form[d:].any() or form[:, d:].any():
         psi = sample_haar_states(d, n, rng)
         # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
         step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
-        coords = lambda block: _state_coords(psi[block], support)
+        coords = lambda block: _state_coords(psi[block])
     else:
+        form = np.ascontiguousarray(form[:d, :d])
         p = _sample_simplex(d, n, rng)
-        # x_S and x_S @ F hold |S| reals each per row
-        step = max(1, MC_BLOCK_ENTRIES // (2 * max(1, support.diag.size)))
-        # a view when S is the whole diagonal, as for the standard protocol
-        cols = support.diag if support.diag.size < d else slice(None)
-        coords = lambda block: p[block, cols]
+        # x and x @ F hold d reals each per row
+        step = max(1, MC_BLOCK_ENTRIES // (2 * d))
+        coords = lambda block: p[block]
     f = np.empty(n)
     for start in range(0, n, step):
         block = slice(start, start + step)

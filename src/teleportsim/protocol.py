@@ -26,7 +26,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .haar import CoordSupport, _coord_support, _hermitian_coords, _state_coords
+from .haar import _hermitian_coords, _state_coords
 from .qcore import PureState, SchmidtDecomposition, _freeze, check_schmidt_coefficients
 
 #: completeness and Kraus-normalization tolerance for assembled protocols
@@ -266,8 +266,7 @@ class TeleportChannel:
 
     The outcome probabilities p_r(psi) = tr(E_r rho), with effects
     E_r = A_r† A_r, are linear in x: :attr:`effects` holds the effects'
-    coordinates on the coordinates where some E_r is nonzero, built when a
-    shot or an outcome distribution first needs them.
+    coordinates, built when a shot or an outcome distribution first needs them.
     """
 
     def __init__(self, proto: Protocol) -> None:
@@ -283,16 +282,18 @@ class TeleportChannel:
         return _freeze(w.T @ w)
 
     @cached_property
-    def effects(self) -> tuple[np.ndarray, CoordSupport]:
-        """The (R, |S|) coordinates of every effect E_r on their support S, and S.
+    def effects(self) -> tuple[np.ndarray, bool]:
+        """The coordinates of every effect E_r, and whether they are only the diagonal ones.
 
-        S holds the coordinates where some E_r is nonzero. The standard
-        measurement's effects are diagonal, so its S is the d diagonal
-        coordinates of d^2.
+        When every E_r is diagonal, as the standard measurement's are, the
+        array is (R, d) and holds the diagonal coordinates; otherwise it is
+        (R, d^2) and holds all of them.
         """
         e = _effect_coords(self.a)
-        support = _coord_support((e != 0).any(axis=0))
-        return _freeze(e[:, support.index]), support
+        d = self.a.shape[-1]
+        diagonal = not e[:, d:].any()
+        # column-major: outcome_distribution's product rounds by layout, and its bits follow this one
+        return _freeze(np.asfortranarray(e[:, :d] if diagonal else e)), diagonal
 
 
 @dataclass(frozen=True)
@@ -457,15 +458,16 @@ def standard_protocol(lambdas) -> Protocol:
 def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
     """Probability of each measurement outcome for the input psi.
 
-    p_r = tr(E_r rho) is read off the effects' coordinates on their support
-    (:attr:`TeleportChannel.effects`) and psi psi†'s coordinates there, and
-    clipped at 0. It equals sum_i |(A_r psi)_i|^2 up to rounding.
+    p_r = tr(E_r rho) is the product of the effects' coordinates
+    (:attr:`TeleportChannel.effects`) with psi psi†'s, only the d diagonal
+    ones |psi_i|^2 when the effects are diagonal, clipped at 0. It equals
+    sum_i |(A_r psi)_i|^2 up to rounding.
     """
     amps = psi.amplitudes
     if amps.size != proto.d:
         raise ValueError(f"input dimension {amps.size} != protocol dimension {proto.d}")
-    values, support = proto.channel.effects
-    return np.maximum(values @ _state_coords(amps, support), 0.0)
+    values, diagonal = proto.channel.effects
+    return np.maximum(values @ _state_coords(amps, diagonal), 0.0)
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator) -> int:

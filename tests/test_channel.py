@@ -33,13 +33,7 @@ from teleportsim import (
 from teleportsim import haar
 from teleportsim.estimation import _estimation_form
 from teleportsim.protocol import _effect_coords
-from teleportsim.haar import (
-    CoordSupport,
-    _form_support,
-    _hermitian_coords,
-    _state_coords,
-    form_values,
-)
+from teleportsim.haar import _form_rows, _hermitian_coords, _sample_simplex, _state_coords
 from helpers import (
     einsum_estimation_samples,
     einsum_mean_fidelity_mkl_form,
@@ -52,9 +46,10 @@ AGREE_TOL = 1e-13
 SPECTRA = ("full_rank", "rank_deficient", "product")
 #: two values of haar.MC_BLOCK_ENTRIES: 32 MiB blocks, and 4 MiB blocks sized for cache
 BLOCK_BOUNDS = (2**21, 2**18)
-#: per d, sample counts that fill whole 4 MiB blocks of the quadratic forms
-#: (2048 rows at d = 8, 512 at d = 16) and that leave a ragged last block
-RAGGED_AND_WHOLE = {8: (4096, 5000), 16: (2048, 1500)}
+#: per d, sample counts that fill whole 4 MiB blocks of the diagonal forms
+#: (16384 rows at d = 8, 8192 at d = 16) and that leave a ragged last block;
+#: each fits one 32 MiB block
+RAGGED_AND_WHOLE = {8: (32768, 20000), 16: (16384, 10000)}
 
 
 def spectrum(kind, d, rng):
@@ -80,11 +75,18 @@ def cases():
     return [(d, kind) for d in (2, 3, 5) for kind in SPECTRA]
 
 
+def reads_pairs(form, d):
+    """Whether a row or a column of the form past the first d holds a nonzero entry."""
+    return bool(form[d:].any() or form[:, d:].any())
+
+
 def row_values(form, psi):
-    """form_values on all coordinates, and on the form's support as form_monte_carlo reads it."""
-    support = _form_support(form)
-    on_support = form[np.ix_(support.index, support.index)]
-    return form_values(form, psi), form_values(on_support, psi, support)
+    """x^T F x on all coordinates, and also on |psi|^2 alone when the form reads no pair."""
+    d = psi.shape[-1]
+    rows = [_form_rows(form, _state_coords(psi))]
+    if not reads_pairs(form, d):
+        rows.append(_form_rows(form[:d, :d], _state_coords(psi, diagonal=True)))
+    return rows
 
 
 class TestGramMonteCarlo:
@@ -129,7 +131,7 @@ class TestGramMonteCarlo:
 
 
 class TestFormSupport:
-    """Monte Carlo on a form's support: which coordinates it keeps, and that it agrees."""
+    """Monte Carlo on the coordinates a form reads: the diagonal or all, and that it agrees."""
 
     @pytest.mark.parametrize("kind", SPECTRA)
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
@@ -138,18 +140,21 @@ class TestFormSupport:
         c = proto.channel.kraus
         assert np.all(c[:, ~np.eye(d, dtype=bool)] == 0)
         gram = proto.channel.gram
-        support = _form_support(gram)
-        assert np.array_equal(support.diag, np.arange(d)) and support.rows.size == 0
-        assert np.array_equal(support.index, np.arange(d))
         assert np.all(gram[d:] == 0) and np.all(gram[:, d:] == 0)
+        # so its Monte Carlo draws the simplex
+        rng, ref_rng = make_rng(341 + d), make_rng(341 + d)
+        haar.form_monte_carlo(gram, 1000, rng)
+        _sample_simplex(d, 1000, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("kind", SPECTRA)
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_standard_effects_live_on_the_diagonal(self, d, kind):
         proto = standard_protocol(spectrum(kind, d, make_rng(345 + d)))
-        values, support = proto.channel.effects
-        assert np.array_equal(support.diag, np.arange(d)) and support.rows.size == 0
-        assert np.array_equal(support.index, np.arange(d))
+        values, diagonal = proto.channel.effects
+        assert diagonal and values.shape == (d * d, d)
+        # stored column-major, the layout outcome_distribution's product rounds by
+        assert values.flags.f_contiguous
         full = _effect_coords(proto.channel.a)
         assert np.array_equal(values, full[:, :d]) and np.all(full[:, d:] == 0)
 
@@ -162,15 +167,16 @@ class TestFormSupport:
         schmidt = SchmidtDecomposition(lam)
         dense = Protocol(schmidt, povm, optimal_bob_corrections(povm, schmidt))
         forms = {
-            "fidelity": (proto.channel.gram, d),
-            "estimation": (_estimation_form(meas, lam, optimal_estimates(meas)), d),
-            "dense": (dense.channel.gram, d * d),
+            "fidelity": proto.channel.gram,
+            "estimation": _estimation_form(meas, lam, optimal_estimates(meas)),
+            "dense": dense.channel.gram,
         }
         n = 1500 if d == 16 else 3000
-        for name, (form, support) in forms.items():
-            assert _form_support(form).index.size == support, name
+        for name, form in forms.items():
+            assert reads_pairs(form, d) == (name == "dense"), name
             est = haar.form_monte_carlo(form, n, make_rng(352, stream=d))
-            full = form_values(form, self.drawn_inputs(name, d, n, make_rng(352, stream=d)))
+            psi = self.drawn_inputs(name, d, n, make_rng(352, stream=d))
+            full = _form_rows(form, _state_coords(psi))
             assert abs(est.value - full.mean()) <= AGREE_TOL, name
             assert abs(est.std_error - full.std(ddof=1) / np.sqrt(n)) <= AGREE_TOL, name
 
@@ -276,28 +282,12 @@ class TestHermitianCoordinates:
         rng = make_rng(315 + d)
         psi = sample_haar_states(d, 40, rng)
         full = _state_coords(psi)
-        n_pairs = d * (d - 1) // 2
-        everything, no_pairs = (np.arange(d), np.arange(n_pairs)), (np.arange(d), np.arange(0))
-        pairs_only = (np.arange(0), np.arange(n_pairs))
-        some = (np.sort(rng.choice(d, d // 2, replace=False)),
-                np.sort(rng.choice(n_pairs, max(1, n_pairs // 3), replace=False)))
-        i, j = np.triu_indices(d, 1)
-        for diag, pairs in (everything, no_pairs, pairs_only, some, (np.arange(0), np.arange(0))):
-            coords = np.concatenate([diag, d + pairs, d + n_pairs + pairs])
-            got = _state_coords(psi, CoordSupport(diag, i[pairs], j[pairs], coords))
-            assert np.array_equal(got.view(np.uint64), full[:, coords].view(np.uint64))
-            one = _state_coords(psi[0], CoordSupport(diag, i[pairs], j[pairs], coords))
+        assert full.shape == (40, d * d)
+        for diagonal, cols in ((False, slice(None)), (True, slice(d))):
+            got = _state_coords(psi, diagonal)
+            assert np.array_equal(got.view(np.uint64), full[:, cols].view(np.uint64))
+            one = _state_coords(psi[0], diagonal)
             assert np.array_equal(one.view(np.uint64), got[0].view(np.uint64))
-
-    def test_support_keeps_both_coordinates_of_a_pair(self):
-        d = 3
-        form = np.zeros((d * d, d * d))
-        form[1, 1] = form[d + 2, d + 2] = form[0, d + 3 + 1] = 1.0
-        support = _form_support(form)
-        assert np.array_equal(support.diag, [0, 1])
-        # pairs 1 and 2 of (0, 1), (0, 2), (1, 2)
-        assert np.array_equal(support.rows, [0, 1]) and np.array_equal(support.cols, [2, 2])
-        assert np.array_equal(support.index, [0, 1, d + 1, d + 2, d + 3 + 1, d + 3 + 2])
 
     @pytest.mark.parametrize("d,kind", cases())
     def test_fidelity_form_has_the_exact_haar_average(self, d, kind):

@@ -12,21 +12,23 @@ from teleportsim import (
     make_rng,
     mean_fidelity_monte_carlo,
     optimal_estimates,
+    random_povm,
     sample_haar_state,
     sample_haar_states,
     standard_measurement,
     standard_protocol,
 )
 from teleportsim import haar
+from teleportsim.estimation import _estimation_form
 from teleportsim.haar import (
-    _form_support,
+    _form_rows,
     _hermitian_coords,
     _moment_blocks,
     _sample_simplex,
+    _state_coords,
     form_monte_carlo,
-    form_values,
 )
-from helpers import random_unitary
+from helpers import random_lambdas, random_unitary
 
 
 class TestSampling:
@@ -154,11 +156,14 @@ class TestFormMonteCarlo:
     @pytest.mark.parametrize("form", ["identity", "trace_squared"])
     def test_forms_equal_to_one_on_every_row(self, d, form):
         # x . x = |psi|^4 and (e . x)^2 = (tr rho)^2 with e = coords(I): both are 1
-        n = 33_000
-        step = max(1, haar.MC_BLOCK_ENTRIES // (2 * d * d))
-        assert n > step and n % step  # several blocks, the last one ragged
+        n = 100_000
         e = _hermitian_coords(np.eye(d))
         f = np.eye(d * d) if form == "identity" else np.outer(e, e)
+        # the identity reads every coordinate; e is zero past the diagonal, so
+        # e e^T reads only the diagonal and its blocks hold d coordinates a row
+        width = d * d if form == "identity" else d
+        step = max(1, haar.MC_BLOCK_ENTRIES // (2 * width))
+        assert n > step and n % step  # several blocks, the last one ragged
         est = form_monte_carlo(f, n, make_rng(50 + d))
         assert est.n_samples == n
         assert abs(est.value - 1) <= 1e-14
@@ -200,12 +205,11 @@ class TestSimplexDraw:
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_part_of_the_diagonal_reads_its_columns_of_the_whole_draw(self, d):
-        # x_1^2 + x_1 x_2: each row is normalized over all d entries before
-        # the support's two columns are taken
+        # x_1^2 + x_1 x_2: a diagonal form with zero entries still reads the
+        # whole draw, each row normalized over all d entries
         form = np.zeros((d * d, d * d))
         form[1, 1] = 1.0
         form[1, 2] = 1.0
-        assert _form_support(form).index.tolist() == [1, 2]
         n = 5000
         est = form_monte_carlo(form, n, make_rng(85 + d))
         p = _sample_simplex(d, n, make_rng(85 + d))
@@ -216,7 +220,7 @@ class TestSimplexDraw:
     @pytest.mark.parametrize("d", [8, 16])
     @pytest.mark.parametrize("integrand", ["fidelity", "estimation"])
     def test_cache_and_memory_sized_blocks_agree(self, d, integrand, monkeypatch):
-        # blocks of MC_BLOCK_ENTRIES // (2 |S|) rows: 16384 at d = 8 and 8192 at
+        # blocks of MC_BLOCK_ENTRIES // (2 d) rows: 16384 at d = 8 and 8192 at
         # d = 16 under 2^18 entries, so 20000 rows end in a ragged block; 2^21
         # takes them whole
         proto = linspace_protocol(d)
@@ -252,23 +256,53 @@ class TestSimplexDraw:
         # the standard fidelity form, coupled to the Re coordinate of psi_0 psi_1*
         form = np.array(linspace_protocol(d).channel.gram)
         form[0, d] = form[d, 0] = 0.05
-        support = _form_support(form)
-        assert support.rows.tolist() == [0] and support.cols.tolist() == [1]
         n = 3000
         rng, ref_rng = make_rng(80 + d), make_rng(80 + d)
         est = form_monte_carlo(form, n, rng)
-        # the estimator as it was before the simplex draw: Haar states, in
-        # blocks sized for d^2 coordinates
+        # the estimator as it was before the simplex draw: Haar states, all d^2
+        # coordinates, in blocks sized for them
         psi = sample_haar_states(d, n, ref_rng)
-        on_support = form[np.ix_(support.index, support.index)]
         step = haar.MC_BLOCK_ENTRIES // (2 * d * d)
         rows = np.concatenate([
-            form_values(on_support, psi[start : start + step], support)
+            _form_rows(form, _state_coords(psi[start : start + step]))
             for start in range(0, n, step)
         ])
         assert est.value == float(rows.mean())
         assert est.std_error == float(rows.std(ddof=1) / np.sqrt(n))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestPairCheck:
+    """A form reads pairs when a row or a column past the first d holds a nonzero entry."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("entry", ["row", "column"])
+    def test_one_entry_past_the_diagonal_block_takes_the_haar_draw(self, d, entry):
+        # a diagonal form plus one entry, in row 0 or column 0, at coordinate d:
+        # the Re coordinate of psi_0 psi_1*
+        form = np.zeros((d * d, d * d))
+        form[:d, :d] = np.eye(d)
+        form[(0, d) if entry == "column" else (d, 0)] = 0.5
+        n = 2000
+        rng, ref_rng = make_rng(100 + d), make_rng(100 + d)
+        est = form_monte_carlo(form, n, rng)
+        psi = sample_haar_states(d, n, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        rows = _form_rows(form, _state_coords(psi))
+        assert est.value == pytest.approx(rows.mean(), abs=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_a_random_povm_estimation_form_reads_pairs(self, d):
+        rng = make_rng(110 + d)
+        meas, lam = random_povm(d, d * d + 1, rng), random_lambdas(d, rng)
+        strategy = optimal_estimates(meas)
+        form = _estimation_form(meas, lam, strategy)
+        # E^T N is not symmetric, so a check of the rows alone could miss a column
+        assert not np.allclose(form, form.T)
+        est_rng, ref_rng = make_rng(111 + d), make_rng(111 + d)
+        estimation_fidelity_mc(meas, lam, strategy, 1000, est_rng)
+        sample_haar_states(d, 1000, ref_rng)
+        assert est_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 MEAS_D2 = standard_measurement(2)

@@ -664,8 +664,8 @@ class TestTeleportOnce:
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_corrupted_effects_rejected(self, fill):
         proto = standard_protocol([0.8, 0.6])
-        values, support = proto.channel.effects
-        vars(proto.channel)["effects"] = (np.full_like(values, fill), support)
+        values, diagonal = proto.channel.effects
+        vars(proto.channel)["effects"] = (np.full_like(values, fill), diagonal)
         with pytest.raises(ValueError, match="probabilities vanish"):
             teleport_once(proto, PureState(np.eye(2)[0]), make_rng(0))
 
