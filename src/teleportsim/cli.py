@@ -31,6 +31,7 @@ from .haar import (
     MC_MIN_SAMPLES, McEstimate, _moment_blocks, _moment_matrix, make_rng, sample_haar_states,
 )
 from .protocol import (
+    CHECK_ATOL,
     _kraus_check,
     _protocol_parts,
     check_optimality,
@@ -44,31 +45,29 @@ from .search import search_best_protocol
 REPORT_SCHEMA = 1
 
 
-def _resolve_lambdas(args) -> tuple[np.ndarray, dict]:
-    """Parse --lambdas / --theta into sorted, normalized coefficients.
+def _resolve_lambdas(d: int, lambdas: str | None, theta: float | None) -> tuple[np.ndarray, dict]:
+    """Parse --lambdas / --theta for dimension d into sorted, normalized coefficients.
 
     Returns the coefficients and the provenance flags (whether the input
     had to be renormalized or reordered) that get recorded in the report.
     """
-    theta = args.theta
-    lambdas_arg = args.lambdas
     if theta is not None:
-        if lambdas_arg is not None:
+        if lambdas is not None:
             raise ValueError("pass either --lambdas or --theta, not both")
-        if args.d != 2:
+        if d != 2:
             raise ValueError("--theta is a d=2 shorthand; use --lambdas for other dimensions")
         if not 0.0 <= theta <= np.pi / 2:
             raise ValueError("--theta must lie in [0, pi/2] so both coefficients are nonnegative")
         raw = np.array([np.cos(theta), np.sin(theta)])
-    elif lambdas_arg is not None:
+    elif lambdas is not None:
         try:
-            raw = np.array([float(x) for x in lambdas_arg.split(",")])
+            raw = np.array([float(x) for x in lambdas.split(",")])
         except ValueError:
-            raise ValueError(f"--lambdas must be a comma-separated float list, got {lambdas_arg!r}")
+            raise ValueError(f"--lambdas must be a comma-separated float list, got {lambdas!r}")
     else:
-        raw = np.full(args.d, 1.0)  # maximally entangled default
-    if raw.size != args.d:
-        raise ValueError(f"expected {args.d} Schmidt coefficients, got {raw.size}")
+        raw = np.full(d, 1.0)  # maximally entangled default
+    if raw.size != d:
+        raise ValueError(f"expected {d} Schmidt coefficients, got {raw.size}")
     # needed: a NaN entry makes every normalized one NaN, which check_schmidt_coefficients passes
     if np.any(raw < 0):
         raise ValueError("Schmidt coefficients must be nonnegative")
@@ -156,7 +155,7 @@ def _mc_results(args, run_chunk: Callable[[np.random.Generator, int], McEstimate
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
-    lam, flags = _resolve_lambdas(args)
+    lam, flags = _resolve_lambdas(args.d, args.lambdas, args.theta)
     results = {
         "fidelity_bound": fidelity_bound(lam),
         "estimation_bound": estimation_fidelity_bound(lam),
@@ -166,7 +165,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
-    lam, flags = _resolve_lambdas(args)
+    lam, flags = _resolve_lambdas(args.d, args.lambdas, args.theta)
     proto = standard_protocol(lam)
     mc = _mc_results(args, lambda rng, n: mean_fidelity_monte_carlo(proto, n, rng))
     results = {"exact": mean_fidelity_exact(proto), **mc}
@@ -174,7 +173,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_estimate(args) -> tuple[dict, int]:
-    lam, flags = _resolve_lambdas(args)
+    lam, flags = _resolve_lambdas(args.d, args.lambdas, args.theta)
     meas = standard_measurement(args.d)
     strategy = optimal_estimates(meas)
     mc = _mc_results(args, lambda rng, n: estimation_fidelity_mc(meas, lam, strategy, n, rng))
@@ -193,8 +192,7 @@ def _cmd_sweep(args) -> tuple[dict, int]:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     rows = []
     for theta in np.linspace(0.0, np.pi / 2, args.steps + 1):
-        raw = np.sort([abs(np.cos(theta)), abs(np.sin(theta))])[::-1]
-        lam = check_schmidt_coefficients(raw / np.linalg.norm(raw))
+        lam, _ = _resolve_lambdas(2, None, theta)
         rows.append(
             {
                 "theta": float(theta),
@@ -241,7 +239,7 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
     if args.protocol == "standard":
         if args.d is None:
             args.d = 2
-        lam, flags = _resolve_lambdas(args)
+        lam, flags = _resolve_lambdas(args.d, args.lambdas, args.theta)
         proto = standard_protocol(lam)
         schmidt, meas, corr = proto.schmidt, proto.measurement, proto.corrections
         stack, sizes = corr.stack, np.bincount(corr.outcome)
@@ -291,7 +289,7 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
-    lam, flags = _resolve_lambdas(args)
+    lam, flags = _resolve_lambdas(args.d, args.lambdas, args.theta)
     outcomes = args.outcomes if args.outcomes is not None else args.d * args.d
     result = search_best_protocol(lam, outcomes, args.iters, make_rng(args.seed))
     ok = result.gap >= -1e-9
@@ -375,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-protocol", help="completeness and optimality checks")
     p.add_argument("protocol", help="'standard' or a path to a protocol JSON file")
     add_state_args(p, d_default=None)  # None marks --d as not given; 'standard' then uses 2
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=CHECK_ATOL)
     add_output_args(p)
 
     p = sub.add_parser("search", help="random-measurement search against the fidelity bound")

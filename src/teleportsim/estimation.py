@@ -19,7 +19,7 @@ import numpy as np
 
 from .haar import McEstimate, _state_coords, form_monte_carlo
 from .protocol import AliceMeasurement, _a_matrices, _effect_coords, _matched_lambdas
-from .qcore import _freeze, check_schmidt_coefficients
+from .qcore import _freeze, _is_unit, check_schmidt_coefficients
 
 #: leading blocks with norm at or below this have no well-defined guess
 ZERO_BLOCK_CUTOFF = 1e-12
@@ -35,11 +35,10 @@ class EstimationStrategy:
         guesses = np.array(self.guesses, dtype=complex)
         if guesses.ndim != 2:
             raise ValueError(f"guesses must have shape (R, d), got {guesses.shape}")
-        # checked before the norms, which warn on an infinite entry
+        # checked before the norms, so that a non-finite guess gets the message that says so
         if not np.isfinite(guesses).all():
             raise ValueError("every guess must be a unit vector: guesses must be finite")
-        norms = np.linalg.norm(guesses, axis=1)
-        if not np.max(np.abs(norms - 1.0)) <= 1e-12:
+        if not _is_unit((np.abs(guesses) ** 2).sum(axis=1)).all():
             raise ValueError("every guess must be a unit vector")
         object.__setattr__(self, "guesses", _freeze(guesses))
 

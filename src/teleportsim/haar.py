@@ -31,7 +31,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .qcore import Operator, PureState, _freeze
+from .qcore import Operator, PureState, _check_dim, _freeze
 
 #: complex entries that one block of a Monte-Carlo estimator's widest
 #: intermediate may hold (4 MiB). This bounds each block's cache footprint, and
@@ -170,8 +170,7 @@ def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEs
     per-row values by rounding at most, since a matrix product may sum in
     another order for another number of rows.
     """
-    if n < MC_MIN_SAMPLES:
-        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
+    _check_samples(n)
     d = math.isqrt(form.shape[0])
     if form[d:].any() or form[:, d:].any():
         psi = sample_haar_states(d, n, rng)
@@ -222,9 +221,9 @@ def _sample_simplex(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return p
 
 
-def _check_dim(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+def _check_samples(n: int) -> None:
+    if n < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
 
 
 def _check_indices(d: int, k: int, l: int) -> None:
@@ -294,6 +293,5 @@ def m_kl_monte_carlo(d: int, k: int, l: int, n: int, rng: np.random.Generator) -
     estimate holds the (d, d) complex mean and entrywise standard errors.
     """
     _check_indices(d, k, l)
-    if n < MC_MIN_SAMPLES:
-        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n}")
+    _check_samples(n)
     return _moment_blocks(sample_haar_states(d, n, rng), [k], [l])

@@ -27,11 +27,10 @@ from functools import cache, cached_property
 import numpy as np
 
 from .haar import _hermitian_coords, _state_coords
-from .qcore import PureState, SchmidtDecomposition, _freeze, check_schmidt_coefficients
+from .qcore import PureState, SchmidtDecomposition, _check_dim, _freeze, check_schmidt_coefficients
 
-#: completeness and Kraus-normalization tolerance for assembled protocols
-COMPLETENESS_ATOL = 1e-10
-KRAUS_ATOL = 1e-10
+#: tolerance of the completeness, Kraus-normalization and optimality checks
+CHECK_ATOL = 1e-10
 
 PROTOCOL_SCHEMA = 3
 
@@ -54,8 +53,7 @@ class AliceMeasurement:
         phi = np.array(self.phi, dtype=complex, order="C")
         if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
             raise ValueError(f"phi must have shape (R, d, d), got {phi.shape}")
-        if phi.shape[1] < 2:
-            raise ValueError("dimension must be at least 2")
+        _check_dim(phi.shape[1])
         if not np.isfinite(phi).all():
             raise ValueError("measurement blocks must be finite")
         object.__setattr__(self, "phi", _freeze(phi))
@@ -155,7 +153,7 @@ class BobCorrections:
 
     def __post_init__(self) -> None:
         stack, sizes = _kraus_stack(self.kraus)
-        bad = np.flatnonzero(~(_kraus_check(stack, sizes) <= KRAUS_ATOL))
+        bad = np.flatnonzero(~(_kraus_check(stack, sizes) <= CHECK_ATOL))
         if bad.size:
             r = int(bad[0])
             start = int(sizes[:r].sum())
@@ -203,7 +201,7 @@ class Protocol:
                 f"{self.corrections.n_outcomes} correction blocks for "
                 f"{self.measurement.n_outcomes} outcomes"
             )
-        report = validate_completeness(self.measurement, COMPLETENESS_ATOL)
+        report = validate_completeness(self.measurement)
         if not report.passed:
             raise ValueError(
                 f"measurement is not complete: max entrywise error {report.max_error:.3e}"
@@ -267,6 +265,8 @@ class TeleportChannel:
     The outcome probabilities p_r(psi) = tr(E_r rho), with effects
     E_r = A_r† A_r, are linear in x: :attr:`effects` holds the effects'
     coordinates, built when a shot or an outcome distribution first needs them.
+    Its width says which they are: the d diagonal ones when every effect is
+    diagonal, else all d^2.
     """
 
     def __init__(self, proto: Protocol) -> None:
@@ -282,18 +282,17 @@ class TeleportChannel:
         return _freeze(w.T @ w)
 
     @cached_property
-    def effects(self) -> tuple[np.ndarray, bool]:
-        """The coordinates of every effect E_r, and whether they are only the diagonal ones.
+    def effects(self) -> np.ndarray:
+        """The coordinates of every effect E_r, column-major.
 
         When every E_r is diagonal, as the standard measurement's are, the
         array is (R, d) and holds the diagonal coordinates; otherwise it is
-        (R, d^2) and holds all of them.
+        (R, d^2) and holds all of them. outcome_distribution's product
+        rounds by layout, and its bits follow this one.
         """
         e = _effect_coords(self.a)
         d = self.a.shape[-1]
-        diagonal = not e[:, d:].any()
-        # column-major: outcome_distribution's product rounds by layout, and its bits follow this one
-        return _freeze(np.asfortranarray(e[:, :d] if diagonal else e)), diagonal
+        return _freeze(np.asfortranarray(e if e[:, d:].any() else e[:, :d]))
 
 
 @dataclass(frozen=True)
@@ -312,8 +311,7 @@ def standard_measurement(d: int) -> AliceMeasurement:
     shift by q; the 1/sqrt(d) scale makes the POVM resolve the identity
     exactly. Built once per dimension and shared (see :func:`_standard_pair`).
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dim(d)
     # the cache is keyed by int: a float d raises here, as range(d) would, and an
     # integer of another type, such as np.int64, shares the int's entry
     return _standard_pair(operator.index(d))[0]
@@ -350,9 +348,7 @@ class CompletenessReport:
     tol: float
 
 
-def validate_completeness(
-    meas: AliceMeasurement, tol: float = COMPLETENESS_ATOL
-) -> CompletenessReport:
+def validate_completeness(meas: AliceMeasurement, tol: float = CHECK_ATOL) -> CompletenessReport:
     """Check sum_r |phi_r^k><phi_r^l| = delta_kl * I entrywise against tol.
 
     The report is read off :attr:`AliceMeasurement.completeness_error`, which
@@ -390,7 +386,7 @@ class OptimalityReport:
 
 
 def check_optimality(
-    meas: AliceMeasurement, schmidt: SchmidtDecomposition, tol: float = 1e-10
+    meas: AliceMeasurement, schmidt: SchmidtDecomposition, tol: float = CHECK_ATOL
 ) -> OptimalityReport:
     """Check |<phi_r^k|phi_r^l> - delta_kl |phi_r^0|^2| <= tol for k, l <= m."""
     _matched_lambdas(meas, schmidt.lambdas)
@@ -459,15 +455,15 @@ def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
     """Probability of each measurement outcome for the input psi.
 
     p_r = tr(E_r rho) is the product of the effects' coordinates
-    (:attr:`TeleportChannel.effects`) with psi psi†'s, only the d diagonal
-    ones |psi_i|^2 when the effects are diagonal, clipped at 0. It equals
-    sum_i |(A_r psi)_i|^2 up to rounding.
+    (:attr:`TeleportChannel.effects`) with as many of psi psi†'s, clipped at
+    0: only the d diagonal ones |psi_i|^2 when the effects array is d wide.
+    It equals sum_i |(A_r psi)_i|^2 up to rounding.
     """
     amps = psi.amplitudes
     if amps.size != proto.d:
         raise ValueError(f"input dimension {amps.size} != protocol dimension {proto.d}")
-    values, diagonal = proto.channel.effects
-    return np.maximum(values @ _state_coords(amps, diagonal), 0.0)
+    values = proto.channel.effects
+    return np.maximum(values @ _state_coords(amps, values.shape[1] == amps.size), 0.0)
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator) -> int:

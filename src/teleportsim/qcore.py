@@ -30,6 +30,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr.view()
 
 
+def _check_dim(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+
+
+def _is_unit(norm_sq):
+    """Whether |v|^2, or each of an array of them, is within NORM_ATOL of 1; NaN and inf are not."""
+    return abs(norm_sq - 1.0) <= NORM_ATOL
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit vector of complex amplitudes for a single d-level system."""
@@ -39,11 +49,10 @@ class PureState:
     def __post_init__(self) -> None:
         # np.array after the ravel, so that the amplitudes are copied once and own their memory
         amps = np.array(np.ravel(self.amplitudes), dtype=complex)
-        if amps.size < 2:
-            raise ValueError(f"state dimension must be at least 2, got {amps.size}")
+        _check_dim(amps.size)
         # a BLAS dot may round with the thread count; only this check and its message read it
         norm_sq = float(np.vdot(amps, amps).real)
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # also rejects NaN and inf
+        if not _is_unit(norm_sq):
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -95,7 +104,7 @@ class BipartiteVector:
         if coeffs.ndim != 2:
             raise ValueError(f"coefficients must form a matrix, got shape {coeffs.shape}")
         norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:  # also rejects NaN and inf
+        if not _is_unit(norm_sq):
             raise ValueError(f"bipartite state is not normalized: |c|^2 = {norm_sq}")
         object.__setattr__(self, "coeffs", _freeze(coeffs))
 

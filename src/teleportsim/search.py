@@ -92,11 +92,12 @@ def random_povm(d: int, n_outcomes: int, rng: np.random.Generator) -> AliceMeasu
 
 
 def search_best_protocol(
-    lambdas, n_outcomes: int | None, iterations: int, rng: np.random.Generator
+    lambdas, n_outcomes: int, iterations: int, rng: np.random.Generator
 ) -> SearchResult:
     """Evaluate random measurements (plus the standard one) against the bound.
 
-    Each candidate is scored by the best fidelity attainable with optimal
+    Each random measurement has ``n_outcomes`` outcomes, at least d^2, and
+    each candidate is scored by the best fidelity attainable with optimal
     unitary corrections; the standard measurement is always included, so the
     best found value sits at the bound and the reported gap probes only
     whether any random draw exceeds it.
@@ -112,8 +113,6 @@ def search_best_protocol(
     if iterations < 1:
         raise ValueError(f"need at least one iteration, got {iterations}")
     d = lam.size
-    if n_outcomes is None:
-        n_outcomes = d * d
     best_meas = standard_measurement(d)
     best_f = optimal_fidelity_given_measurement(best_meas, lam)
     # too few outcomes (even 0) reach _random_frames, which rejects them

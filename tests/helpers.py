@@ -18,7 +18,7 @@ from teleportsim import (
     sample_haar_states,
     standard_measurement,
 )
-from teleportsim.protocol import KRAUS_ATOL, _a_matrices
+from teleportsim.protocol import CHECK_ATOL, _a_matrices
 
 
 def random_lambdas(d, rng):
@@ -297,7 +297,7 @@ def loop_kraus_check(kraus):
         if not np.isfinite(arr).all():
             raise ValueError(f"outcome {r}: Kraus operators must be finite")
         total = np.einsum("sij,sik->jk", arr.conj(), arr)
-        if float(np.max(np.abs(total - np.eye(d)))) > KRAUS_ATOL:
+        if float(np.max(np.abs(total - np.eye(d)))) > CHECK_ATOL:
             raise ValueError(f"outcome {r}: Kraus operators do not compose to the identity")
         blocks.append(arr)
     if not blocks:

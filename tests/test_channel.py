@@ -151,8 +151,8 @@ class TestFormSupport:
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_standard_effects_live_on_the_diagonal(self, d, kind):
         proto = standard_protocol(spectrum(kind, d, make_rng(345 + d)))
-        values, diagonal = proto.channel.effects
-        assert diagonal and values.shape == (d * d, d)
+        values = proto.channel.effects
+        assert values.shape == (d * d, d)
         # stored column-major, the layout outcome_distribution's product rounds by
         assert values.flags.f_contiguous
         full = _effect_coords(proto.channel.a)

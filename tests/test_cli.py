@@ -260,6 +260,18 @@ class TestSweep:
         assert bounds[0] == pytest.approx(2 / 3, abs=1e-12)
         assert bounds[-1] == pytest.approx(2 / 3, abs=1e-12)
 
+    def test_every_row_matches_bound_and_simulate_at_its_theta_bit_for_bit(self, capsys):
+        # each row's coefficients come from the --theta path; row 26 once differed in the last bit
+        _, sweep = run_json(capsys, "sweep", "--steps", "50", "--format", "json")
+        assert len(sweep["rows"]) == 51
+        for row in sweep["rows"]:
+            theta = ("--d", "2", "--theta", repr(row["theta"]))
+            _, bound = run_json(capsys, "bound", *theta)
+            _, simulate = run_json(capsys, "simulate", *theta, "--n", "1000")
+            assert row["bound"] == bound["results"]["fidelity_bound"]
+            assert row["estimation_bound"] == bound["results"]["estimation_bound"]
+            assert row["exact"] == simulate["results"]["exact"]
+
     def test_rejects_other_dimensions(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--d", "3")
         assert code == 2
@@ -603,6 +615,13 @@ class TestSearch:
         )
         assert code == 0
         assert report["config"]["outcomes"] == 8
+
+    def test_default_outcomes_are_d_squared_and_recorded(self, capsys):
+        argv = ("search", "--d", "3", "--iters", "5", "--seed", "1")
+        _, default = run_json(capsys, *argv)
+        _, nine = run_json(capsys, *argv, "--outcomes", "9")
+        assert default["config"]["outcomes"] == 9
+        assert default == nine
 
 
 class TestRangeChecks:

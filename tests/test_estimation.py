@@ -5,6 +5,7 @@ import pytest
 
 from teleportsim import (
     EstimationStrategy,
+    PureState,
     SchmidtDecomposition,
     check_optimality,
     estimation_fidelity_bound,
@@ -146,6 +147,20 @@ class TestInputChecks:
         strategy = EstimationStrategy(np.eye(2, dtype=complex)[[0, 1, 0]])
         with pytest.raises(ValueError, match="strategy shape"):
             EVALUATORS[name](meas, [0.8, 0.6], strategy)
+
+    @pytest.mark.parametrize("excess, unit", [(7e-13, False), (-7e-13, False), (4e-13, True)])
+    def test_guesses_are_unit_vectors_as_states_are(self, excess, unit):
+        # |g|^2 - 1 is 2 excess: 1.4e-12 lies beyond the states' NORM_ATOL, 8e-13 within it
+        guess = [1 + excess, 0]
+        guesses = [guess, [1, 0], [0, 1], [1, 0]]
+        if unit:
+            PureState(guess)
+            EstimationStrategy(guesses)
+            return
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(guess)
+        with pytest.raises(ValueError, match="every guess must be a unit vector$"):
+            EstimationStrategy(guesses)
 
     def test_nan_guess_rejected(self):
         with pytest.raises(ValueError, match="unit vector"):

@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import inspect
 import json
 import re
 import struct
@@ -29,7 +30,8 @@ from teleportsim import (
     teleport_once,
     validate_completeness,
 )
-from teleportsim.protocol import COMPLETENESS_ATOL, _base64, _kraus_check
+from teleportsim.cli import build_parser
+from teleportsim.protocol import CHECK_ATOL, _base64, _kraus_check
 from helpers import (
     choice_teleport_once,
     einsum_bob_unitaries,
@@ -165,12 +167,37 @@ class TestStandardCache:
                 standard_measurement(d)
 
 
+class TestCheckTolerance:
+    """CHECK_ATOL is the one tolerance of the completeness, Kraus and optimality checks."""
+
+    def test_is_the_default_of_every_check(self):
+        for check in (validate_completeness, check_optimality):
+            assert inspect.signature(check).parameters["tol"].default is CHECK_ATOL
+        assert build_parser().parse_args(["check-protocol", "standard"]).tol is CHECK_ATOL
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_corrections_and_protocols_are_held_to_it(self, factor):
+        # scaled by sqrt(1 + e), every Kraus sum and the completeness sum are off by e
+        std = standard_protocol([0.8, 0.6])
+        scale = np.sqrt(1 + factor * CHECK_ATOL)
+        kraus = scale * std.corrections.stack
+        meas = AliceMeasurement(scale * std.measurement.phi)
+        if factor < 1:
+            BobCorrections(kraus)
+            Protocol(std.schmidt, meas, std.corrections)
+            return
+        with pytest.raises(ValueError, match="do not compose to the identity"):
+            BobCorrections(kraus)
+        with pytest.raises(ValueError, match="not complete"):
+            Protocol(std.schmidt, meas, std.corrections)
+
+
 class TestValidateCompleteness:
     @pytest.mark.parametrize("d", range(2, 17))
     def test_report_on_the_cached_measurement_equals_a_fresh_copy(self, d):
         meas = standard_measurement(d)
         fresh = AliceMeasurement(np.array(meas.phi))
-        for tol in (0.0, 1e-16, 1e-15, 3e-15, 1e-12, COMPLETENESS_ATOL, 1.0):
+        for tol in (0.0, 1e-16, 1e-15, 3e-15, 1e-12, CHECK_ATOL, 1.0):
             got, want = validate_completeness(meas, tol), validate_completeness(fresh, tol)
             assert dataclasses.astuple(got) == dataclasses.astuple(want)
             assert type(got.max_error) is type(want.max_error) is float
@@ -551,7 +578,7 @@ def handed_out_arrays(proto):
     yield "channel.a", channel.a
     yield "channel.kraus", channel.kraus
     yield "channel.gram", channel.gram
-    yield "channel.effects", channel.effects[0]
+    yield "channel.effects", channel.effects
     yield "OptimalityReport.errors", check_optimality(meas, proto.schmidt).errors
 
 
@@ -664,8 +691,7 @@ class TestTeleportOnce:
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_corrupted_effects_rejected(self, fill):
         proto = standard_protocol([0.8, 0.6])
-        values, diagonal = proto.channel.effects
-        vars(proto.channel)["effects"] = (np.full_like(values, fill), diagonal)
+        vars(proto.channel)["effects"] = np.full_like(proto.channel.effects, fill)
         with pytest.raises(ValueError, match="probabilities vanish"):
             teleport_once(proto, PureState(np.eye(2)[0]), make_rng(0))
 

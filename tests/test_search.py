@@ -211,7 +211,7 @@ class TestSearchBestProtocol:
     def test_d3_random_spectrum(self):
         rng = make_rng(3)
         lam = random_lambdas(3, rng)
-        result = search_best_protocol(lam, None, 200, rng)
+        result = search_best_protocol(lam, 9, 200, rng)
         assert result.gap >= -1e-9
         assert result.bound == pytest.approx(fidelity_bound(lam))
 
