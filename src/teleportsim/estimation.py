@@ -38,7 +38,10 @@ class EstimationStrategy:
         # checked before the norms, so that a non-finite guess gets the message that says so
         if not np.isfinite(guesses).all():
             raise ValueError("every guess must be a unit vector: guesses must be finite")
-        if not _is_unit((np.abs(guesses) ** 2).sum(axis=1)).all():
+        # an entry beyond 1e154 squares to inf, which _is_unit rejects
+        with np.errstate(over="ignore"):
+            norm_sq = (np.abs(guesses) ** 2).sum(axis=1)
+        if not _is_unit(norm_sq).all():
             raise ValueError("every guess must be a unit vector")
         object.__setattr__(self, "guesses", _freeze(guesses))
 

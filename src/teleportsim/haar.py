@@ -247,10 +247,10 @@ def _moment_matrix(d: int) -> np.ndarray:
     Entry [(k, i), (l, j)] is (delta_kl delta_ij + delta_ki delta_lj) / (d (d+1)):
     the identity plus the outer product of e = vec(I) with itself. Each entry
     is an integer divided once by d (d+1), as in :func:`m_kl_exact`, so the
-    two agree bit for bit.
+    two agree bit for bit. Every entry is real, and so is the array.
     """
     e = np.eye(d).ravel()
-    return ((np.eye(d * d) + np.outer(e, e)) / (d * (d + 1))).astype(complex)
+    return (np.eye(d * d) + np.outer(e, e)) / (d * (d + 1))
 
 
 def _moment_blocks(psi: np.ndarray, ks: Sequence[int], ls: Sequence[int]) -> McEstimate:

@@ -80,6 +80,21 @@ class AliceMeasurement:
         gram = joint.T @ joint.conj() - np.eye(d * d)
         return _freeze(np.abs(gram).reshape(d, d, d, d).max(axis=(1, 3)))
 
+    @cached_property
+    def monomial(self) -> bool:
+        """Whether every phi_r has at most one nonzero entry in each row and each column.
+
+        Computed on first use and kept. Each A_r of such a measurement, the
+        standard one included, is then monomial too, so its singular values
+        are the moduli of its entries and its polar factor is their phase
+        pattern (see :func:`optimal_bob_corrections`). Such a stack holds at
+        most R d nonzero entries, so a dense one fails on the count alone.
+        """
+        nonzero = self.phi != 0
+        if np.count_nonzero(nonzero) > self.n_outcomes * self.d:
+            return False
+        return bool((nonzero.sum(axis=2) <= 1).all() and (nonzero.sum(axis=1) <= 1).all())
+
 
 def _kraus_shape(r: int, shape: tuple[int, ...], d: int | None) -> tuple[int, int, int]:
     """Outcome r's Kraus block ``shape`` as (S, d, d); a bare (d, d) matrix is one operator.
@@ -134,13 +149,20 @@ def _kraus_check(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         return np.abs(total - np.eye(stack.shape[1])).max(axis=(1, 2))
 
 
+def _outcome_blocks(stack: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Each outcome's (S_r, d, d) slice of a Kraus stack, for per-outcome counts ``sizes``."""
+    ends = np.cumsum(sizes).tolist()
+    return tuple(stack[end - n : end] for end, n in zip(ends, sizes.tolist()))
+
+
 @dataclass(frozen=True)
 class BobCorrections:
     """Per-outcome correction channels as Kraus operator lists.
 
     ``kraus`` is one block per outcome: an (S_r, d, d) array, a list of
     (d, d) matrices, or a bare (d, d) matrix as a single operator, so an
-    (R, d, d) array gives R one-operator outcomes. Each must satisfy
+    (R, d, d) array gives R one-operator outcomes, and is taken as the stack
+    whole, with no pass over its outcomes. Each must satisfy
     sum_s B†B = I. The operators are checked once and kept in one read-only
     (K, d, d) array ``stack``; ``outcome[i]`` is the outcome of ``stack[i]``,
     and ``kraus[r]`` is the read-only (S_r, d, d) view of ``stack`` holding
@@ -152,7 +174,12 @@ class BobCorrections:
     outcome: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        stack, sizes = _kraus_stack(self.kraus)
+        if isinstance(self.kraus, np.ndarray) and self.kraus.ndim == 3 and self.kraus.size:
+            _kraus_shape(0, self.kraus.shape[1:], None)
+            stack = np.array(self.kraus, dtype=complex, order="C")
+            sizes = np.ones(stack.shape[0], dtype=np.intp)
+        else:
+            stack, sizes = _kraus_stack(self.kraus)
         bad = np.flatnonzero(~(_kraus_check(stack, sizes) <= CHECK_ATOL))
         if bad.size:
             r = int(bad[0])
@@ -163,7 +190,7 @@ class BobCorrections:
         stack = _freeze(stack)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "outcome", _freeze(np.repeat(np.arange(sizes.size), sizes)))
-        object.__setattr__(self, "kraus", tuple(np.split(stack, np.cumsum(sizes)[:-1])))
+        object.__setattr__(self, "kraus", _outcome_blocks(stack, sizes))
 
     @property
     def d(self) -> int:
@@ -409,10 +436,12 @@ def optimal_bob_corrections(
     """Best unitary correction for each outcome of a measurement.
 
     For outcome r the relevant data is A_r = sum_k lambda_k |k><phi_r^k|; the
-    unitary maximizing |Tr(B A_r)| is the adjoint of the polar factor of A_r,
-    recovered here from its SVD. When A_r is rank deficient the SVD supplies
-    an arbitrary orthonormal completion on the null space, where the mean
-    fidelity is insensitive to the choice.
+    unitary maximizing |Tr(B A_r)| is the adjoint of the polar factor of A_r.
+    For a :attr:`~AliceMeasurement.monomial` measurement, such as the
+    standard one, that factor is read off the entries of A_r
+    (:func:`_monomial_polar`); for any other it is recovered from the SVD.
+    When A_r is rank deficient either supplies some orthonormal completion
+    on the null space, where the mean fidelity is insensitive to the choice.
     """
     a = _a_matrices(meas.phi, _matched_lambdas(meas, schmidt.lambdas))
     if not np.any(a):
@@ -420,9 +449,28 @@ def optimal_bob_corrections(
             "every outcome has zero weight; measurement and Schmidt coefficients "
             "are mutually inconsistent"
         )
-    u, _, vh = np.linalg.svd(a)
-    polar = u @ vh
+    if meas.monomial:
+        polar = _monomial_polar(a)
+    else:
+        u, _, vh = np.linalg.svd(a)
+        polar = u @ vh
     return BobCorrections(polar.conj().transpose(0, 2, 1))
+
+
+def _monomial_polar(a: np.ndarray) -> np.ndarray:
+    """Polar factor of every A_r of an (R, d, d) stack of monomial matrices.
+
+    Each nonzero entry a of A_r becomes its phase a / |a|. The zero rows of
+    A_r are then paired with its zero columns, in order, by entries 1: a
+    monomial matrix has as many of each, so the factor is a phase times a
+    permutation, unitary also when A_r is rank deficient or all zero.
+    """
+    nonzero = a != 0
+    polar = np.divide(a, np.abs(a), out=np.zeros_like(a), where=nonzero)
+    outcome, row = np.nonzero(~nonzero.any(axis=2))
+    col = np.nonzero(~nonzero.any(axis=1))[1]
+    polar[outcome, row, col] = 1.0
+    return polar
 
 
 def standard_protocol(lambdas) -> Protocol:
@@ -630,5 +678,5 @@ def protocol_to_json(proto: Protocol) -> str:
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
     schmidt, meas, stack, sizes = _protocol_parts(text)
-    kraus = tuple(np.split(stack, np.cumsum(sizes)[:-1]))
+    kraus = stack if (sizes == 1).all() else _outcome_blocks(stack, sizes)
     return Protocol(schmidt, meas, BobCorrections(kraus))

@@ -103,7 +103,9 @@ class BipartiteVector:
         coeffs = np.array(self.coeffs, dtype=complex)
         if coeffs.ndim != 2:
             raise ValueError(f"coefficients must form a matrix, got shape {coeffs.shape}")
-        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+        # an entry beyond 1e154 squares to inf, which _is_unit rejects with this message
+        with np.errstate(over="ignore"):
+            norm_sq = float((np.abs(coeffs) ** 2).sum())
         if not _is_unit(norm_sq):
             raise ValueError(f"bipartite state is not normalized: |c|^2 = {norm_sq}")
         object.__setattr__(self, "coeffs", _freeze(coeffs))
@@ -122,11 +124,13 @@ def check_schmidt_coefficients(lambdas) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=float).reshape(-1)
     if lam.size < 2:
         raise ValueError(f"need at least 2 Schmidt coefficients, got {lam.size}")
-    if np.any(lam < 0):
+    # this check runs on every spectrum: the array methods run the same reductions as
+    # np.any and np.sum without their dispatch, and the slices compare what np.diff subtracts
+    if (lam < 0).any():
         raise ValueError("Schmidt coefficients must be nonnegative")
-    if np.any(np.diff(lam) > 0):
+    if (lam[1:] > lam[:-1]).any():
         raise ValueError("Schmidt coefficients must be sorted in descending order")
-    norm_sq = float(np.sum(lam**2))
+    norm_sq = float((lam**2).sum())
     if abs(norm_sq - 1.0) > NORM_ATOL:
         raise ValueError(f"Schmidt coefficients are not normalized: sum of squares = {norm_sq}")
     return lam

@@ -100,7 +100,8 @@ def search_best_protocol(
     each candidate is scored by the best fidelity attainable with optimal
     unitary corrections; the standard measurement is always included, so the
     best found value sits at the bound and the reported gap probes only
-    whether any random draw exceeds it.
+    whether any random draw exceeds it. It is monomial, so it is scored
+    without an SVD (:func:`optimal_fidelity_given_measurement`).
 
     Candidates are drawn and scored in blocks of at most
     :data:`BLOCK_ENTRIES` complex frame entries (one candidate per block at

@@ -7,6 +7,7 @@ from scipy.stats import unitary_group
 
 from teleportsim import (
     AliceMeasurement,
+    BobCorrections,
     McEstimate,
     Protocol,
     PureState,
@@ -208,6 +209,24 @@ def einsum_bob_unitaries(meas, lambdas):
     u, _, vh = np.linalg.svd(a)
     polar = np.einsum("rij,rjk->rik", u, vh)
     return polar.conj().transpose(0, 2, 1)
+
+
+def svd_bob_corrections(meas, lambdas):
+    """Corrections B_r = (u @ vh)† from the SVD of every A_r, whatever the measurement (reference).
+
+    This is the path optimal_bob_corrections takes for a measurement that is not monomial.
+    """
+    a = _a_matrices(meas.phi, np.asarray(lambdas))
+    u, _, vh = np.linalg.svd(a)
+    return BobCorrections((u @ vh).conj().transpose(0, 2, 1))
+
+
+def svd_optimal_fidelity(meas, lambdas):
+    """(d + sum_r ||A_r||_nuc^2) / (d (d + 1)), each nuclear norm the sum of np.linalg.svd's values (reference)."""
+    d = meas.d
+    a = _a_matrices(meas.phi, np.asarray(lambdas))
+    nuclear = np.sum(np.linalg.svd(a, compute_uv=False), axis=-1)
+    return float((d + np.sum(nuclear**2)) / (d * (d + 1)))
 
 
 def polar_random_povm(d, n_outcomes, rng):

@@ -166,6 +166,11 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="unit vector"):
             EstimationStrategy([[np.nan, 0], [1, 0], [0, 1], [1, 0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_guess_whose_squares_overflow_fails_the_norm_check(self):
+        with pytest.raises(ValueError, match="^every guess must be a unit vector$"):
+            EstimationStrategy([[1e200, 0]])
+
     def test_infinite_guess_rejected_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -20,6 +20,7 @@ from teleportsim import (
     make_rng,
     mean_fidelity_exact,
     optimal_bob_corrections,
+    optimal_fidelity_given_measurement,
     outcome_distribution,
     protocol_from_json,
     protocol_to_json,
@@ -44,6 +45,8 @@ from helpers import (
     random_optimal_measurement,
     random_unitaries,
     report_violations,
+    svd_bob_corrections,
+    svd_optimal_fidelity,
     to_base64,
 )
 
@@ -86,16 +89,24 @@ def kind_protocol(kind, d):
     return proto
 
 
-def local_product_protocol(d):
-    """Product resource lambda = (1, 0, ..., 0), with Alice measuring both particles locally.
+def local_product_measurement(d):
+    """Alice measuring both particles locally in the computational basis.
 
-    Outcome r = j + k d has the single block phi_r^k = |j>. Only the k = 0
-    outcomes can occur, so d^2 - d outcomes have probability exactly 0.
+    Outcome r = j + k d has the single block phi_r^k = |j>: the measurement
+    is complete and monomial, and falls below the bound on any entangled resource.
     """
     r = np.arange(d * d)
     phi = np.zeros((d * d, d, d), dtype=complex)
     phi[r, r // d, r % d] = 1.0
-    meas = AliceMeasurement(phi)
+    return AliceMeasurement(phi)
+
+
+def local_product_protocol(d):
+    """Product resource lambda = (1, 0, ..., 0), measured by :func:`local_product_measurement`.
+
+    Only the k = 0 outcomes can occur, so d^2 - d outcomes have probability exactly 0.
+    """
+    meas = local_product_measurement(d)
     schmidt = SchmidtDecomposition(np.eye(d)[0])
     return Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
 
@@ -395,7 +406,7 @@ class TestStandardCorrections:
     @pytest.mark.parametrize("d", range(2, 17))
     def test_equal_to_the_svd_corrections_at_full_rank(self, d):
         proto = standard_protocol(random_lambdas(d, make_rng(90 + d)))
-        svd = optimal_bob_corrections(proto.measurement, proto.schmidt)
+        svd = svd_bob_corrections(proto.measurement, proto.schmidt.lambdas)
         assert np.max(np.abs(proto.corrections.stack - svd.stack)) <= 1e-14
         assert np.array_equal(proto.corrections.outcome, svd.outcome)
 
@@ -403,10 +414,97 @@ class TestStandardCorrections:
     @pytest.mark.parametrize("d", range(2, 17))
     def test_same_fidelity_as_the_svd_corrections_when_rank_deficient(self, d, kind):
         proto = standard_protocol(deficient_spectrum(kind, d, make_rng(110 + d)))
-        svd = optimal_bob_corrections(proto.measurement, proto.schmidt)
+        svd = svd_bob_corrections(proto.measurement, proto.schmidt.lambdas)
         with_svd = Protocol(proto.schmidt, proto.measurement, svd)
         assert abs(mean_fidelity_exact(proto) - mean_fidelity_exact(with_svd)) <= 1e-14
         assert abs(mean_fidelity_exact(proto) - fidelity_bound(proto.schmidt.lambdas)) <= 1e-14
+
+
+def monomial_measurement(kind, d, rng):
+    """A complete monomial measurement: the standard one, the standard one with random
+    per-outcome phases and one column permutation, the local product one, or the
+    standard one with an extra outcome whose blocks are all zero."""
+    std = standard_measurement(d)
+    if kind == "phased-permuted":
+        phases = np.exp(2j * np.pi * rng.random(d * d))[:, None, None]
+        return AliceMeasurement(phases * std.phi[:, :, rng.permutation(d)])
+    if kind == "local-product":
+        return local_product_measurement(d)
+    if kind == "zero-outcome":
+        return AliceMeasurement(np.concatenate([std.phi, np.zeros((1, d, d))]))
+    return std
+
+
+MONOMIAL_KINDS = ["standard", "phased-permuted", "local-product", "zero-outcome"]
+
+
+class TestMonomialMeasurements:
+    """The SVD-free scores and corrections of monomial measurements against the SVD path."""
+
+    @pytest.mark.parametrize("kind", MONOMIAL_KINDS)
+    def test_flag_holds_and_is_kept(self, kind):
+        meas = monomial_measurement(kind, 5, make_rng(120))
+        assert validate_completeness(meas).passed
+        assert meas.monomial is True
+        assert "monomial" in vars(meas)
+
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    def test_two_entries_in_one_line_are_not_monomial(self, axis):
+        # the extra outcome leaves the stack within R d nonzero entries,
+        # so only the row and column counts can reject it
+        d = 4
+        phi = np.concatenate([standard_measurement(d).phi, np.zeros((1, d, d))])
+        i, j = (1, 0) if axis == "column" else (0, 1)
+        phi[-1, 0, 0] = phi[-1, i, j] = 1.0
+        assert np.count_nonzero(phi) <= phi.shape[0] * d
+        assert AliceMeasurement(phi).monomial is False
+
+    def test_dense_measurements_are_not_monomial(self):
+        rng = make_rng(121)
+        assert random_povm(3, 9, rng).monomial is False
+        assert random_optimal_measurement(3, 2, rng).monomial is False
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_scores_and_fidelities_agree_with_the_svd(self, d):
+        rng = make_rng(130, stream=d)
+        for kind in MONOMIAL_KINDS:
+            meas = monomial_measurement(kind, d, rng)
+            for spectrum in ("full", "rank_deficient", "product"):
+                lam = (random_lambdas(d, rng) if spectrum == "full"
+                       else deficient_spectrum(spectrum, d, rng))
+                schmidt = SchmidtDecomposition(lam)
+                score = optimal_fidelity_given_measurement(meas, lam)
+                assert abs(score - svd_optimal_fidelity(meas, lam)) <= 1e-14
+                corr = optimal_bob_corrections(meas, schmidt)
+                svd = svd_bob_corrections(meas, lam)
+                fidelity = mean_fidelity_exact(Protocol(schmidt, meas, corr))
+                assert abs(fidelity - mean_fidelity_exact(Protocol(schmidt, meas, svd))) <= 1e-14
+                assert abs(fidelity - score) <= 1e-14
+                if kind in ("standard", "phased-permuted"):
+                    assert abs(score - fidelity_bound(lam)) <= 1e-14
+                    if spectrum == "full":  # the polar factor is unique at full rank
+                        assert np.max(np.abs(corr.stack - svd.stack)) <= 1e-14
+
+    def test_local_product_measurement_falls_below_the_bound(self):
+        lam = random_lambdas(4, make_rng(131))
+        score = optimal_fidelity_given_measurement(local_product_measurement(4), lam)
+        assert score == pytest.approx(2 / 5, abs=1e-15)
+        assert score < fidelity_bound(lam) - 0.1
+
+    def test_all_zero_outcome_is_corrected_by_the_identity(self):
+        d = 3
+        meas = monomial_measurement("zero-outcome", d, None)
+        corr = optimal_bob_corrections(meas, SchmidtDecomposition(random_lambdas(d, make_rng(132))))
+        assert np.array_equal(corr.kraus[-1][0], np.eye(d))
+
+    @pytest.mark.parametrize("d,n_outcomes", [(2, 4), (2, 7), (3, 9), (4, 19), (8, 64), (16, 256)])
+    def test_dense_scores_and_corrections_are_the_svd_bit_for_bit(self, d, n_outcomes):
+        rng = make_rng(140, stream=n_outcomes)
+        meas = random_povm(d, n_outcomes, rng)
+        lam = random_lambdas(d, rng)
+        assert optimal_fidelity_given_measurement(meas, lam) == svd_optimal_fidelity(meas, lam)
+        corr = optimal_bob_corrections(meas, SchmidtDecomposition(lam))
+        assert np.array_equal(corr.stack, svd_bob_corrections(meas, lam).stack)
 
 
 class TestBobCorrections:
@@ -427,6 +525,8 @@ class TestBobCorrections:
             corr = BobCorrections(kraus)
             assert corr.n_outcomes == 5
             assert all(block.shape == (1, 3, 3) for block in corr.kraus)
+            assert all(np.shares_memory(block, corr.stack) for block in corr.kraus)
+            assert not any(block.flags.writeable for block in corr.kraus)
             assert np.array_equal(corr.stack, unitaries)
             assert np.array_equal(corr.outcome, np.arange(5))
 
@@ -1090,8 +1190,14 @@ class TestSerialization:
         assert str(info.value) == message
 
     def test_no_kraus_blocks_raises_value_error(self):
-        with pytest.raises(ValueError, match="^need at least one outcome$"):
-            BobCorrections(())
+        for kraus in ((), np.zeros((0, 2, 2))):
+            with pytest.raises(ValueError, match="^need at least one outcome$"):
+                BobCorrections(kraus)
+
+    def test_non_square_stack_names_outcome_0(self):
+        with pytest.raises(ValueError) as info:
+            BobCorrections(np.zeros((3, 2, 3)))
+        assert str(info.value) == "outcome 0: Kraus block must have shape (S, d, d), got (1, 2, 3)"
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     @pytest.mark.parametrize("kind", ["one-operator", "multi-kraus"])

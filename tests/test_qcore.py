@@ -43,6 +43,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="finite"):
             Operator([[bad, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_bipartite_entries_whose_squares_overflow_fail_the_norm_check(self):
+        with pytest.raises(ValueError, match=r"not normalized: \|c\|\^2 = inf$"):
+            BipartiteVector([[1e200, 0.0]])
+
     @pytest.mark.parametrize("excess", [0.5e-12, -0.5e-12])
     def test_pure_state_accepts_norm_within_tolerance(self, excess):
         z = np.array([0.6, 0.48j, -0.64])  # |z|^2 = 1
