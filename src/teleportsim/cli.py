@@ -39,7 +39,7 @@ from .protocol import (
     standard_protocol,
     validate_completeness,
 )
-from .qcore import check_schmidt_coefficients
+from .qcore import _check_dim, check_schmidt_coefficients
 from .search import search_best_protocol
 
 REPORT_SCHEMA = 1
@@ -51,6 +51,7 @@ def _resolve_lambdas(d: int, lambdas: str | None, theta: float | None) -> tuple[
     Returns the coefficients and the provenance flags (whether the input
     had to be renormalized or reordered) that get recorded in the report.
     """
+    _check_dim(d)
     if theta is not None:
         if lambdas is not None:
             raise ValueError("pass either --lambdas or --theta, not both")
@@ -71,13 +72,18 @@ def _resolve_lambdas(d: int, lambdas: str | None, theta: float | None) -> tuple[
     # needed: a NaN entry makes every normalized one NaN, which check_schmidt_coefficients passes
     if np.any(raw < 0):
         raise ValueError("Schmidt coefficients must be nonnegative")
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise ValueError("Schmidt coefficients must not all vanish")
+    with np.errstate(over="ignore"):  # an overflow is rescaled below
+        norm = float(np.linalg.norm(raw))
     flags = {
         "renormalized": bool(abs(norm**2 - 1.0) > 1e-9),
         "reordered": bool(np.any(np.diff(raw) > 0)),
     }
+    # only a norm that overflowed or underflowed is redone, so no other input's bytes move
+    if norm in (0.0, np.inf) and np.isfinite(raw).all() and raw.any():
+        raw = raw / raw.max()
+        norm = float(np.linalg.norm(raw))
+    if norm == 0.0:
+        raise ValueError("Schmidt coefficients must not all vanish")
     lam = np.sort(raw / norm)[::-1].copy()
     return check_schmidt_coefficients(lam), flags
 

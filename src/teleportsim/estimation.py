@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import McEstimate, _state_coords, form_monte_carlo
+from .haar import McEstimate, _form_width, _state_coords, form_monte_carlo
 from .protocol import AliceMeasurement, _a_matrices, _effect_coords, _matched_lambdas
 from .qcore import _freeze, _is_unit, check_schmidt_coefficients
 
@@ -109,13 +109,15 @@ def estimation_fidelity_bound(lambdas) -> float:
 def _estimation_form(
     meas: AliceMeasurement, lam: np.ndarray, strategy: EstimationStrategy
 ) -> np.ndarray:
-    """E^T N: the (d^2, d^2) real form of :func:`estimation_fidelity_mc`'s integrand.
+    """E^T N: the real form of :func:`estimation_fidelity_mc`'s integrand.
 
     Row r of E holds the coordinates of the effect E_r = A_r† A_r, and row r
-    of N those of the guess projector |guess_r><guess_r|.
+    of N those of the guess projector |guess_r><guess_r|. Both are cut to
+    :func:`haar._form_width` before their product, as it keeps the bits.
     """
-    a = _a_matrices(meas.phi, lam)
-    return _effect_coords(a).T @ _state_coords(strategy.guesses)
+    e, g = _effect_coords(_a_matrices(meas.phi, lam)), _state_coords(strategy.guesses)
+    width = _form_width(meas.d, e, g)
+    return e[:, :width].T @ g[:, :width]
 
 
 def estimation_fidelity_mc(
@@ -133,8 +135,8 @@ def estimation_fidelity_mc(
     (:func:`haar._hermitian_coords`) both factors are linear, so the
     integrand is the quadratic form x^T (E^T N) x, with E the coordinates of
     the effects E_r and N those of the guess projectors |guess_r><guess_r|.
-    One matrix product builds the d^2 x d^2 form, and
-    :func:`haar.form_monte_carlo` evaluates it.
+    One matrix product builds the form, d or d^2 wide (:func:`_estimation_form`),
+    and :func:`haar.form_monte_carlo` evaluates it.
     """
     lam = _check_inputs(meas, lambdas, strategy)
-    return form_monte_carlo(_estimation_form(meas, lam, strategy), n, rng)
+    return form_monte_carlo(_estimation_form(meas, lam, strategy), meas.d, n, rng)

@@ -80,13 +80,13 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     sampling), so the only statistical noise left is the Haar average. It
     is the real quadratic form x^T K x in the coordinates x of psi psi†
     (:class:`TeleportChannel`), evaluated by :func:`haar.form_monte_carlo`.
-    The standard protocol's K reads only the d diagonal coordinates
+    The standard protocol's K is (d, d), on the diagonal coordinates
     x_i = |psi_i|^2, so its inputs are drawn as points uniform on the
     probability simplex rather than as Haar states; the mean and standard
-    error are the same, the seeded values are not. A K that reads any other
-    coordinate, as a random POVM's does, is evaluated on all d^2 of them.
+    error are the same, the seeded values are not. A (d^2, d^2) K, as a
+    random POVM's, is evaluated on all coordinates of Haar states.
     """
-    return form_monte_carlo(proto.channel.gram, n, rng)
+    return form_monte_carlo(proto.channel.gram, proto.d, n, rng)
 
 
 def fidelity_bound(lambdas) -> float:

@@ -14,17 +14,14 @@ fidelity formula in this package.
 
 Both Monte-Carlo fidelities, of teleportation and of estimation, are real
 quadratic forms x^T F x in the coordinates x of psi psi†. This module holds
-those coordinates and :func:`form_monte_carlo`, the one estimator of a form.
-A form reads either only the d diagonal coordinates |psi_i|^2 or all d^2 of
-them. One that reads only the diagonal, as the standard protocol's do, needs
-no phases: for Haar-random psi those are uniform on the probability simplex,
-and :func:`_sample_simplex` draws them directly. Any other form, such as a
-random POVM's, is evaluated on all coordinates of Haar states.
+those coordinates; :func:`_form_width`, which decides where a form is built
+whether it reads all d^2 of them or only the d diagonal ones |psi_i|^2; and
+:func:`form_monte_carlo`, the one estimator of a form. A (d, d) form needs no
+phases, and :func:`_sample_simplex` draws its |psi_i|^2 directly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence, Union
@@ -48,8 +45,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Distinct stream ids give statistically independent substreams of the
     same seed, so Monte-Carlo work can be split without overlapping samples
-    while staying reproducible.
+    while staying reproducible. A negative seed raises a ValueError that names it.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
@@ -140,28 +139,26 @@ def _form_rows(form: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("na,na->n", x, x @ form)
 
 
-def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEstimate:
-    """Haar mean and standard error of x^T F x for a real (d^2, d^2) form F.
+def _form_width(d: int, *stacks: np.ndarray) -> int:
+    """d if no (R, d^2) coordinate stack has a nonzero column past the d-th, else d^2.
 
-    How the n inputs are drawn follows from which coordinates F reads, found
-    once per call. F is not symmetric in general (the estimation form E^T N
-    is not), so both its rows and its columns past the first d are checked.
+    A form built from the stacks is built that wide: on d coordinates it reads
+    psi only through |psi_i|^2. The stacks are tested, not their product.
+    """
+    return d * d if any(stack[:, d:].any() for stack in stacks) else d
 
-    - Some row or column past the first d holds a nonzero entry, as a random
-      POVM's forms do: F reads pairs psi_i psi_j*. n Haar states are drawn
-      by :func:`sample_haar_states`, and each row computes all d^2
-      coordinates of x.
-    - None does: F reads psi only through x_i = |psi_i|^2, which for
-      Haar-random psi is uniform on the probability simplex.
-      :func:`_sample_simplex` draws those points directly, and the form is
-      F's leading (d, d) block. The standard protocol's fidelity form and the
-      standard measurement's estimation form are of this kind. The
-      estimator's mean and standard error are those of the Haar draw; the
-      random stream, and so each seeded value, differs.
 
-    A form that reads only some pairs, or only some diagonal entries, is
-    evaluated on all d^2 or all d coordinates; its zero rows and columns
-    change the per-row values by rounding at most.
+def form_monte_carlo(form: np.ndarray, d: int, n: int, rng: np.random.Generator) -> McEstimate:
+    """Haar mean and standard error of x^T F x for a real form F of dimension d.
+
+    F's shape (:func:`_form_width`) says how the n inputs are drawn. A (d, d)
+    form, as the standard protocol's are, reads psi only through
+    x_i = |psi_i|^2, uniform on the probability simplex for Haar-random psi:
+    :func:`_sample_simplex` draws those points directly, with the Haar draw's
+    mean and standard error but another random stream. For a (d^2, d^2) form
+    :func:`sample_haar_states` draws n states, and each row computes all d^2
+    coordinates of x. d is an argument because a (d, d) form has the shape of
+    a full form of dimension sqrt(d).
 
     All n inputs are drawn first, in one call. The form is then evaluated on
     blocks of rows whose intermediates hold at most ``MC_BLOCK_ENTRIES``
@@ -171,27 +168,21 @@ def form_monte_carlo(form: np.ndarray, n: int, rng: np.random.Generator) -> McEs
     another order for another number of rows.
     """
     _check_samples(n)
-    d = math.isqrt(form.shape[0])
-    if form[d:].any() or form[:, d:].any():
-        psi = sample_haar_states(d, n, rng)
-        # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
-        step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
-        coords = lambda block: _state_coords(psi[block])
-    else:
-        form = np.ascontiguousarray(form[:d, :d])
+    if form.shape[0] == d:
         p = _sample_simplex(d, n, rng)
         # x and x @ F hold d reals each per row
         step = max(1, MC_BLOCK_ENTRIES // (2 * d))
         coords = lambda block: p[block]
+    else:
+        psi = sample_haar_states(d, n, rng)
+        # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
+        step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
+        coords = lambda block: _state_coords(psi[block])
     f = np.empty(n)
     for start in range(0, n, step):
         block = slice(start, start + step)
         f[block] = _form_rows(form, coords(block))
-    return McEstimate(
-        value=float(f.mean()),
-        std_error=float(f.std(ddof=1) / np.sqrt(n)),
-        n_samples=n,
-    )
+    return McEstimate(float(f.mean()), float(f.std(ddof=1) / np.sqrt(n)), n)
 
 
 def sample_haar_state(d: int, rng: np.random.Generator) -> PureState:

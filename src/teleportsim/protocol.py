@@ -26,7 +26,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .haar import _hermitian_coords, _state_coords
+from .haar import _form_width, _hermitian_coords, _state_coords
 from .qcore import PureState, SchmidtDecomposition, _check_dim, _freeze, check_schmidt_coefficients
 
 #: tolerance of the completeness, Kraus-normalization and optimality checks
@@ -286,14 +286,14 @@ class TeleportChannel:
     with x the real coordinates of rho (:func:`haar._hermitian_coords`). Each C
     splits into Hermitian parts H = (C + C†)/2 and S = (C - C†)/2i with
     tr(C rho) = h . x + i s . x, so K = W^T W, where W stacks the coordinates
-    h and s of every C_rs. K is real, symmetric and d^2 x d^2, and is built
-    only when a Monte-Carlo evaluation first needs it.
+    h and s of every C_rs. K is real and symmetric, and is built only when a
+    Monte-Carlo evaluation first needs it.
 
     The outcome probabilities p_r(psi) = tr(E_r rho), with effects
     E_r = A_r† A_r, are linear in x: :attr:`effects` holds the effects'
     coordinates, built when a shot or an outcome distribution first needs them.
-    Its width says which they are: the d diagonal ones when every effect is
-    diagonal, else all d^2.
+    Both arrays are d wide, on the diagonal coordinates, or d^2 wide, as
+    :func:`haar._form_width` says of the stacks they are built from.
     """
 
     def __init__(self, proto: Protocol) -> None:
@@ -306,20 +306,20 @@ class TeleportChannel:
         """K = W^T W, the Gram matrix of W's columns: real, symmetric, positive semidefinite."""
         c, c_adj = self.kraus, self.kraus.conj().transpose(0, 2, 1)
         w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
-        return _freeze(w.T @ w)
+        width = _form_width(c.shape[-1], w)
+        # cut after the product: a product of W cut first rounds differently (at d = 12)
+        return _freeze((w.T @ w)[:width, :width])
 
     @cached_property
     def effects(self) -> np.ndarray:
         """The coordinates of every effect E_r, column-major.
 
-        When every E_r is diagonal, as the standard measurement's are, the
-        array is (R, d) and holds the diagonal coordinates; otherwise it is
-        (R, d^2) and holds all of them. outcome_distribution's product
-        rounds by layout, and its bits follow this one.
+        (R, d) when every E_r is diagonal, as the standard measurement's are,
+        else (R, d^2). outcome_distribution's product rounds by layout, and
+        its bits follow this one.
         """
         e = _effect_coords(self.a)
-        d = self.a.shape[-1]
-        return _freeze(np.asfortranarray(e if e[:, d:].any() else e[:, :d]))
+        return _freeze(np.asfortranarray(e[:, : _form_width(self.a.shape[-1], e)]))
 
 
 @dataclass(frozen=True)

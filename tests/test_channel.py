@@ -32,7 +32,7 @@ from teleportsim import (
 )
 from teleportsim import haar
 from teleportsim.estimation import _estimation_form
-from teleportsim.protocol import _effect_coords
+from teleportsim.protocol import _a_matrices, _effect_coords
 from teleportsim.haar import _form_rows, _hermitian_coords, _sample_simplex, _state_coords
 from helpers import (
     einsum_estimation_samples,
@@ -40,6 +40,7 @@ from helpers import (
     loop_fidelity_samples,
     random_kraus_set,
     random_lambdas,
+    random_unitaries,
 )
 
 AGREE_TOL = 1e-13
@@ -75,18 +76,32 @@ def cases():
     return [(d, kind) for d in (2, 3, 5) for kind in SPECTRA]
 
 
-def reads_pairs(form, d):
-    """Whether a row or a column of the form past the first d holds a nonzero entry."""
-    return bool(form[d:].any() or form[:, d:].any())
+def padded(form, d):
+    """A form on all d^2 coordinates: a (d, d) form as the leading block of zeros."""
+    full = np.zeros((d * d, d * d))
+    full[: form.shape[0], : form.shape[1]] = form
+    return full
 
 
 def row_values(form, psi):
-    """x^T F x on all coordinates, and also on |psi|^2 alone when the form reads no pair."""
+    """x^T F x on all coordinates, and also on |psi|^2 alone when the form is d wide."""
     d = psi.shape[-1]
-    rows = [_form_rows(form, _state_coords(psi))]
-    if not reads_pairs(form, d):
-        rows.append(_form_rows(form[:d, :d], _state_coords(psi, diagonal=True)))
+    rows = [_form_rows(padded(form, d), _state_coords(psi))]
+    if form.shape[0] == d:
+        rows.append(_form_rows(form, _state_coords(psi, diagonal=True)))
     return rows
+
+
+def full_gram(channel):
+    """W^T W on all d^2 coordinates, built as TeleportChannel.gram builds it, uncut."""
+    c, c_adj = channel.kraus, channel.kraus.conj().transpose(0, 2, 1)
+    w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
+    return w.T @ w
+
+
+def full_estimation_form(meas, lam, strategy):
+    """E^T N on all d^2 coordinates, uncut."""
+    return _effect_coords(_a_matrices(meas.phi, lam)).T @ _state_coords(strategy.guesses)
 
 
 class TestGramMonteCarlo:
@@ -134,16 +149,20 @@ class TestFormSupport:
     """Monte Carlo on the coordinates a form reads: the diagonal or all, and that it agrees."""
 
     @pytest.mark.parametrize("kind", SPECTRA)
-    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    # at d = 12 a product of W cut to d columns first rounds differently
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 16])
     def test_standard_channel_is_diagonal(self, d, kind):
         proto = standard_protocol(spectrum(kind, d, make_rng(340 + d)))
         c = proto.channel.kraus
         assert np.all(c[:, ~np.eye(d, dtype=bool)] == 0)
-        gram = proto.channel.gram
-        assert np.all(gram[d:] == 0) and np.all(gram[:, d:] == 0)
-        # so its Monte Carlo draws the simplex
+        gram, full = proto.channel.gram, full_gram(proto.channel)
+        assert np.all(full[d:] == 0) and np.all(full[:, d:] == 0)
+        # so the Gram matrix is its leading block, with its bits
+        assert gram.shape == (d, d) and gram.flags.c_contiguous
+        assert np.array_equal(gram.view(np.uint64), full[:d, :d].view(np.uint64))
+        # and its Monte Carlo draws the simplex
         rng, ref_rng = make_rng(341 + d), make_rng(341 + d)
-        haar.form_monte_carlo(gram, 1000, rng)
+        haar.form_monte_carlo(gram, d, 1000, rng)
         _sample_simplex(d, 1000, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -166,17 +185,22 @@ class TestFormSupport:
         povm = random_povm(d, d * d + 1, make_rng(351 + d))
         schmidt = SchmidtDecomposition(lam)
         dense = Protocol(schmidt, povm, optimal_bob_corrections(povm, schmidt))
+        strategy = optimal_estimates(meas)
         forms = {
-            "fidelity": proto.channel.gram,
-            "estimation": _estimation_form(meas, lam, optimal_estimates(meas)),
-            "dense": dense.channel.gram,
+            "fidelity": (proto.channel.gram, full_gram(proto.channel)),
+            "estimation": (_estimation_form(meas, lam, strategy),
+                           full_estimation_form(meas, lam, strategy)),
+            "dense": (dense.channel.gram, full_gram(dense.channel)),
         }
         n = 1500 if d == 16 else 3000
-        for name, form in forms.items():
-            assert reads_pairs(form, d) == (name == "dense"), name
-            est = haar.form_monte_carlo(form, n, make_rng(352, stream=d))
+        for name, (form, whole) in forms.items():
+            width = d * d if name == "dense" else d
+            assert form.shape == (width, width), name
+            assert np.all(whole[width:] == 0) and np.all(whole[:, width:] == 0), name
+            assert np.array_equal(form, whole[:width, :width]), name
+            est = haar.form_monte_carlo(form, d, n, make_rng(352, stream=d))
             psi = self.drawn_inputs(name, d, n, make_rng(352, stream=d))
-            full = _form_rows(form, _state_coords(psi))
+            full = _form_rows(whole, _state_coords(psi))
             assert abs(est.value - full.mean()) <= AGREE_TOL, name
             assert abs(est.std_error - full.std(ddof=1) / np.sqrt(n)) <= AGREE_TOL, name
 
@@ -192,6 +216,67 @@ class TestFormSupport:
             return sample_haar_states(d, n, rng)
         x = rng.standard_exponential((n, d))
         return np.sqrt(x / x.sum(axis=1, keepdims=True))
+
+
+def ragged(proto):
+    """The protocol with every even outcome's correction B split into two operators B/sqrt(2)."""
+    blocks = [np.stack([b, b]) / np.sqrt(2) if r % 2 == 0 else b
+              for r, b in enumerate(proto.corrections.stack)]
+    return Protocol(proto.schmidt, proto.measurement, BobCorrections(blocks))
+
+
+class TestFormWidth:
+    """The Gram matrix, the effects and the estimation form are d wide, or d^2 wide."""
+
+    @staticmethod
+    def widths(proto, strategy=None):
+        """Widths of the Gram matrix, the effects and the estimation form (optimal guesses by default)."""
+        meas, lam = proto.measurement, proto.schmidt.lambdas
+        form = _estimation_form(meas, lam, strategy or optimal_estimates(meas))
+        gram = proto.channel.gram
+        assert gram.shape[0] == gram.shape[1] and form.shape[0] == form.shape[1]
+        return gram.shape[0], proto.channel.effects.shape[1], form.shape[0]
+
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_deficient"])
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_standard_and_ragged_protocols_are_d_wide(self, d, kind):
+        std = standard_protocol(spectrum(kind, d, make_rng(360 + d)))
+        for proto in (std, ragged(std)):
+            assert self.widths(proto) == (d, d, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_a_random_povm_is_d_squared_wide(self, d):
+        lam = random_lambdas(d, make_rng(365 + d))
+        povm = random_povm(d, d * d + 1, make_rng(366 + d))
+        schmidt = SchmidtDecomposition(lam)
+        proto = Protocol(schmidt, povm, optimal_bob_corrections(povm, schmidt))
+        assert self.widths(proto) == (d * d, d * d, d * d)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_random_unitary_corrections_widen_only_the_gram_matrix(self, d):
+        meas = standard_measurement(d)
+        corrections = BobCorrections(random_unitaries(d, d * d, make_rng(370 + d)))
+        proto = Protocol(SchmidtDecomposition(random_lambdas(d, make_rng(371 + d))), meas, corrections)
+        assert self.widths(proto) == (d * d, d, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_one_guess_off_the_basis_widens_the_estimation_form(self, d):
+        # the effects stay diagonal, so only columns past the first d fill
+        proto = standard_protocol(random_lambdas(d, make_rng(375 + d)))
+        meas, lam = proto.measurement, proto.schmidt.lambdas
+        guesses = np.array(optimal_estimates(meas).guesses)
+        guesses[0] = (np.eye(d)[0] + np.eye(d)[1]) / np.sqrt(2)
+        strategy = EstimationStrategy(guesses)
+        assert self.widths(proto, strategy) == (d, d, d * d)
+        form = _estimation_form(meas, lam, strategy)
+        assert not form[d:].any() and form[:, d:].any()
+        # so its Monte Carlo draws Haar states
+        rng, ref_rng = make_rng(376 + d), make_rng(376 + d)
+        est = estimation_fidelity_mc(meas, lam, strategy, 1000, rng)
+        psi = sample_haar_states(d, 1000, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        rows = _form_rows(form, _state_coords(psi))
+        assert est.value == pytest.approx(rows.mean(), abs=AGREE_TOL)
 
 
 def random_strategy(d, n_outcomes, rng):
@@ -239,14 +324,13 @@ class TestEstimationProduct:
             assert ests[1].std_error == pytest.approx(ests[0].std_error, abs=AGREE_TOL)
 
 
-def haar_average(form):
-    """Exact Haar average of x^T F x over the coordinates x of psi psi†.
+def haar_average(form, d):
+    """Exact Haar average of x^T F x over the coordinates x of psi psi†, for a d or d^2 wide F.
 
     E[x x^T] = (I + e e^T) / (d (d + 1)) with e = coords(I), so the average
-    is (tr F + e^T F e) / (d (d + 1)).
+    is (tr F + e^T F e) / (d (d + 1)); a d wide F takes the leading block.
     """
-    d = int(round(np.sqrt(form.shape[0])))
-    e = _hermitian_coords(np.eye(d))
+    e = _hermitian_coords(np.eye(d))[: form.shape[0]]
     return (np.trace(form) + e @ form @ e) / (d * (d + 1))
 
 
@@ -292,9 +376,9 @@ class TestHermitianCoordinates:
     @pytest.mark.parametrize("d,kind", cases())
     def test_fidelity_form_has_the_exact_haar_average(self, d, kind):
         proto = multi_kraus_protocol(d, kind, make_rng(320 + d, stream=SPECTRA.index(kind)))
-        assert abs(haar_average(proto.channel.gram) - mean_fidelity_exact(proto)) <= 1e-12
+        assert abs(haar_average(proto.channel.gram, d) - mean_fidelity_exact(proto)) <= 1e-12
         std = standard_protocol(spectrum(kind, d, make_rng(321 + d)))
-        assert abs(haar_average(std.channel.gram) - mean_fidelity_exact(std)) <= 1e-12
+        assert abs(haar_average(std.channel.gram, d) - mean_fidelity_exact(std)) <= 1e-12
 
     @pytest.mark.parametrize("d,kind", cases())
     def test_estimation_form_has_the_exact_haar_average(self, d, kind):
@@ -303,7 +387,7 @@ class TestHermitianCoordinates:
         for meas in (random_povm(d, d * d + 2, rng), standard_measurement(d)):
             for strategy in (random_strategy(d, meas.n_outcomes, rng), optimal_estimates(meas)):
                 exact = estimation_fidelity_exact(meas, lam, strategy)
-                assert abs(haar_average(_estimation_form(meas, lam, strategy)) - exact) <= 1e-12
+                assert abs(haar_average(_estimation_form(meas, lam, strategy), d) - exact) <= 1e-12
 
 
 class TestAMatrices:

@@ -151,6 +151,34 @@ class TestBoundErrors:
         assert code == 2
         assert "d=2" in err
 
+    def test_entries_beyond_the_norm_range_print_the_bytes_of_their_ratio(self, capsys):
+        # the plain norm of (1e308, 1e308) overflows; rescaled, it is the norm of (1, 1)
+        huge = run_cli(capsys, "bound", "--d", "2", "--lambdas", "1e308,1e308")
+        assert huge == run_cli(capsys, "bound", "--d", "2", "--lambdas", "1,1")
+        assert huge[0] == 0
+
+    def test_subnormal_entries_are_renormalized(self, capsys):
+        # the plain norm of (1e-320, 0) underflows to 0
+        code, report = run_json(capsys, "bound", "--d", "2", "--lambdas", "1e-320,0")
+        _, ref = run_json(capsys, "bound", "--d", "2", "--lambdas", "1,0")
+        assert code == 0
+        assert report["config"]["lambdas"] == ref["config"]["lambdas"] == [1.0, 0.0]
+        assert report["config"]["renormalized"] is True
+        assert report["results"] == ref["results"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("bound", "--d", "-3"), "dimension must be at least 2, got -3"),
+            (("bound", "--d", "0"), "dimension must be at least 2, got 0"),
+            (("simulate", "--seed", "-1", "--n", "2000"), "seed must be a non-negative integer, got -1"),
+            (("search", "--seed", "-1", "--iters", "5"), "seed must be a non-negative integer, got -1"),
+        ],
+        ids=["d-3", "d0", "simulate-seed-1", "search-seed-1"],
+    )
+    def test_bad_dimension_or_seed_is_named(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
 
 class TestSimulate:
     def test_matches_closed_form(self, capsys):

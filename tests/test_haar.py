@@ -22,6 +22,7 @@ from teleportsim import haar
 from teleportsim.estimation import _estimation_form
 from teleportsim.haar import (
     _form_rows,
+    _form_width,
     _hermitian_coords,
     _moment_blocks,
     _sample_simplex,
@@ -32,6 +33,10 @@ from helpers import random_lambdas, random_unitary
 
 
 class TestSampling:
+    def test_rejects_a_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            make_rng(-1)
+
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError, match="at least 2"):
             sample_haar_state(1, make_rng(0))
@@ -159,13 +164,13 @@ class TestFormMonteCarlo:
         # x . x = |psi|^4 and (e . x)^2 = (tr rho)^2 with e = coords(I): both are 1
         n = 100_000
         e = _hermitian_coords(np.eye(d))
-        f = np.eye(d * d) if form == "identity" else np.outer(e, e)
         # the identity reads every coordinate; e is zero past the diagonal, so
-        # e e^T reads only the diagonal and its blocks hold d coordinates a row
+        # e e^T is built on the diagonal and its blocks hold d coordinates a row
         width = d * d if form == "identity" else d
+        f = np.eye(width) if form == "identity" else np.outer(e[:d], e[:d])
         step = max(1, haar.MC_BLOCK_ENTRIES // (2 * width))
         assert n > step and n % step  # several blocks, the last one ragged
-        est = form_monte_carlo(f, n, make_rng(50 + d))
+        est = form_monte_carlo(f, d, n, make_rng(50 + d))
         assert est.n_samples == n
         assert abs(est.value - 1) <= 1e-14
         assert est.std_error <= 1e-14
@@ -202,21 +207,36 @@ class TestSimplexDraw:
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError, match="at least 2"):
-            form_monte_carlo(np.ones((1, 1)), 1000, make_rng(0))
+            form_monte_carlo(np.ones((1, 1)), 1, 1000, make_rng(0))
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_part_of_the_diagonal_reads_its_columns_of_the_whole_draw(self, d):
         # x_1^2 + x_1 x_2: a diagonal form with zero entries still reads the
         # whole draw, each row normalized over all d entries
-        form = np.zeros((d * d, d * d))
+        form = np.zeros((d, d))
         form[1, 1] = 1.0
         form[1, 2] = 1.0
         n = 5000
-        est = form_monte_carlo(form, n, make_rng(85 + d))
+        est = form_monte_carlo(form, d, n, make_rng(85 + d))
         p = _sample_simplex(d, n, make_rng(85 + d))
         rows = p[:, 1] ** 2 + p[:, 1] * p[:, 2]
         assert est.value == pytest.approx(rows.mean(), abs=1e-13)
         assert est.std_error == pytest.approx(rows.std(ddof=1) / np.sqrt(n), abs=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_a_d_wide_form_gives_the_simplex_path_bit_for_bit(self, d):
+        form = linspace_protocol(d).channel.gram
+        assert form.shape == (d, d)
+        # blocks of MC_BLOCK_ENTRIES // (2 d) rows, so the last one is ragged at d = 8 and 16
+        n = 20_000
+        rng, ref_rng = make_rng(75 + d), make_rng(75 + d)
+        est = form_monte_carlo(form, d, n, rng)
+        p = _sample_simplex(d, n, ref_rng)
+        step = haar.MC_BLOCK_ENTRIES // (2 * d)
+        rows = np.concatenate([_form_rows(form, p[start : start + step]) for start in range(0, n, step)])
+        assert est.value == float(rows.mean())
+        assert est.std_error == float(rows.std(ddof=1) / np.sqrt(n))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("d", [8, 16])
     @pytest.mark.parametrize("integrand", ["fidelity", "estimation"])
@@ -254,12 +274,14 @@ class TestSimplexDraw:
 
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
     def test_a_single_off_diagonal_pair_keeps_the_haar_draw(self, d):
-        # the standard fidelity form, coupled to the Re coordinate of psi_0 psi_1*
-        form = np.array(linspace_protocol(d).channel.gram)
+        # the standard fidelity form on all d^2 coordinates, coupled to the Re
+        # coordinate of psi_0 psi_1*
+        form = np.zeros((d * d, d * d))
+        form[:d, :d] = linspace_protocol(d).channel.gram
         form[0, d] = form[d, 0] = 0.05
         n = 3000
         rng, ref_rng = make_rng(80 + d), make_rng(80 + d)
-        est = form_monte_carlo(form, n, rng)
+        est = form_monte_carlo(form, d, n, rng)
         # the estimator as it was before the simplex draw: Haar states, all d^2
         # coordinates, in blocks sized for them
         psi = sample_haar_states(d, n, ref_rng)
@@ -274,19 +296,22 @@ class TestSimplexDraw:
 
 
 class TestPairCheck:
-    """A form reads pairs when a row or a column past the first d holds a nonzero entry."""
+    """A form is d^2 wide when a stack it is built from has a nonzero coordinate past the first d."""
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     @pytest.mark.parametrize("entry", ["row", "column"])
     def test_one_entry_past_the_diagonal_block_takes_the_haar_draw(self, d, entry):
-        # a diagonal form plus one entry, in row 0 or column 0, at coordinate d:
-        # the Re coordinate of psi_0 psi_1*
-        form = np.zeros((d * d, d * d))
-        form[:d, :d] = np.eye(d)
-        form[(0, d) if entry == "column" else (d, 0)] = 0.5
+        # E^T N for two diagonal stacks, one of them with an entry at coordinate d,
+        # the Re coordinate of psi_0 psi_1*: in E it fills row d of the form, in N column d
+        e, g = np.eye(d, d * d), np.eye(d, d * d)
+        assert _form_width(d, e, g) == d
+        (e if entry == "row" else g)[0, d] = 0.5
+        assert _form_width(d, e, g) == d * d
+        form = e.T @ g
+        assert form[(d, 0) if entry == "row" else (0, d)] == 0.5
         n = 2000
         rng, ref_rng = make_rng(100 + d), make_rng(100 + d)
-        est = form_monte_carlo(form, n, rng)
+        est = form_monte_carlo(form, d, n, rng)
         psi = sample_haar_states(d, n, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         rows = _form_rows(form, _state_coords(psi))
@@ -298,7 +323,8 @@ class TestPairCheck:
         meas, lam = random_povm(d, d * d + 1, rng), random_lambdas(d, rng)
         strategy = optimal_estimates(meas)
         form = _estimation_form(meas, lam, strategy)
-        # E^T N is not symmetric, so a check of the rows alone could miss a column
+        assert form.shape == (d * d, d * d)
+        # E^T N is not symmetric, so a test of the effects alone could miss a guess
         assert not np.allclose(form, form.T)
         est_rng, ref_rng = make_rng(111 + d), make_rng(111 + d)
         estimation_fidelity_mc(meas, lam, strategy, 1000, est_rng)
