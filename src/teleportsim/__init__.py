@@ -27,7 +27,6 @@ from .protocol import (
     CompletenessReport,
     OptimalityReport,
     Protocol,
-    TeleportChannel,
     TeleportOutcome,
     check_optimality,
     optimal_bob_corrections,
@@ -71,7 +70,6 @@ __all__ = [
     "PureState",
     "SchmidtDecomposition",
     "SearchResult",
-    "TeleportChannel",
     "TeleportOutcome",
     "check_optimality",
     "check_schmidt_coefficients",

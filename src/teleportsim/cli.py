@@ -212,8 +212,7 @@ def _cmd_sweep(args) -> tuple[dict, int]:
 
 def _cmd_verify_mkl(args) -> tuple[dict, int]:
     d = args.d
-    if d < 2:
-        raise ValueError(f"--d must be at least 2, got {d}")
+    _check_dim(d)
     if not 0.0 < args.sigmas < np.inf:
         raise ValueError(f"--sigmas must be a positive finite number, got {args.sigmas}")
     every = range(d)

@@ -25,7 +25,7 @@ from .qcore import _freeze, _is_unit, check_schmidt_coefficients
 ZERO_BLOCK_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationStrategy:
     """Outcome-indexed guesses, one unit vector per measurement outcome."""
 

@@ -23,7 +23,7 @@ def mean_fidelity_exact(proto: Protocol) -> float:
     """Exact Haar-average fidelity of a protocol.
 
     Written on the Kraus operators C_rs of the protocol's channel
-    (:attr:`Protocol.channel`), the Haar average of |<psi|C|psi>|^2 is
+    (:attr:`Protocol.kraus`), the Haar average of |<psi|C|psi>|^2 is
     (||C||_F^2 + |Tr C|^2) / (d (d + 1)), so
 
         F = sum_rs (||C_rs||_F^2 + |Tr C_rs|^2) / (d (d + 1)).
@@ -34,7 +34,7 @@ def mean_fidelity_exact(proto: Protocol) -> float:
     sandwich of :func:`mean_fidelity_mkl_form` at O(R d^3) instead of
     O(R d^5) cost, and never builds the channel's quadratic form.
     """
-    c = proto.channel.kraus
+    c = proto.kraus
     d = proto.d
     # np.sum, not the BLAS np.vdot: a threaded dot sums in an order that
     # depends on the thread count, and so would the result's last bits
@@ -51,14 +51,15 @@ def mean_fidelity_mkl_form(proto: Protocol) -> float:
     u_r^k the columns of A_r. With every M(k, l) in one (d^2, d^2) matrix M
     (entry [(k, i), (l, j)] = M(k, l)[i, j]) and v_rs[(l, i)] = (B_rs A_r)[i, l],
     the sum is sum_rs v_rs† M v_rs: one matrix product of the stacked v_rs
-    with M, then one elementwise product and sum. It reads neither :attr:`Protocol.channel`
-    nor the trace formula. M is real and symmetric, so with v = x + i y,
-    v† M v = x^T M x + y^T M y: the product runs in real arithmetic, once on
-    the stacked real parts x and once on the imaginary parts y, half the
-    flops of one complex product. Its cost is that O(K d^4) product for K
-    Kraus operators in all, against O(K d^3) for :func:`mean_fidelity_exact`:
-    about 2.6 ms at d = 16 for the standard protocol, best of 7 x 20 calls
-    on one core of a 2-core x86-64 box.
+    with M, then one elementwise product and sum. It reads none of
+    :attr:`Protocol.a`, :attr:`~Protocol.kraus`, :attr:`~Protocol.gram` and
+    :attr:`~Protocol.effects`, nor the trace formula. M is real and
+    symmetric, so with v = x + i y, v† M v = x^T M x + y^T M y: the product
+    runs in real arithmetic, once on the stacked real parts x and once on
+    the imaginary parts y, half the flops of one complex product. Its cost
+    is that O(K d^4) product for K Kraus operators in all, against O(K d^3)
+    for :func:`mean_fidelity_exact`: about 2.6 ms at d = 16 for the standard
+    protocol, best of 7 x 20 calls on one core of a 2-core x86-64 box.
     """
     d = proto.d
     a = _a_matrices(proto.measurement.phi, proto.schmidt.lambdas)
@@ -79,14 +80,14 @@ def mean_fidelity_monte_carlo(proto: Protocol, n: int, rng: np.random.Generator)
     sum_{r,s} |<psi| B_rs A_r |psi>|^2 is taken (no outcome or branch
     sampling), so the only statistical noise left is the Haar average. It
     is the real quadratic form x^T K x in the coordinates x of psi psi†
-    (:class:`TeleportChannel`), evaluated by :func:`haar.form_monte_carlo`.
+    (:attr:`Protocol.gram`), evaluated by :func:`haar.form_monte_carlo`.
     The standard protocol's K is (d, d), on the diagonal coordinates
     x_i = |psi_i|^2, so its inputs are drawn as points uniform on the
     probability simplex rather than as Haar states; the mean and standard
     error are the same, the seeded values are not. A (d^2, d^2) K, as a
     random POVM's, is evaluated on all coordinates of Haar states.
     """
-    return form_monte_carlo(proto.channel.gram, proto.d, n, rng)
+    return form_monte_carlo(proto.gram, proto.d, n, rng)
 
 
 def fidelity_bound(lambdas) -> float:

@@ -11,9 +11,8 @@ which is what :func:`validate_completeness` checks. After learning r, Bob
 applies a correction channel with Kraus operators B_rs; the conditional
 state of his particle before correction is b_r = A_r |psi> with
 A_r = sum_k lambda_k |k><phi_r^k|. A whole protocol is therefore one
-channel with Kraus operators C_rs = B_rs A_r, held by
-:class:`TeleportChannel`, from which the fidelity evaluators and the
-single-shot simulation read.
+channel with Kraus operators C_rs = B_rs A_r (:attr:`Protocol.kraus`), from
+which the fidelity evaluators and the single-shot simulation read.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ CHECK_ATOL = 1e-10
 PROTOCOL_SCHEMA = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AliceMeasurement:
     """Rank-one joint measurement in Schmidt-block form.
 
@@ -155,7 +154,7 @@ def _outcome_blocks(stack: np.ndarray, sizes: np.ndarray) -> tuple:
     return tuple(stack[end - n : end] for end, n in zip(ends, sizes.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BobCorrections:
     """Per-outcome correction channels as Kraus operator lists.
 
@@ -201,12 +200,33 @@ class BobCorrections:
         return len(self.kraus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Protocol:
     """Complete teleportation protocol: resource state, measurement, corrections.
 
     The resource is held as its Schmidt spectrum; the measurement blocks are
     written in its Schmidt basis, so no local basis is needed.
+
+    The protocol is one channel rho -> sum_rs C_rs rho C_rs†, and its four
+    arrays are each built on first use and kept. :attr:`a` stacks the
+    per-outcome maps A_r, so b_r = A_r |psi> is Bob's unnormalized state after
+    outcome r. :attr:`kraus` stacks C_rs = B_rs A_r in the order of
+    :attr:`BobCorrections.stack`, so the outcome r of ``kraus[i]`` is
+    ``corrections.outcome[i]``; the per-outcome B_rs blocks are
+    ``corrections.kraus``. The fidelity of an input psi is
+
+        f(psi) = sum_rs |tr(C_rs rho)|^2 = x^T K x,   rho = psi psi†,
+
+    with x the real coordinates of rho (:func:`haar._hermitian_coords`). Each C
+    splits into Hermitian parts H = (C + C†)/2 and S = (C - C†)/2i with
+    tr(C rho) = h . x + i s . x, so K = W^T W, where W stacks the coordinates
+    h and s of every C_rs. K is real and symmetric, and :attr:`gram` holds it.
+
+    The outcome probabilities p_r(psi) = tr(E_r rho), with effects
+    E_r = A_r† A_r, are linear in x: :attr:`effects` holds the effects'
+    coordinates. Both :attr:`gram` and :attr:`effects` are d wide, on the
+    diagonal coordinates, or d^2 wide, as :func:`haar._form_width` says of the
+    stacks they are built from.
     """
 
     schmidt: SchmidtDecomposition
@@ -243,9 +263,35 @@ class Protocol:
         return self.measurement.n_outcomes
 
     @cached_property
-    def channel(self) -> "TeleportChannel":
-        """The protocol's effective channel, built on first use and kept."""
-        return TeleportChannel(self)
+    def a(self) -> np.ndarray:
+        """The maps A_r of every outcome, as an (R, d, d) array."""
+        return _freeze(_a_matrices(self.measurement.phi, self.schmidt.lambdas))
+
+    @cached_property
+    def kraus(self) -> np.ndarray:
+        """The channel's Kraus operators C_rs = B_rs A_r, as a (K, d, d) array."""
+        corr = self.corrections
+        return _freeze(corr.stack @ self.a[corr.outcome])
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """K = W^T W, the Gram matrix of W's columns: real, symmetric, positive semidefinite."""
+        c, c_adj = self.kraus, self.kraus.conj().transpose(0, 2, 1)
+        w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
+        width = _form_width(c.shape[-1], w)
+        # cut after the product: a product of W cut first rounds differently (at d = 12)
+        return _freeze((w.T @ w)[:width, :width])
+
+    @cached_property
+    def effects(self) -> np.ndarray:
+        """The coordinates of every effect E_r, column-major.
+
+        (R, d) when every E_r is diagonal, as the standard measurement's are,
+        else (R, d^2). outcome_distribution's product rounds by layout, and
+        its bits follow this one.
+        """
+        e = _effect_coords(self.a)
+        return _freeze(np.asfortranarray(e[:, : _form_width(self.a.shape[-1], e)]))
 
 
 def _a_matrices(phi: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
@@ -273,56 +319,7 @@ def _matched_lambdas(meas: AliceMeasurement, lambdas) -> np.ndarray:
     return lam
 
 
-class TeleportChannel:
-    """A protocol as one channel rho -> sum_rs C_rs rho C_rs†.
-
-    ``a`` stacks the per-outcome maps A_r, so b_r = A_r |psi> is Bob's
-    unnormalized state after outcome r. ``kraus`` stacks C_rs = B_rs A_r in
-    the order of :attr:`BobCorrections.stack`, so the outcome r of
-    ``kraus[i]`` is ``corrections.outcome[i]``. The fidelity of an input psi is
-
-        f(psi) = sum_rs |tr(C_rs rho)|^2 = x^T K x,   rho = psi psi†,
-
-    with x the real coordinates of rho (:func:`haar._hermitian_coords`). Each C
-    splits into Hermitian parts H = (C + C†)/2 and S = (C - C†)/2i with
-    tr(C rho) = h . x + i s . x, so K = W^T W, where W stacks the coordinates
-    h and s of every C_rs. K is real and symmetric, and is built only when a
-    Monte-Carlo evaluation first needs it.
-
-    The outcome probabilities p_r(psi) = tr(E_r rho), with effects
-    E_r = A_r† A_r, are linear in x: :attr:`effects` holds the effects'
-    coordinates, built when a shot or an outcome distribution first needs them.
-    Both arrays are d wide, on the diagonal coordinates, or d^2 wide, as
-    :func:`haar._form_width` says of the stacks they are built from.
-    """
-
-    def __init__(self, proto: Protocol) -> None:
-        corr = proto.corrections
-        self.a = _freeze(_a_matrices(proto.measurement.phi, proto.schmidt.lambdas))
-        self.kraus = _freeze(corr.stack @ self.a[corr.outcome])
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """K = W^T W, the Gram matrix of W's columns: real, symmetric, positive semidefinite."""
-        c, c_adj = self.kraus, self.kraus.conj().transpose(0, 2, 1)
-        w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
-        width = _form_width(c.shape[-1], w)
-        # cut after the product: a product of W cut first rounds differently (at d = 12)
-        return _freeze((w.T @ w)[:width, :width])
-
-    @cached_property
-    def effects(self) -> np.ndarray:
-        """The coordinates of every effect E_r, column-major.
-
-        (R, d) when every E_r is diagonal, as the standard measurement's are,
-        else (R, d^2). outcome_distribution's product rounds by layout, and
-        its bits follow this one.
-        """
-        e = _effect_coords(self.a)
-        return _freeze(np.asfortranarray(e[:, : _form_width(self.a.shape[-1], e)]))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportOutcome:
     """Result of one simulated round: outcome index, its probability, Bob's state."""
 
@@ -388,7 +385,7 @@ def validate_completeness(meas: AliceMeasurement, tol: float = CHECK_ATOL) -> Co
     return CompletenessReport(worst <= tol, worst, (int(k), int(l)), tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalityReport:
     """Outcome of the per-outcome equal-norm and orthogonality conditions.
 
@@ -503,14 +500,14 @@ def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
     """Probability of each measurement outcome for the input psi.
 
     p_r = tr(E_r rho) is the product of the effects' coordinates
-    (:attr:`TeleportChannel.effects`) with as many of psi psi†'s, clipped at
+    (:attr:`Protocol.effects`) with as many of psi psi†'s, clipped at
     0: only the d diagonal ones |psi_i|^2 when the effects array is d wide.
     It equals sum_i |(A_r psi)_i|^2 up to rounding.
     """
     amps = psi.amplitudes
     if amps.size != proto.d:
         raise ValueError(f"input dimension {amps.size} != protocol dimension {proto.d}")
-    values = proto.channel.effects
+    values = proto.effects
     return np.maximum(values @ _state_coords(amps, values.shape[1] == amps.size), 0.0)
 
 
@@ -540,7 +537,7 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
     when the outcome has a single Kraus operator.
     """
     r = _draw(outcome_distribution(proto, psi), rng)
-    b = proto.channel.a[r] @ psi.amplitudes
+    b = proto.a[r] @ psi.amplitudes
     kraus = proto.corrections.kraus[r]
     branches = np.einsum("sij,j->si", kraus, b)
     # the array methods run the same reductions as np.sum, bit for bit,

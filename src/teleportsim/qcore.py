@@ -40,7 +40,7 @@ def _is_unit(norm_sq):
     return abs(norm_sq - 1.0) <= NORM_ATOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector of complex amplitudes for a single d-level system."""
 
@@ -69,7 +69,7 @@ class PureState:
         return abs(self.overlap(other)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Square complex matrix acting on a d-level system.
 
@@ -93,7 +93,7 @@ class Operator:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteVector:
     """Unit vector sum_jk c[j, k] |j>|k> of two particles, held as the matrix c."""
 
@@ -136,7 +136,7 @@ def check_schmidt_coefficients(lambdas) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Schmidt coefficients lambda of a bipartite pure state sum_k lambda_k |k>|k>.
 

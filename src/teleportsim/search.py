@@ -16,7 +16,7 @@ from .protocol import AliceMeasurement, standard_measurement
 from .qcore import check_schmidt_coefficients
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """Best measurement found by random search, with the analytic bound for context."""
 

@@ -326,7 +326,7 @@ def loop_kraus_check(kraus):
 
 def _conditional_vectors(proto: Protocol, psi: PureState) -> np.ndarray:
     """Unnormalized conditional states b_r = A_r psi, as rows of an (R, d) array."""
-    a, amps = proto.channel.a, psi.amplitudes
+    a, amps = proto.a, psi.amplitudes
     if amps.size != a.shape[2]:
         raise ValueError(f"input dimension {amps.size} != protocol dimension {a.shape[2]}")
     return (a.reshape(-1, amps.size) @ amps).reshape(a.shape[:2])

@@ -12,6 +12,7 @@ from teleportsim import (
     BobCorrections,
     EstimationStrategy,
     Protocol,
+    PureState,
     SchmidtDecomposition,
     check_optimality,
     estimation_fidelity_exact,
@@ -22,12 +23,14 @@ from teleportsim import (
     mean_fidelity_monte_carlo,
     optimal_bob_corrections,
     optimal_estimates,
+    outcome_distribution,
     protocol_from_json,
     protocol_to_json,
     random_povm,
     sample_haar_states,
     standard_measurement,
     standard_protocol,
+    teleport_once,
     validate_completeness,
 )
 from teleportsim import haar
@@ -44,6 +47,8 @@ from helpers import (
 )
 
 AGREE_TOL = 1e-13
+#: the protocol's channel arrays, each a cached property built on first use
+CHANNEL_ARRAYS = ("a", "kraus", "gram", "effects")
 SPECTRA = ("full_rank", "rank_deficient", "product")
 #: two values of haar.MC_BLOCK_ENTRIES: 32 MiB blocks, and 4 MiB blocks sized for cache
 BLOCK_BOUNDS = (2**21, 2**18)
@@ -92,9 +97,9 @@ def row_values(form, psi):
     return rows
 
 
-def full_gram(channel):
-    """W^T W on all d^2 coordinates, built as TeleportChannel.gram builds it, uncut."""
-    c, c_adj = channel.kraus, channel.kraus.conj().transpose(0, 2, 1)
+def full_gram(proto):
+    """W^T W on all d^2 coordinates, built as Protocol.gram builds it, uncut."""
+    c, c_adj = proto.kraus, proto.kraus.conj().transpose(0, 2, 1)
     w = _hermitian_coords(np.concatenate([(c + c_adj) / 2, (c - c_adj) / 2j]))
     return w.T @ w
 
@@ -112,7 +117,7 @@ class TestGramMonteCarlo:
         est = mean_fidelity_monte_carlo(proto, 3000, make_rng(201, stream=d))
         psi = sample_haar_states(d, 3000, make_rng(201, stream=d))
         ref = loop_fidelity_samples(proto, psi)
-        for rows in row_values(proto.channel.gram, psi):
+        for rows in row_values(proto.gram, psi):
             assert np.max(np.abs(rows - ref)) <= AGREE_TOL
         assert abs(est.value - ref.mean()) <= AGREE_TOL
         assert abs(est.std_error - ref.std(ddof=1) / np.sqrt(ref.size)) <= AGREE_TOL
@@ -122,7 +127,7 @@ class TestGramMonteCarlo:
         proto = standard_protocol(random_lambdas(d, make_rng(210 + d)))
         psi = sample_haar_states(d, {8: 1000, 16: 300}.get(d, 2000), make_rng(211))
         ref = loop_fidelity_samples(proto, psi)
-        for rows in row_values(proto.channel.gram, psi):
+        for rows in row_values(proto.gram, psi):
             assert np.max(np.abs(rows - ref)) <= AGREE_TOL
 
     def test_block_size_does_not_change_the_estimate(self, monkeypatch):
@@ -153,9 +158,9 @@ class TestFormSupport:
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 16])
     def test_standard_channel_is_diagonal(self, d, kind):
         proto = standard_protocol(spectrum(kind, d, make_rng(340 + d)))
-        c = proto.channel.kraus
+        c = proto.kraus
         assert np.all(c[:, ~np.eye(d, dtype=bool)] == 0)
-        gram, full = proto.channel.gram, full_gram(proto.channel)
+        gram, full = proto.gram, full_gram(proto)
         assert np.all(full[d:] == 0) and np.all(full[:, d:] == 0)
         # so the Gram matrix is its leading block, with its bits
         assert gram.shape == (d, d) and gram.flags.c_contiguous
@@ -170,11 +175,11 @@ class TestFormSupport:
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_standard_effects_live_on_the_diagonal(self, d, kind):
         proto = standard_protocol(spectrum(kind, d, make_rng(345 + d)))
-        values = proto.channel.effects
+        values = proto.effects
         assert values.shape == (d * d, d)
         # stored column-major, the layout outcome_distribution's product rounds by
         assert values.flags.f_contiguous
-        full = _effect_coords(proto.channel.a)
+        full = _effect_coords(proto.a)
         assert np.array_equal(values, full[:, :d]) and np.all(full[:, d:] == 0)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
@@ -187,10 +192,10 @@ class TestFormSupport:
         dense = Protocol(schmidt, povm, optimal_bob_corrections(povm, schmidt))
         strategy = optimal_estimates(meas)
         forms = {
-            "fidelity": (proto.channel.gram, full_gram(proto.channel)),
+            "fidelity": (proto.gram, full_gram(proto)),
             "estimation": (_estimation_form(meas, lam, strategy),
                            full_estimation_form(meas, lam, strategy)),
-            "dense": (dense.channel.gram, full_gram(dense.channel)),
+            "dense": (dense.gram, full_gram(dense)),
         }
         n = 1500 if d == 16 else 3000
         for name, (form, whole) in forms.items():
@@ -233,9 +238,9 @@ class TestFormWidth:
         """Widths of the Gram matrix, the effects and the estimation form (optimal guesses by default)."""
         meas, lam = proto.measurement, proto.schmidt.lambdas
         form = _estimation_form(meas, lam, strategy or optimal_estimates(meas))
-        gram = proto.channel.gram
+        gram = proto.gram
         assert gram.shape[0] == gram.shape[1] and form.shape[0] == form.shape[1]
-        return gram.shape[0], proto.channel.effects.shape[1], form.shape[0]
+        return gram.shape[0], proto.effects.shape[1], form.shape[0]
 
     @pytest.mark.parametrize("kind", ["full_rank", "rank_deficient"])
     @pytest.mark.parametrize("d", range(2, 17))
@@ -376,9 +381,9 @@ class TestHermitianCoordinates:
     @pytest.mark.parametrize("d,kind", cases())
     def test_fidelity_form_has_the_exact_haar_average(self, d, kind):
         proto = multi_kraus_protocol(d, kind, make_rng(320 + d, stream=SPECTRA.index(kind)))
-        assert abs(haar_average(proto.channel.gram, d) - mean_fidelity_exact(proto)) <= 1e-12
+        assert abs(haar_average(proto.gram, d) - mean_fidelity_exact(proto)) <= 1e-12
         std = standard_protocol(spectrum(kind, d, make_rng(321 + d)))
-        assert abs(haar_average(std.channel.gram, d) - mean_fidelity_exact(std)) <= 1e-12
+        assert abs(haar_average(std.gram, d) - mean_fidelity_exact(std)) <= 1e-12
 
     @pytest.mark.parametrize("d,kind", cases())
     def test_estimation_form_has_the_exact_haar_average(self, d, kind):
@@ -395,7 +400,7 @@ class TestAMatrices:
         # every A_r of the standard measurement on a maximally entangled
         # resource is a unitary scaled by 1/d
         for d in (2, 3, 4):
-            a = standard_protocol(np.full(d, 1 / np.sqrt(d))).channel.a
+            a = standard_protocol(np.full(d, 1 / np.sqrt(d))).a
             assert np.allclose(np.linalg.svd(a, compute_uv=False), 1 / d, atol=1e-14)
 
     def test_product_resource_rank_one(self):
@@ -404,7 +409,7 @@ class TestAMatrices:
         meas = random_povm(3, 11, make_rng(270))
         schmidt = SchmidtDecomposition([1.0, 0.0, 0.0])
         proto = Protocol(schmidt, meas, optimal_bob_corrections(meas, schmidt))
-        svals = np.linalg.svd(proto.channel.a, compute_uv=False)
+        svals = np.linalg.svd(proto.a, compute_uv=False)
         assert np.all(svals[:, 1:] <= 1e-14)
         assert np.allclose(svals[:, 0], np.linalg.norm(meas.phi[:, 0], axis=1), atol=1e-14)
 
@@ -417,14 +422,13 @@ class TestExactOnChannel:
 
     def test_kraus_operators_are_corrections_after_a(self):
         proto = multi_kraus_protocol(2, "full_rank", make_rng(260))
-        channel = proto.channel
-        assert channel.kraus.shape[0] == sum(b.shape[0] for b in proto.corrections.kraus)
-        total = np.einsum("kij,kil->jl", channel.kraus.conj(), channel.kraus)
+        assert proto.kraus.shape[0] == sum(b.shape[0] for b in proto.corrections.kraus)
+        total = np.einsum("kij,kil->jl", proto.kraus.conj(), proto.kraus)
         assert np.allclose(total, np.eye(2), atol=1e-12)  # the channel is trace preserving
         outcome = proto.corrections.outcome
         for i, r in enumerate(outcome):
             s = i - int(np.searchsorted(outcome, r))
-            assert np.allclose(channel.kraus[i], proto.corrections.kraus[r][s] @ channel.a[r])
+            assert np.allclose(proto.kraus[i], proto.corrections.kraus[r][s] @ proto.a[r])
 
 
 class TestMomentOperatorForm:
@@ -437,24 +441,63 @@ class TestMomentOperatorForm:
         proto = multi_kraus_protocol(3, "full_rank", make_rng(295))
         expected = einsum_mean_fidelity_mkl_form(proto)
 
-        def refuse(self):
-            raise AssertionError("mean_fidelity_mkl_form read Protocol.channel")
+        for name in CHANNEL_ARRAYS:
+            def refuse(self, name=name):
+                raise AssertionError(f"mean_fidelity_mkl_form read Protocol.{name}")
 
-        monkeypatch.setattr(Protocol, "channel", property(refuse))
+            monkeypatch.setattr(Protocol, name, property(refuse))
         assert abs(mean_fidelity_mkl_form(proto) - expected) <= AGREE_TOL
 
 
+def first_input(proto):
+    return PureState(np.eye(proto.d)[0])
+
+
+#: each reader of a protocol, and the channel arrays it builds on a fresh protocol
+READERS = {
+    "mean_fidelity_exact": (mean_fidelity_exact, {"a", "kraus"}),
+    "outcome_distribution": (lambda p: outcome_distribution(p, first_input(p)), {"a", "effects"}),
+    "teleport_once": (lambda p: teleport_once(p, first_input(p), make_rng(272)), {"a", "effects"}),
+    "mean_fidelity_monte_carlo": (lambda p: mean_fidelity_monte_carlo(p, 1000, make_rng(271)),
+                                  {"a", "kraus", "gram"}),
+    "check_optimality": (lambda p: check_optimality(p.measurement, p.schmidt), set()),
+    "mean_fidelity_mkl_form": (mean_fidelity_mkl_form, set()),
+    "protocol_to_json": (protocol_to_json, set()),
+}
+
+
+def built(proto):
+    """The channel arrays the protocol has built and kept."""
+    return {name for name in CHANNEL_ARRAYS if name in vars(proto)}
+
+
 class TestLaziness:
-    def test_exact_paths_never_build_the_gram_operator(self):
-        proto = standard_protocol(random_lambdas(4, make_rng(270)))
-        mean_fidelity_exact(proto)
-        check_optimality(proto.measurement, proto.schmidt)
+    @pytest.mark.parametrize("kind", ["standard", "multi_kraus"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_each_reader_builds_only_the_arrays_it_reads(self, reader, kind):
+        proto = (standard_protocol(random_lambdas(4, make_rng(270))) if kind == "standard"
+                 else multi_kraus_protocol(3, "full_rank", make_rng(273)))
+        read, arrays = READERS[reader]
+        assert built(proto) == set()
+        read(proto)
+        assert built(proto) == arrays
+
+    def test_a_restored_protocol_builds_nothing_until_read(self):
+        proto = standard_protocol(random_lambdas(4, make_rng(274)))
         restored = protocol_from_json(protocol_to_json(proto))
+        assert built(restored) == set()
         mean_fidelity_exact(restored)
-        for p in (proto, restored):
-            assert "gram" not in vars(p.channel)
+        assert built(restored) == {"a", "kraus"}
+
+    def test_each_array_is_built_once(self):
+        proto = standard_protocol(random_lambdas(4, make_rng(275)))
         mean_fidelity_monte_carlo(proto, 1000, make_rng(271))
-        assert "gram" in vars(proto.channel)  # built once, on the cached channel
+        teleport_once(proto, first_input(proto), make_rng(272))
+        kept = {name: getattr(proto, name) for name in CHANNEL_ARRAYS}
+        mean_fidelity_monte_carlo(proto, 1000, make_rng(271))
+        teleport_once(proto, first_input(proto), make_rng(272))
+        mean_fidelity_exact(proto)
+        assert all(getattr(proto, name) is arr for name, arr in kept.items())
 
 
 class TestBlockMemory:

@@ -171,10 +171,14 @@ class TestBoundErrors:
         [
             (("bound", "--d", "-3"), "dimension must be at least 2, got -3"),
             (("bound", "--d", "0"), "dimension must be at least 2, got 0"),
+            (("verify-mkl", "--d", "1"), "dimension must be at least 2, got 1"),
+            (("verify-mkl", "--d", "0"), "dimension must be at least 2, got 0"),
+            (("verify-mkl", "--d", "-2"), "dimension must be at least 2, got -2"),
             (("simulate", "--seed", "-1", "--n", "2000"), "seed must be a non-negative integer, got -1"),
             (("search", "--seed", "-1", "--iters", "5"), "seed must be a non-negative integer, got -1"),
         ],
-        ids=["d-3", "d0", "simulate-seed-1", "search-seed-1"],
+        ids=["d-3", "d0", "verify-mkl-d1", "verify-mkl-d0", "verify-mkl-d-2",
+             "simulate-seed-1", "search-seed-1"],
     )
     def test_bad_dimension_or_seed_is_named(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -656,16 +660,13 @@ class TestRangeChecks:
     @pytest.mark.parametrize(
         "argv,flag",
         [
-            (("verify-mkl", "--d", "0"), "--d"),
-            (("verify-mkl", "--d", "-2"), "--d"),
             (("sweep", "--steps", "-1"), "--steps"),
             (("simulate", "--threads", "0", "--n", "2000"), "--threads"),
             (("simulate", "--threads", "-4", "--n", "2000"), "--threads"),
             (("verify-mkl", "--sigmas", "-1", "--n", "1000"), "--sigmas"),
             (("verify-mkl", "--sigmas", "nan", "--n", "1000"), "--sigmas"),
         ],
-        ids=["mkl-d0", "mkl-d-2", "sweep-steps-1", "threads0", "threads-4", "sigmas-1",
-             "sigmas-nan"],
+        ids=["sweep-steps-1", "threads0", "threads-4", "sigmas-1", "sigmas-nan"],
     )
     def test_out_of_range_exits_two(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)

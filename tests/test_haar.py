@@ -225,7 +225,7 @@ class TestSimplexDraw:
 
     @pytest.mark.parametrize("d", [2, 3, 8, 16])
     def test_a_d_wide_form_gives_the_simplex_path_bit_for_bit(self, d):
-        form = linspace_protocol(d).channel.gram
+        form = linspace_protocol(d).gram
         assert form.shape == (d, d)
         # blocks of MC_BLOCK_ENTRIES // (2 d) rows, so the last one is ragged at d = 8 and 16
         n = 20_000
@@ -263,7 +263,7 @@ class TestSimplexDraw:
         # the n x d complex states it replaces (25.6 MB here)
         d, n = 16, 100_000
         proto = linspace_protocol(d)
-        proto.channel.gram  # build the Gram operator first
+        proto.gram  # build the Gram operator first
         tracemalloc.start()
         try:
             mean_fidelity_monte_carlo(proto, n, make_rng(95))
@@ -277,7 +277,7 @@ class TestSimplexDraw:
         # the standard fidelity form on all d^2 coordinates, coupled to the Re
         # coordinate of psi_0 psi_1*
         form = np.zeros((d * d, d * d))
-        form[:d, :d] = linspace_protocol(d).channel.gram
+        form[:d, :d] = linspace_protocol(d).gram
         form[0, d] = form[d, 0] = 0.05
         n = 3000
         rng, ref_rng = make_rng(80 + d), make_rng(80 + d)

@@ -11,10 +11,15 @@ import pytest
 
 from teleportsim import (
     AliceMeasurement,
+    BipartiteVector,
     BobCorrections,
+    EstimationStrategy,
+    Operator,
     Protocol,
     PureState,
     SchmidtDecomposition,
+    SearchResult,
+    TeleportOutcome,
     check_optimality,
     fidelity_bound,
     make_rng,
@@ -661,13 +666,13 @@ class TestAliceMeasurement:
     def test_random_povm_channel_is_c_ordered(self, d):
         # random_povm passes its blocks as a transposed view
         proto = povm_protocol(d, random_lambdas(d, make_rng(58)), 59)
-        for arr in (proto.measurement.phi, proto.channel.a, proto.channel.kraus):
+        for arr in (proto.measurement.phi, proto.a, proto.kraus):
             assert arr.flags.c_contiguous
 
 
 def handed_out_arrays(proto):
-    """(name, array) of every array a protocol, its channel and its reports hand out."""
-    meas, corr, channel = proto.measurement, proto.corrections, proto.channel
+    """(name, array) of every array a protocol, its parts and its reports hand out."""
+    meas, corr = proto.measurement, proto.corrections
     yield "phi", meas.phi
     yield "completeness_error", meas.completeness_error
     yield "stack", corr.stack
@@ -675,11 +680,39 @@ def handed_out_arrays(proto):
     for r, block in enumerate(corr.kraus):
         yield f"kraus[{r}]", block
     yield "lambdas", proto.schmidt.lambdas
-    yield "channel.a", channel.a
-    yield "channel.kraus", channel.kraus
-    yield "channel.gram", channel.gram
-    yield "channel.effects", channel.effects
+    yield "a", proto.a
+    yield "kraus", proto.kraus
+    yield "gram", proto.gram
+    yield "effects", proto.effects
     yield "OptimalityReport.errors", check_optimality(meas, proto.schmidt).errors
+
+
+#: a factory of each dataclass whose instances hold an array; two calls give equal contents
+ARRAY_HOLDERS = {
+    "PureState": lambda: PureState([1.0, 0.0]),
+    "Operator": lambda: Operator(np.eye(2)),
+    "BipartiteVector": lambda: BipartiteVector(np.eye(2) / np.sqrt(2)),
+    "SchmidtDecomposition": lambda: SchmidtDecomposition([0.8, 0.6]),
+    "AliceMeasurement": lambda: AliceMeasurement(standard_measurement(2).phi),
+    "BobCorrections": lambda: BobCorrections(np.eye(2)[None]),
+    "Protocol": lambda: standard_protocol([0.8, 0.6]),
+    "TeleportOutcome": lambda: TeleportOutcome(0, 0.5, PureState([1.0, 0.0])),
+    "OptimalityReport": lambda: check_optimality(
+        standard_measurement(2), SchmidtDecomposition([0.8, 0.6])),
+    "EstimationStrategy": lambda: EstimationStrategy(np.eye(2)),
+    "SearchResult": lambda: SearchResult(0.9, standard_measurement(2), 1, 0.9),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(name):
+    # generated __eq__ and __hash__ would compare and hash the arrays, and raise
+    first, second = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert first is not second
+    assert first != second and not first == second
+    assert first == first and second == second
+    assert {first: 1, second: 2} == {first: 1, second: 2}
+    assert len({first, second}) == 2
 
 
 class TestReadOnlyArrays:
@@ -791,7 +824,7 @@ class TestTeleportOnce:
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_corrupted_effects_rejected(self, fill):
         proto = standard_protocol([0.8, 0.6])
-        vars(proto.channel)["effects"] = np.full_like(proto.channel.effects, fill)
+        vars(proto)["effects"] = np.full_like(proto.effects, fill)
         with pytest.raises(ValueError, match="probabilities vanish"):
             teleport_once(proto, PureState(np.eye(2)[0]), make_rng(0))
 
@@ -889,7 +922,7 @@ class TestOutcomeDistribution:
         for amplitudes in sample_haar_states(d, 50, make_rng(66, stream=d)):
             psi = PureState(amplitudes)
             probs = outcome_distribution(proto, psi)
-            norms = np.sum(np.abs(proto.channel.a @ amplitudes) ** 2, axis=1)
+            norms = np.sum(np.abs(proto.a @ amplitudes) ** 2, axis=1)
             assert np.all(probs >= 0)
             assert np.max(np.abs(probs - norms)) <= 1e-15
         if kind == "product":
