@@ -32,7 +32,6 @@ from .haar import (
 )
 from .protocol import (
     CHECK_ATOL,
-    _kraus_check,
     _protocol_parts,
     check_optimality,
     standard_measurement,
@@ -247,7 +246,6 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
         lam, flags = _resolve_lambdas(args.d, args.lambdas, args.theta)
         proto = standard_protocol(lam)
         schmidt, meas, corr = proto.schmidt, proto.measurement, proto.corrections
-        stack, sizes = corr.stack, np.bincount(corr.outcome)
         source = "standard"
     else:
         # a file fixes its own state, so a state flag next to it would be dropped
@@ -258,14 +256,14 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
                     "a protocol file sets its own Schmidt coefficients"
                 )
         with open(args.protocol, encoding="utf-8") as fh:
-            schmidt, meas, stack, sizes = _protocol_parts(fh.read())
+            schmidt, meas, corr = _protocol_parts(fh.read())
         if args.d not in (None, meas.d):
             raise ValueError(f"--d {args.d} does not match the protocol file's dimension {meas.d}")
         lam, flags = schmidt.lambdas, {}
         source = args.protocol
     completeness = validate_completeness(meas, args.tol)
     optimality = check_optimality(meas, schmidt, args.tol)
-    kraus_err = float(_kraus_check(stack, sizes).max())
+    kraus_err = float(corr.kraus_error.max())
     corrections_ok = kraus_err <= args.tol
     ok = completeness.passed and optimality.passed and corrections_ok
     # the pairs k <= l whose error exceeds the tolerance, in (outcome, k, l) order
@@ -286,7 +284,8 @@ def _cmd_check_protocol(args) -> tuple[dict, int]:
                 for r, k, l in violations[:10].tolist()
             ],
         },
-        "corrections": {"pass": corrections_ok, "max_error": kraus_err},
+        "corrections": {"pass": corrections_ok, "max_error": kraus_err,
+                        "worst_outcome": int(np.argmax(corr.kraus_error))},
         "estimation_bound": estimation_fidelity_bound(lam),
     }
     config = {"source": source, **_base_config(args, lam, flags), "d": meas.d}

@@ -218,6 +218,7 @@ def _check_samples(n: int) -> None:
 
 
 def _check_indices(d: int, k: int, l: int) -> None:
+    _check_dim(d)
     if not (0 <= k < d and 0 <= l < d):
         raise ValueError(f"indices must lie in [0, {d}), got k={k}, l={l}")
 

@@ -41,9 +41,10 @@ class AliceMeasurement:
     ``phi[r, k]`` is the d-dimensional block of outcome r attached to the
     k-th Schmidt basis vector; blocks may be zero or unnormalized.
     Completeness is deliberately not enforced here, so that broken
-    measurements can be constructed and diagnosed; it is enforced when a
-    full :class:`Protocol` is assembled. ``phi`` is kept as a read-only
-    C-ordered copy, so the arrays derived from it are C-ordered too.
+    measurements can be constructed and diagnosed; it is recorded in
+    :attr:`completeness_error` and enforced when a full :class:`Protocol` is
+    assembled. ``phi`` is kept as a read-only C-ordered copy, so the arrays
+    derived from it are C-ordered too.
     """
 
     phi: np.ndarray
@@ -130,24 +131,6 @@ def _kraus_stack(kraus) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(blocks, out=stack), sizes
 
 
-def _kraus_check(stack: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per outcome, max |sum_s B_s† B_s - I| over its Kraus operators B_s.
-
-    ``stack`` and ``sizes`` are as :func:`_kraus_stack` returns them. The
-    products run once on the whole stack. Where some outcome has several
-    operators, they are summed over each outcome's operators by
-    ``np.add.reduceat``; with one operator per outcome that sum would only
-    copy, so it is skipped. An outcome with a non-finite operator, or with
-    products that overflow, has a NaN or infinite error, which fails any
-    finite tolerance. No outcomes give an empty array.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        total = stack.conj().transpose(0, 2, 1) @ stack
-        if sizes.size < stack.shape[0]:
-            total = np.add.reduceat(total, np.cumsum(sizes) - sizes)
-        return np.abs(total - np.eye(stack.shape[1])).max(axis=(1, 2))
-
-
 def _outcome_blocks(stack: np.ndarray, sizes: np.ndarray) -> tuple:
     """Each outcome's (S_r, d, d) slice of a Kraus stack, for per-outcome counts ``sizes``."""
     ends = np.cumsum(sizes).tolist()
@@ -161,10 +144,11 @@ class BobCorrections:
     ``kraus`` is one block per outcome: an (S_r, d, d) array, a list of
     (d, d) matrices, or a bare (d, d) matrix as a single operator, so an
     (R, d, d) array gives R one-operator outcomes, and is taken as the stack
-    whole, with no pass over its outcomes. Each must satisfy
-    sum_s B†B = I. The operators are checked once and kept in one read-only
-    (K, d, d) array ``stack``; ``outcome[i]`` is the outcome of ``stack[i]``,
-    and ``kraus[r]`` is the read-only (S_r, d, d) view of ``stack`` holding
+    whole, with no pass over its outcomes. Only shapes are checked here: the
+    error of sum_s B†B = I is recorded in :attr:`kraus_error` and enforced
+    by :class:`Protocol`. The operators are kept in one read-only (K, d, d)
+    array ``stack``; ``outcome[i]`` is the outcome of ``stack[i]``, and
+    ``kraus[r]`` is the read-only (S_r, d, d) view of ``stack`` holding
     outcome r's operators.
     """
 
@@ -179,13 +163,6 @@ class BobCorrections:
             sizes = np.ones(stack.shape[0], dtype=np.intp)
         else:
             stack, sizes = _kraus_stack(self.kraus)
-        bad = np.flatnonzero(~(_kraus_check(stack, sizes) <= CHECK_ATOL))
-        if bad.size:
-            r = int(bad[0])
-            start = int(sizes[:r].sum())
-            if not np.isfinite(stack[start : start + sizes[r]]).all():
-                raise ValueError(f"outcome {r}: Kraus operators must be finite")
-            raise ValueError(f"outcome {r}: Kraus operators do not compose to the identity")
         stack = _freeze(stack)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "outcome", _freeze(np.repeat(np.arange(sizes.size), sizes)))
@@ -199,13 +176,32 @@ class BobCorrections:
     def n_outcomes(self) -> int:
         return len(self.kraus)
 
+    @cached_property
+    def kraus_error(self) -> np.ndarray:
+        """Read-only (R,) array: entry r is max |sum_s B_rs† B_rs - I| over outcome r's operators.
+
+        Computed on first use and kept: one product over the stack, summed per
+        outcome by ``np.add.reduceat`` unless each outcome has one operator. A
+        non-finite operator, or products that overflow, give a NaN or infinite
+        error, which fails any finite tolerance.
+        """
+        stack = self.stack
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = stack.conj().transpose(0, 2, 1) @ stack
+            if self.n_outcomes < stack.shape[0]:
+                sizes = np.array([block.shape[0] for block in self.kraus], dtype=np.intp)
+                total = np.add.reduceat(total, np.cumsum(sizes) - sizes)
+            return _freeze(np.abs(total - np.eye(self.d)).max(axis=(1, 2)))
+
 
 @dataclass(frozen=True, eq=False)
 class Protocol:
     """Complete teleportation protocol: resource state, measurement, corrections.
 
     The resource is held as its Schmidt spectrum; the measurement blocks are
-    written in its Schmidt basis, so no local basis is needed.
+    written in its Schmidt basis, so no local basis is needed. Assembly
+    enforces, within :data:`CHECK_ATOL`, the errors its parts record: the
+    Kraus error first, naming the lowest failing outcome, then completeness.
 
     The protocol is one channel rho -> sum_rs C_rs rho C_rs†, and its four
     arrays are each built on first use and kept. :attr:`a` stacks the
@@ -234,6 +230,12 @@ class Protocol:
     corrections: BobCorrections
 
     def __post_init__(self) -> None:
+        bad = np.flatnonzero(~(self.corrections.kraus_error <= CHECK_ATOL))
+        if bad.size:
+            r = int(bad[0])
+            if not np.isfinite(self.corrections.kraus[r]).all():
+                raise ValueError(f"outcome {r}: Kraus operators must be finite")
+            raise ValueError(f"outcome {r}: Kraus operators do not compose to the identity")
         d = self.schmidt.dim
         if self.measurement.d != d:
             raise ValueError(
@@ -439,6 +441,7 @@ def optimal_bob_corrections(
     (:func:`_monomial_polar`); for any other it is recovered from the SVD.
     When A_r is rank deficient either supplies some orthonormal completion
     on the null space, where the mean fidelity is insensitive to the choice.
+    They are unitary by construction, so only a :class:`Protocol` checks them.
     """
     a = _a_matrices(meas.phi, _matched_lambdas(meas, schmidt.lambdas))
     if not np.any(a):
@@ -488,8 +491,8 @@ def standard_protocol(lambdas) -> Protocol:
     nonzero entry.
 
     Since the corrections do not depend on the spectrum, every protocol of
-    dimension d shares one measurement and one :class:`BobCorrections`,
-    built and checked on the first call for d (:func:`_standard_pair`).
+    dimension d shares one measurement and one :class:`BobCorrections`
+    (:func:`_standard_pair`), so each of their errors is computed once per d.
     """
     schmidt = SchmidtDecomposition(lambdas)
     meas, corrections = _standard_pair(schmidt.dim)
@@ -596,14 +599,12 @@ def _complex_stack(text, field: str, d: int) -> np.ndarray:
     return arr
 
 
-def _protocol_parts(
-    text: str,
-) -> tuple[SchmidtDecomposition, AliceMeasurement, np.ndarray, np.ndarray]:
-    """Resource, measurement, Kraus stack and per-outcome Kraus counts of a protocol file's text.
+def _protocol_parts(text: str) -> tuple[SchmidtDecomposition, AliceMeasurement, BobCorrections]:
+    """Resource, measurement and corrections of a protocol file's text.
 
     Neither completeness nor Kraus normalization is checked, so that a broken
-    protocol can still be diagnosed; :func:`protocol_from_json` enforces both.
-    The stack and counts are ready for :func:`_kraus_check`. A schema other
+    protocol can still be diagnosed; assembling the parts into a
+    :class:`Protocol` enforces both (:func:`protocol_from_json`). A schema other
     than :data:`PROTOCOL_SCHEMA` or a malformed field raises a ValueError that
     names it; a Kraus count below 1 names its outcome, as :func:`_kraus_shape` does.
     Text that is not JSON, or that nests too deeply for ``json.loads``, raises
@@ -642,7 +643,8 @@ def _protocol_parts(
         raise ValueError(
             f"kraus_counts add up to {sum(counts)}, but corrections hold {stack.shape[0]} operators"
         )
-    return schmidt, meas, stack, np.array(counts, dtype=np.intp)
+    kraus = stack if stack.shape[0] == len(counts) else _outcome_blocks(stack, np.array(counts))
+    return schmidt, meas, BobCorrections(kraus)
 
 
 def _base64(arr: np.ndarray) -> str:
@@ -674,6 +676,4 @@ def protocol_to_json(proto: Protocol) -> str:
 
 def protocol_from_json(text: str) -> Protocol:
     """Inverse of :func:`protocol_to_json`; raises ValueError unless the protocol is valid."""
-    schmidt, meas, stack, sizes = _protocol_parts(text)
-    kraus = stack if (sizes == 1).all() else _outcome_blocks(stack, sizes)
-    return Protocol(schmidt, meas, BobCorrections(kraus))
+    return Protocol(*_protocol_parts(text))

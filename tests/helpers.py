@@ -295,9 +295,9 @@ def loop_search_best_protocol(lambdas, n_outcomes, iterations, rng):
 def loop_kraus_check(kraus):
     """Per-outcome Kraus-list validation, one outcome at a time (reference).
 
-    Checks each outcome's shape, dimension, finiteness and sum_s B_s† B_s = I
-    in that order, raising ValueError for the first failure, and returns the
-    blocks as (S, d, d) arrays.
+    Checks every outcome's shape and dimension first, then each outcome's
+    finiteness and sum_s B_s† B_s = I in that order, raising ValueError for
+    the first failure, and returns the blocks as (S, d, d) arrays.
     """
     blocks = []
     d = None
@@ -313,14 +313,15 @@ def loop_kraus_check(kraus):
             d = arr.shape[1]
         elif arr.shape[1] != d:
             raise ValueError(f"outcome {r}: dimension {arr.shape[1]} != {d}")
+        blocks.append(arr)
+    if not blocks:
+        raise ValueError("need at least one outcome")
+    for r, arr in enumerate(blocks):
         if not np.isfinite(arr).all():
             raise ValueError(f"outcome {r}: Kraus operators must be finite")
         total = np.einsum("sij,sik->jk", arr.conj(), arr)
         if float(np.max(np.abs(total - np.eye(d)))) > CHECK_ATOL:
             raise ValueError(f"outcome {r}: Kraus operators do not compose to the identity")
-        blocks.append(arr)
-    if not blocks:
-        raise ValueError("need at least one outcome")
     return blocks
 
 

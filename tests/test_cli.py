@@ -24,7 +24,6 @@ from teleportsim import (
     standard_protocol,
 )
 from teleportsim.cli import main
-from teleportsim.protocol import _kraus_check
 from helpers import from_base64, loop_check_optimality, per_pair_verify_mkl, to_base64
 
 
@@ -414,10 +413,12 @@ class TestCheckProtocol:
         path = tmp_path / "ragged.json"
         path.write_text(text)
         code, report = run_json(capsys, "check-protocol", str(path))
-        corr = protocol_from_json(text).corrections
-        error = _kraus_check(corr.stack, np.bincount(corr.outcome)).max()
+        error = protocol_from_json(text).corrections.kraus_error
         assert code == 1  # a random POVM fails the optimality conditions
-        assert report["results"]["corrections"]["max_error"] == error > 0
+        res = report["results"]["corrections"]
+        assert res["max_error"] == error.max() > 0
+        assert res["worst_outcome"] == np.argmax(error)
+        assert res["worst_outcome"] % 3 == 0  # only the split outcomes are off
 
     def test_no_corrections_exits_two(self, capsys, tmp_path):
         data = json.loads(protocol_to_json(standard_protocol([0.8, 0.6])))
@@ -480,6 +481,8 @@ class TestCheckProtocol:
         res = json.loads(out)["results"]
         assert res["corrections"]["pass"] is False
         assert res["corrections"]["max_error"] == 0.75  # |0.25 I - I|
+        assert res["corrections"]["worst_outcome"] == 2
+        assert list(res["corrections"]) == ["pass", "max_error", "worst_outcome"]
         assert res["completeness"]["pass"] is True
 
     def test_missing_phi_exits_two(self, capsys, tmp_path):

@@ -111,6 +111,16 @@ class TestMklExact:
         with pytest.raises(ValueError, match="indices"):
             m_kl_exact(2, 0, 2)
 
+    @pytest.mark.parametrize("d", [1, 0, -1])
+    @pytest.mark.parametrize(
+        "moment",
+        [lambda d: m_kl_exact(d, 0, 0), lambda d: m_kl_monte_carlo(d, 0, 0, 10_000, make_rng(0))],
+        ids=["exact", "monte_carlo"],
+    )
+    def test_dimension_floor_comes_before_the_indices(self, moment, d):
+        with pytest.raises(ValueError, match=f"^dimension must be at least 2, got {d}$"):
+            moment(d)
+
     @pytest.mark.parametrize("d", range(2, 17))
     def test_moment_matrix_is_every_operator_bit_for_bit(self, d):
         m = haar._moment_matrix(d)

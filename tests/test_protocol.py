@@ -37,7 +37,7 @@ from teleportsim import (
     validate_completeness,
 )
 from teleportsim.cli import build_parser
-from teleportsim.protocol import CHECK_ATOL, _base64, _kraus_check
+from teleportsim.protocol import CHECK_ATOL, _base64, _protocol_parts
 from helpers import (
     choice_teleport_once,
     einsum_bob_unitaries,
@@ -198,12 +198,13 @@ class TestCheckTolerance:
         scale = np.sqrt(1 + factor * CHECK_ATOL)
         kraus = scale * std.corrections.stack
         meas = AliceMeasurement(scale * std.measurement.phi)
+        corrections = BobCorrections(kraus)  # construction checks shapes only
         if factor < 1:
-            BobCorrections(kraus)
+            Protocol(std.schmidt, std.measurement, corrections)
             Protocol(std.schmidt, meas, std.corrections)
             return
         with pytest.raises(ValueError, match="do not compose to the identity"):
-            BobCorrections(kraus)
+            Protocol(std.schmidt, std.measurement, corrections)
         with pytest.raises(ValueError, match="not complete"):
             Protocol(std.schmidt, meas, std.corrections)
 
@@ -514,8 +515,33 @@ class TestMonomialMeasurements:
 
 class TestBobCorrections:
     def test_rejects_non_channel(self):
+        corr = BobCorrections((np.eye(2) * 0.5,))
+        assert corr.kraus_error.tolist() == [0.75]
+        std = standard_protocol([0.8, 0.6])
+        # the Kraus check comes first, before the outcome counts (1 against 4) are compared
         with pytest.raises(ValueError, match="identity"):
-            BobCorrections((np.eye(2) * 0.5,))
+            Protocol(std.schmidt, std.measurement, corr)
+
+    def test_kraus_error_is_computed_once_per_corrections(self):
+        corr = BobCorrections(tuple(random_kraus_set(2, s, make_rng(50)) for s in (1, 3, 2)))
+        assert "kraus_error" not in vars(corr)
+        err = corr.kraus_error
+        assert corr.kraus_error is err
+        assert err.shape == (3,) and not err.flags.writeable
+        assert (err <= CHECK_ATOL).all()
+
+    def test_optimal_corrections_are_checked_when_assembled(self):
+        meas, schmidt = random_povm(3, 11, make_rng(55)), SchmidtDecomposition([0.8, 0.48, 0.36])
+        corr = optimal_bob_corrections(meas, schmidt)
+        assert "kraus_error" not in vars(corr)
+        Protocol(schmidt, meas, corr)
+        assert "kraus_error" in vars(corr)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_standard_protocols_of_one_dimension_share_one_kraus_error(self, d):
+        rng = make_rng(56)
+        first, second = (standard_protocol(random_lambdas(d, rng)) for _ in range(2))
+        assert first.corrections.kraus_error is second.corrections.kraus_error
 
     def test_accepts_kraus_sets(self):
         rng = make_rng(50)
@@ -589,12 +615,16 @@ class TestBobCorrections:
             ("ragged_identity_2", "outcome 2: Kraus operators do not compose to the identity"),
             ("bare", None),
             ("bare_identity_3", "outcome 3: Kraus operators do not compose to the identity"),
+            ("identity_1_shape_3",
+             "outcome 3: Kraus block must have shape (S, d, d), got (1, 3, 4)"),
         ],
     )
     def test_matches_loop_reference(self, case, message):
         rng = make_rng(80)
         d = 3
-        blocks = [random_kraus_set(d, s, rng) for s in (1, 2, 3, 1, 3, 2)]
+        # a d = 3 protocol needs at least d^2 = 9 outcomes to be complete
+        schmidt, meas = SchmidtDecomposition([0.8, 0.48, 0.36]), standard_measurement(d)
+        blocks = [random_kraus_set(d, s, rng) for s in (1, 2, 3, 1, 3, 2, 1, 2, 1)]
         if case in ("nan_in_3", "inf_in_3", "minus_inf_in_3"):
             blocks[3][0, 2, 1] = {"nan_in_3": np.nan, "inf_in_3": np.inf}.get(case, -np.inf)
         elif case == "nan_in_second_of_1":
@@ -610,9 +640,12 @@ class TestBobCorrections:
         elif case == "ragged_identity_2":
             blocks[2] = blocks[2][:2]
         elif case.startswith("bare"):
-            blocks = list(random_unitaries(d, 5, rng))
+            blocks = list(random_unitaries(d, 9, rng))
             if case == "bare_identity_3":
                 blocks[3] = 0.99 * blocks[3]
+        elif case == "identity_1_shape_3":
+            blocks[1] = 1.01 * blocks[1]
+            blocks[3] = np.zeros((1, d, d + 1))
 
         def outcome(check):
             try:
@@ -620,21 +653,24 @@ class TestBobCorrections:
             except ValueError as exc:
                 return str(exc)
 
-        got = outcome(lambda kraus: list(BobCorrections(kraus).kraus))
+        built = outcome(BobCorrections)  # construction checks shapes only
+        got = outcome(
+            lambda kraus: list(Protocol(schmidt, meas, BobCorrections(kraus)).corrections.kraus))
         want = outcome(loop_kraus_check)
         if message is not None:
             assert got == want == message
+            assert (built == message) is ("Kraus block" in message)
         else:
             assert isinstance(got, list) and len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_one_operator_per_outcome_check_equals_the_summed_check(self):
-        # with one operator per outcome _kraus_check skips np.add.reduceat; the sum
+        # with one operator per outcome kraus_error skips np.add.reduceat; the sum
         # over one-operator segments only copies, so the errors keep every bit
         scale = np.array([1, 1.01, 1, 0.99, 1, 1])[:, None, None]
         stack = random_unitaries(4, 6, make_rng(54)) * scale
         stack[4, 1, 2] = np.nan
-        error = _kraus_check(stack, np.ones(6, dtype=np.intp))
+        error = BobCorrections(stack).kraus_error
         with np.errstate(invalid="ignore"):
             summed = np.add.reduceat(stack.conj().transpose(0, 2, 1) @ stack, np.arange(6))
             want = np.abs(summed - np.eye(4)).max(axis=(1, 2))
@@ -645,8 +681,10 @@ class TestBobCorrections:
     def test_non_finite_rejected(self, bad):
         block = np.eye(2, dtype=complex)
         block[0, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            BobCorrections((np.eye(2), block))
+        corr = BobCorrections((np.eye(2), block, np.eye(2), np.eye(2)))
+        std = standard_protocol([0.8, 0.6])
+        with pytest.raises(ValueError, match="^outcome 1: Kraus operators must be finite$"):
+            Protocol(std.schmidt, std.measurement, corr)
         phi = np.array(standard_measurement(2).phi)
         phi[3, 1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -677,6 +715,7 @@ def handed_out_arrays(proto):
     yield "completeness_error", meas.completeness_error
     yield "stack", corr.stack
     yield "outcome", corr.outcome
+    yield "kraus_error", corr.kraus_error
     for r, block in enumerate(corr.kraus):
         yield f"kraus[{r}]", block
     yield "lambdas", proto.schmidt.lambdas
@@ -963,6 +1002,15 @@ def protocol_file(proto):
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("kind", ["standard", "random-povm", "ragged"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_file_parts_assemble_to_the_read_protocol(self, kind, d):
+        text = protocol_to_json(kind_protocol(kind, d))
+        read, assembled = protocol_from_json(text), Protocol(*_protocol_parts(text))
+        for (name, got), (_, want) in zip(handed_out_arrays(read), handed_out_arrays(assembled)):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("name", SERIALIZED_PROTOCOLS)
     def test_text_matches_json_dumps(self, name):
         proto = SERIALIZED_PROTOCOLS[name]()
