@@ -27,9 +27,7 @@ from .fidelity import (
     mean_fidelity_exact,
     mean_fidelity_monte_carlo,
 )
-from .haar import (
-    MC_MIN_SAMPLES, McEstimate, _moment_blocks, _moment_matrix, make_rng, sample_haar_states,
-)
+from .haar import MC_MIN_SAMPLES, McEstimate, _haar_draw, _moment_blocks, _moment_matrix, make_rng
 from .protocol import (
     CHECK_ATOL,
     _protocol_parts,
@@ -215,9 +213,7 @@ def _cmd_verify_mkl(args) -> tuple[dict, int]:
     if not 0.0 < args.sigmas < np.inf:
         raise ValueError(f"--sigmas must be a positive finite number, got {args.sigmas}")
     every = range(d)
-    est = _pooled_mc(
-        args, lambda rng, n: _moment_blocks(sample_haar_states(d, n, rng), every, every)
-    )
+    est = _pooled_mc(args, lambda rng, n: _moment_blocks(_haar_draw(d, n, rng), every, every))
     # axes [k, i, l, j]: the (k, l) block of the moment matrix is M(k, l)
     dev = np.abs(est.value - _moment_matrix(d)).reshape(d, d, d, d)
     max_err = dev.max(axis=(1, 3))

@@ -12,6 +12,11 @@ Monte-Carlo estimator below reproduces them entrywise within its reported
 standard errors; that agreement is the numerical anchor for every exact
 fidelity formula in this package.
 
+Every Haar draw is one ``rng.standard_normal((2, n, d))`` call, real parts
+then imaginary parts, and :func:`_haar_rows` is the one rule that turns a
+block of it into normalized rows. The moment sums and a dense form
+normalize each block as they reduce it, so they never hold all n states.
+
 Both Monte-Carlo fidelities, of teleportation and of estimation, are real
 quadratic forms x^T F x in the coordinates x of psi psi†. This module holds
 those coordinates; :func:`_form_width`, which decides where a form is built
@@ -30,12 +35,18 @@ import numpy as np
 
 from .qcore import Operator, PureState, _check_dim, _freeze
 
-#: complex entries that one block of a Monte-Carlo estimator's widest
-#: intermediate may hold (4 MiB). This bounds each block's cache footprint, and
-#: so memory too, independently of n. Timed at 2**15 to 2**21 on d = 16 and
-#: d = 8 calls: the quadratic forms slow down once a block outgrows a core's
-#: L2 cache, and the moment sums slow down in much smaller blocks.
+#: complex entries that one block of a Monte-Carlo form's widest intermediate
+#: may hold (4 MiB). This bounds each block's cache footprint, and so memory
+#: too, independently of n. Timed at 2**15 to 2**21 on d = 16 and d = 8 calls:
+#: the quadratic forms slow down once a block outgrows a core's L2 cache.
 MC_BLOCK_ENTRIES = 2**18
+#: entries of psi that one block of Haar rows holds (128 KiB), whatever the
+#: number of moment pairs: the moment sums reduce, and sample_haar_states
+#: normalizes, HAAR_BLOCK_ENTRIES // d rows at a time. Timed at 2**11 to 2**14
+#: on one BLAS thread: one pair ran best here at d = 16 (512 rows), and about 10%
+#: faster at 2**12 at d <= 8; all pairs ran best here at d = 8, were flat from
+#: 256 to 1024 rows at d = 16, and slowed at 128.
+HAAR_BLOCK_ENTRIES = 2**13
 #: fewest samples any Monte-Carlo estimator accepts
 MC_MIN_SAMPLES = 1000
 
@@ -156,14 +167,16 @@ def form_monte_carlo(form: np.ndarray, d: int, n: int, rng: np.random.Generator)
     x_i = |psi_i|^2, uniform on the probability simplex for Haar-random psi:
     :func:`_sample_simplex` draws those points directly, with the Haar draw's
     mean and standard error but another random stream. For a (d^2, d^2) form
-    :func:`sample_haar_states` draws n states, and each row computes all d^2
-    coordinates of x. d is an argument because a (d, d) form has the shape of
-    a full form of dimension sqrt(d).
+    the n inputs are Haar states, the stream and rows of
+    :func:`sample_haar_states`, and each row computes all d^2 coordinates of
+    x. d is an argument because a (d, d) form has the shape of a full form of
+    dimension sqrt(d).
 
     All n inputs are drawn first, in one call. The form is then evaluated on
     blocks of rows whose intermediates hold at most ``MC_BLOCK_ENTRIES``
     complex entries, which keeps a block's working set near cache size and
-    its memory fixed, independently of n. The block size changes the
+    its memory fixed, independently of n; Haar rows are normalized block by
+    block, so only the raw draw spans all n. The block size changes the
     per-row values by rounding at most, since a matrix product may sum in
     another order for another number of rows.
     """
@@ -174,10 +187,10 @@ def form_monte_carlo(form: np.ndarray, d: int, n: int, rng: np.random.Generator)
         step = max(1, MC_BLOCK_ENTRIES // (2 * d))
         coords = lambda block: p[block]
     else:
-        psi = sample_haar_states(d, n, rng)
+        draw = _haar_draw(d, n, rng)
         # forming x holds about 1.5 d^2 complex entries per row, then x and x @ F d^2 reals each
         step = max(1, MC_BLOCK_ENTRIES // (2 * d * d))
-        coords = lambda block: _state_coords(psi[block])
+        coords = lambda block: _state_coords(_haar_rows(draw[:, block]))
     f = np.empty(n)
     for start in range(0, n, step):
         block = slice(start, start + step)
@@ -191,10 +204,36 @@ def sample_haar_state(d: int, rng: np.random.Generator) -> PureState:
 
 
 def sample_haar_states(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-random pure states, returned as rows of an (n, d) complex array."""
+    """n Haar-random pure states, returned as rows of an (n, d) complex array.
+
+    The draw (:func:`_haar_draw`) is normalized into the result
+    ``HAAR_BLOCK_ENTRIES // d`` rows at a time, so beyond the draw and the
+    result only one block's temporaries are held.
+    """
+    draw = _haar_draw(d, n, rng)
+    psi = np.empty((n, d), dtype=complex)
+    step = max(1, HAAR_BLOCK_ENTRIES // d)
+    for start in range(0, n, step):
+        psi[start : start + step] = _haar_rows(draw[:, start : start + step])
+    return psi
+
+
+def _haar_draw(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Standard normals for n Haar states, as a (2, n, d) array: real parts, then imaginary parts."""
     _check_dim(d)
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return rng.standard_normal((2, n, d))
+
+
+def _haar_rows(draw: np.ndarray) -> np.ndarray:
+    """The Haar states of a (2, b, d) block of :func:`_haar_draw`, as rows of a (b, d) array.
+
+    Each row z is divided by sqrt(sum |z_i|^2), with |z_i|^2 computed as
+    (z* z).real, the arithmetic of ``np.linalg.norm``. A row depends on its
+    own entries only, so any split of the draw into blocks gives the same
+    bits.
+    """
+    z = draw[0] + 1j * draw[1]
+    return z / np.sqrt((z.conj() * z).real.sum(axis=1, keepdims=True))
 
 
 def _sample_simplex(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -233,57 +272,62 @@ def m_kl_exact(d: int, k: int, l: int) -> Operator:
     return Operator(mat / (d * (d + 1)))
 
 
+@cache
 def _moment_matrix(d: int) -> np.ndarray:
     """Every M(k, l) in one (d^2, d^2) matrix, entry [(k, i), (l, j)] = M(k, l)[i, j].
 
     Entry [(k, i), (l, j)] is (delta_kl delta_ij + delta_ki delta_lj) / (d (d+1)):
     the identity plus the outer product of e = vec(I) with itself. Each entry
     is an integer divided once by d (d+1), as in :func:`m_kl_exact`, so the
-    two agree bit for bit. Every entry is real, and so is the array.
+    two agree bit for bit. Every entry is real, and so is the array. Built
+    once per dimension and kept read-only (d^4 doubles, 512 KiB at d = 16).
     """
     e = np.eye(d).ravel()
-    return (np.eye(d * d) + np.outer(e, e)) / (d * (d + 1))
+    return _freeze((np.eye(d * d) + np.outer(e, e)) / (d * (d + 1)))
 
 
-def _moment_blocks(psi: np.ndarray, ks: Sequence[int], ls: Sequence[int]) -> McEstimate:
+def _moment_blocks(draw: np.ndarray, ks: Sequence[int], ls: Sequence[int]) -> McEstimate:
     """Entrywise Monte-Carlo estimate of M(k, l) for k in ``ks`` and l in ``ls``.
 
-    The value is a (len(ks) d, len(ls) d) matrix laid out like
-    :func:`_moment_matrix`, with entry [(k, i), (l, j)] the mean of
-    <psi|k><l|psi> psi_i psi_j* over the rows of ``psi``. With
+    ``draw`` is a (2, n, d) :func:`_haar_draw`, whose rows psi are the states
+    :func:`sample_haar_states` gives. The value is a (len(ks) d, len(ls) d)
+    matrix laid out like :func:`_moment_matrix`, with entry [(k, i), (l, j)]
+    the mean of <psi|k><l|psi> psi_i psi_j* over the n states. With
     y = psi* (x) psi that mean is Y^T Y* / n. The entry's modulus squared is
     p_k p_i p_l p_j with p = |psi|^2, so the second moments are Z^T Z / n
-    with z = p (x) p. Both sums run over blocks of rows whose four factors
-    (y and z for ``ks``, y* and z for ``ls``) hold at most ``MC_BLOCK_ENTRIES``
-    entries together. That bounds each block's cache footprint, and so memory
-    does not grow with n beyond ``psi`` itself.
+    with z = p (x) p. Both sums run over blocks of ``HAAR_BLOCK_ENTRIES // d``
+    rows, each normalized from the draw as it is reduced, so memory does not
+    grow with n beyond the draw itself. Each factor of a block (y and z for
+    ``ks``, y* and z for ``ls``) lives only for its own product; y holds
+    128 KiB for one pair at d = 16, and 2 MiB for all pairs.
     """
-    n, d = psi.shape
+    _, n, d = draw.shape
     ks, ls = list(ks), list(ls)
-    step = max(1, MC_BLOCK_ENTRIES // (2 * (len(ks) + len(ls)) * d))
+    step = max(1, HAAR_BLOCK_ENTRIES // d)
     value = np.zeros((len(ks) * d, len(ls) * d), dtype=complex)
     second = np.zeros(value.shape)
     for start in range(0, n, step):
-        block = psi[start : start + step]
-        rows = (block.shape[0], -1)
-        p = np.abs(block) ** 2
-        y = (block[:, ks, None].conj() * block[:, None, :]).reshape(rows)
-        y_conj = (block[:, ls, None] * block[:, None, :].conj()).reshape(rows)
-        z_k = (p[:, ks, None] * p[:, None, :]).reshape(rows)
-        z_l = (p[:, ls, None] * p[:, None, :]).reshape(rows)
-        value += y.T @ y_conj
-        second += z_k.T @ z_l
+        psi = _haar_rows(draw[:, start : start + step])
+        psi_conj, p = psi.conj(), np.abs(psi) ** 2
+        value += _kron_rows(psi_conj, ks, psi).T @ _kron_rows(psi, ls, psi_conj)
+        second += _kron_rows(p, ks, p).T @ _kron_rows(p, ls, p)
     value /= n
     var = np.clip(second / n - np.abs(value) ** 2, 0.0, None) * n / (n - 1)
     return McEstimate(value=value, std_error=np.sqrt(var / n), n_samples=n)
 
 
+def _kron_rows(a: np.ndarray, cols: list[int], b: np.ndarray) -> np.ndarray:
+    """Row by row, the Kronecker product of a's columns ``cols`` with b, as a (rows, len(cols) d) array."""
+    return (a[:, cols, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
 def m_kl_monte_carlo(d: int, k: int, l: int, n: int, rng: np.random.Generator) -> McEstimate:
     """Entrywise Monte-Carlo estimate of the moment operator M(k, l).
 
-    Averages <psi|k><l|psi> |psi><psi| over n Haar samples; the returned
+    Averages <psi|k><l|psi> |psi><psi| over n Haar samples, the states
+    :func:`sample_haar_states` would draw from ``rng``; the returned
     estimate holds the (d, d) complex mean and entrywise standard errors.
     """
     _check_indices(d, k, l)
     _check_samples(n)
-    return _moment_blocks(sample_haar_states(d, n, rng), [k], [l])
+    return _moment_blocks(_haar_draw(d, n, rng), [k], [l])

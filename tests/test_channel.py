@@ -503,12 +503,13 @@ class TestLaziness:
 class TestBlockMemory:
     """Traced peak of one d = 16 call with n = 20000 on dense forms: blocks keep it bounded.
 
-    The peaks are 10.6 MB for the fidelity and for the estimation, and
-    36.5 MB if blocks hold 2^21 entries, so the limit fails blocks grown
-    back eightfold. The protocol is a random POVM, whose forms use every
-    coordinate; the standard protocol's read the 16 diagonal ones, drawn
-    from the simplex without phases, and peak at 3.7 MB (5.2 MB with
-    2^21-entry blocks).
+    The peaks are 8.0 MiB for the fidelity and 8.5 MiB for the estimation,
+    and 29.0-29.5 MiB if blocks hold 2^21 entries, so the limit fails blocks
+    grown back eightfold. Haar rows are normalized block by block, so only
+    the raw draw (5.1 MB) spans all n. The protocol is a random POVM, whose
+    forms use every coordinate; the standard protocol's read the 16 diagonal
+    ones, drawn from the simplex without phases, and peak at 3.7 MB (5.2 MB
+    with 2^21-entry blocks).
     """
 
     LIMIT_MB = 16

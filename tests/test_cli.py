@@ -20,9 +20,11 @@ from teleportsim import (
     protocol_from_json,
     protocol_to_json,
     random_povm,
+    sample_haar_states,
     standard_measurement,
     standard_protocol,
 )
+from teleportsim import haar
 from teleportsim.cli import main
 from helpers import from_base64, loop_check_optimality, per_pair_verify_mkl, to_base64
 
@@ -370,6 +372,27 @@ class TestVerifyMkl:
             assert (got["k"], got["l"], got["pass"]) == (want["k"], want["l"], want["pass"])
             for key in ("max_abs_error", "max_sigma_ratio"):
                 assert rel_err(got[key], want[key]) <= 1e-12
+
+    def test_each_stream_is_left_where_the_states_leave_it(self, capsys, monkeypatch):
+        # each substream's share is drawn once, and read as sample_haar_states reads it
+        d, n, seed = 3, 3001, 44
+        seen = []
+
+        def recording_draw(d_, n_, rng):
+            draw = haar._haar_draw(d_, n_, rng)
+            seen.append((n_, rng.bit_generator.state))
+            return draw
+
+        monkeypatch.setattr(cli, "_haar_draw", recording_draw)
+        code, _ = run_json(capsys, "verify-mkl", "--d", str(d), "--n", str(n), "--seed", str(seed),
+                           "--threads", "2")
+        assert code == 0
+        want = []
+        for stream, count in enumerate((1501, 1500)):
+            rng = make_rng(seed, stream=stream)
+            sample_haar_states(d, count, rng)
+            want.append((count, rng.bit_generator.state))
+        assert seen == want
 
 
 class TestCheckProtocol:

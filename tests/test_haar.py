@@ -23,13 +23,15 @@ from teleportsim.estimation import _estimation_form
 from teleportsim.haar import (
     _form_rows,
     _form_width,
+    _haar_draw,
+    _haar_rows,
     _hermitian_coords,
     _moment_blocks,
     _sample_simplex,
     _state_coords,
     form_monte_carlo,
 )
-from helpers import random_lambdas, random_unitary
+from helpers import einsum_m_kl_monte_carlo, random_lambdas, random_unitary
 
 
 class TestSampling:
@@ -81,6 +83,35 @@ class TestSampling:
         a = sample_haar_states(3, 10, make_rng(7, stream=0))
         b = sample_haar_states(3, 10, make_rng(7, stream=1))
         assert not np.allclose(a, b)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBlockwiseDraw:
+    """One (2, n, d) draw, normalized block by block, gives the states of the whole draw."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_states_are_the_whole_draw_normalized_at_once(self, d):
+        # the reference: real parts, then imaginary parts, each row divided by its norm
+        n = 3 * haar.HAAR_BLOCK_ENTRIES // d + 5  # several blocks, the last one ragged
+        rng, ref_rng = make_rng(120 + d), make_rng(120 + d)
+        z = ref_rng.standard_normal((n, d)) + 1j * ref_rng.standard_normal((n, d))
+        want = z / np.linalg.norm(z, axis=1, keepdims=True)
+        assert np.array_equal(bits(sample_haar_states(d, n, rng)), bits(want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    @pytest.mark.parametrize("step", [1, 7, 333, 2048])
+    def test_any_split_gives_the_states_bit_for_bit(self, d, step):
+        n = 2500  # no step divides it evenly
+        rng, ref_rng = make_rng(130 + d), make_rng(130 + d)
+        draw = _haar_draw(d, n, rng)
+        rows = np.concatenate([_haar_rows(draw[:, start : start + step])
+                               for start in range(0, n, step)])
+        assert np.array_equal(bits(rows), bits(sample_haar_states(d, n, ref_rng)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestMklExact:
@@ -165,6 +196,28 @@ class TestMklMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError, match="1000"):
             m_kl_monte_carlo(2, 0, 0, 10, make_rng(0))
+
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_reads_the_states_stream_and_rows(self, d):
+        n = 5000
+        rng, ref_rng = make_rng(140 + d), make_rng(140 + d)
+        est = m_kl_monte_carlo(d, 0, 1, n, rng)
+        ref = einsum_m_kl_monte_carlo(sample_haar_states(d, n, ref_rng), 0, 1)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.max(np.abs(est.value - ref.value)) <= 1e-13
+        assert np.max(np.abs(est.std_error - ref.std_error)) <= 1e-13
+
+    def test_peak_is_about_the_draw(self):
+        # the draw is one (n, d) complex array's bytes (25.6 MB here); blocks of
+        # it are normalized as they are reduced, so the states are never held whole
+        d, n = 16, 100_000
+        tracemalloc.start()
+        try:
+            m_kl_monte_carlo(d, 0, 1, n, make_rng(42))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * d * np.dtype(complex).itemsize
 
 
 class TestFormMonteCarlo:
@@ -361,35 +414,38 @@ class TestSampleFloor:
 
 
 class TestMomentBlocksMemory:
-    """Traced peak of the full d = 16 moment matrix over n = 100000 samples.
+    """Traced peak of the full d = 16 moment matrix over n = 100000 samples, beyond the draw.
 
     Unblocked, the (n, d^2) factor y = psi* (x) psi alone would take 410 MB.
-    The peak is 6.5 MB, and 41.8 MB if blocks hold 2^21 entries.
+    The peak is 7.8 MiB in blocks of 512 rows, 14.1 MiB in blocks of 1024 and
+    52.0 MiB in blocks of 4096, so the limit fails blocks grown fourfold.
     """
 
     LIMIT_MB = 16
 
     def test_peak_is_bounded(self):
         d = 16
-        psi = sample_haar_states(d, 100_000, make_rng(40))
+        draw = _haar_draw(d, 100_000, make_rng(40))
         tracemalloc.start()
         try:
-            est = _moment_blocks(psi, range(d), range(d))
+            est = _moment_blocks(draw, range(d), range(d))
             peak = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
         assert est.value.shape == (d * d, d * d)
         assert peak < self.LIMIT_MB
 
-    def test_cache_and_memory_sized_blocks_agree(self, monkeypatch):
-        # at d = 8 all pairs take 8192 rows per 32 MiB block and 1024 per
-        # 4 MiB block, so 5000 rows fill neither evenly
-        d = 8
-        psi = sample_haar_states(d, 5000, make_rng(41))
-        ests = []
-        for entries in (2**21, 2**18):
-            monkeypatch.setattr(haar, "MC_BLOCK_ENTRIES", entries)
-            ests.append(_moment_blocks(psi, range(d), range(d)))
+    @pytest.mark.parametrize("d, pairs", [(8, "all"), (16, "one")])
+    def test_one_block_and_cache_sized_blocks_agree(self, d, pairs, monkeypatch):
+        # 5000 rows in one block, and in blocks of HAAR_BLOCK_ENTRIES // d rows,
+        # which do not divide them evenly
+        n = 5000
+        draw = _haar_draw(d, n, make_rng(41))
+        ks, ls = (range(d), range(d)) if pairs == "all" else ([0], [1])
+        assert n % (haar.HAAR_BLOCK_ENTRIES // d)
+        ests = [_moment_blocks(draw, ks, ls)]
+        monkeypatch.setattr(haar, "HAAR_BLOCK_ENTRIES", n * d)
+        ests.append(_moment_blocks(draw, ks, ls))
         assert np.max(np.abs(ests[1].value - ests[0].value)) <= 1e-13
         assert np.max(np.abs(ests[1].std_error - ests[0].std_error)) <= 1e-13
 
