@@ -13,7 +13,7 @@ fidelity, at the cost of teleportation fidelity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,19 @@ ZERO_BLOCK_CUTOFF = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EstimationStrategy:
-    """Outcome-indexed guesses, one unit vector per measurement outcome."""
+    """Outcome-indexed guesses, one unit vector per measurement outcome.
+
+    A strategy keeps the last Monte-Carlo form it was scored with
+    (:func:`estimation_fidelity_mc`), as one tuple of the measurement, the
+    bytes of lambda and the read-only form, so that scoring it again against
+    the same measurement object and spectrum builds nothing. The measurement
+    is compared by identity; both it and the strategy are immutable. Another
+    measurement or spectrum replaces the tuple, so a strategy holds at most
+    one form, and a reader sees either the old tuple or the new one whole.
+    """
 
     guesses: np.ndarray
+    _form: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         guesses = np.array(self.guesses, dtype=complex)
@@ -136,7 +146,16 @@ def estimation_fidelity_mc(
     integrand is the quadratic form x^T (E^T N) x, with E the coordinates of
     the effects E_r and N those of the guess projectors |guess_r><guess_r|.
     One matrix product builds the form, d or d^2 wide (:func:`_estimation_form`),
-    and :func:`haar.form_monte_carlo` evaluates it.
+    and :func:`haar.form_monte_carlo` evaluates it. The strategy keeps the
+    form for the last measurement object and spectrum it was scored with
+    (see :class:`EstimationStrategy`), so the form is built once for a run
+    of calls on one input, and each call's cost is the draw and its
+    evaluation.
     """
     lam = _check_inputs(meas, lambdas, strategy)
-    return form_monte_carlo(_estimation_form(meas, lam, strategy), meas.d, n, rng)
+    key = lam.tobytes()
+    kept = strategy._form
+    if kept is None or kept[0] is not meas or kept[1] != key:
+        kept = (meas, key, _freeze(_estimation_form(meas, lam, strategy)))
+        object.__setattr__(strategy, "_form", kept)
+    return form_monte_carlo(kept[2], meas.d, n, rng)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -26,7 +27,14 @@ from functools import cache, cached_property
 import numpy as np
 
 from .haar import _form_width, _hermitian_coords, _state_coords
-from .qcore import PureState, SchmidtDecomposition, _check_dim, _freeze, check_schmidt_coefficients
+from .qcore import (
+    PureState,
+    SchmidtDecomposition,
+    _check_dim,
+    _freeze,
+    _unit_state,
+    check_schmidt_coefficients,
+)
 
 #: tolerance of the completeness, Kraus-normalization and optimality checks
 CHECK_ATOL = 1e-10
@@ -511,7 +519,8 @@ def outcome_distribution(proto: Protocol, psi: PureState) -> np.ndarray:
     if amps.size != proto.d:
         raise ValueError(f"input dimension {amps.size} != protocol dimension {proto.d}")
     values = proto.effects
-    return np.maximum(values @ _state_coords(amps, values.shape[1] == amps.size), 0.0)
+    p = values @ _state_coords(amps, values.shape[1] == amps.size)
+    return np.maximum(p, 0.0, out=p)
 
 
 def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
@@ -538,22 +547,47 @@ def teleport_once(proto: Protocol, psi: PureState, rng: np.random.Generator) -> 
     normalized output state. The reported probability is |b_r|^2. Every shot
     takes two uniforms, one for the outcome and one for the branch, also
     when the outcome has a single Kraus operator.
+
+    The output is the drawn branch divided by the square root of its weight,
+    so it is a unit vector up to rounding, and it is wrapped as a
+    :class:`PureState` without the constructor's copy and norm check
+    (:func:`qcore._unit_state`). A branch weight that is not positive and
+    finite, which a valid protocol never gives, raises a ValueError before
+    any division by it.
     """
     r = _draw(outcome_distribution(proto, psi), rng)
     b = proto.a[r] @ psi.amplitudes
     kraus = proto.corrections.kraus[r]
-    branches = np.einsum("sij,j->si", kraus, b)
-    # the array methods run the same reductions as np.sum, bit for bit,
-    # without that function's dispatch, which dominates at small d
-    weights = (np.abs(branches) ** 2).sum(axis=1)
     if kraus.shape[0] == 1:  # the branch is certain; its uniform is drawn all the same
         rng.random()
-        s = 0
+        branch = np.einsum("ij,j->i", kraus[0], b)
+        weight = _square_sum(branch)
+        if not 0.0 < weight < math.inf:
+            raise ValueError(f"outcome {r}: branch weight {weight} is not positive and finite")
     else:
-        s = _draw(weights / weights.sum(), rng)
-    out = branches[s] / np.sqrt(weights[s])
-    probability = float((np.abs(b) ** 2).sum())
-    return TeleportOutcome(outcome=r, probability=probability, output_state=PureState(out))
+        branches = np.einsum("sij,j->si", kraus, b)
+        weights = np.abs(branches)
+        weights = np.square(weights, out=weights).sum(axis=1)
+        # the draw never picks a zero weight, so a positive finite total covers the drawn one
+        total = weights.sum()
+        if not 0.0 < total < math.inf:
+            raise ValueError(
+                f"outcome {r}: branch weights sum to {total}, not to a positive finite number"
+            )
+        s = _draw(weights / total, rng)
+        branch, weight = branches[s], float(weights[s])
+    out = _unit_state(branch / math.sqrt(weight))
+    return TeleportOutcome(outcome=r, probability=_square_sum(b), output_state=out)
+
+
+def _square_sum(v: np.ndarray) -> float:
+    """|v|^2 of a vector as a Python float: (np.abs(v) ** 2).sum() bit for bit, squared in place.
+
+    The array method runs the same reduction as np.sum, without that
+    function's dispatch, which dominates at small d.
+    """
+    x = np.abs(v)
+    return float(np.square(x, out=x).sum())
 
 
 def _numbers(values, field: str) -> np.ndarray:

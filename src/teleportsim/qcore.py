@@ -69,6 +69,19 @@ class PureState:
         return abs(self.overlap(other)) ** 2
 
 
+def _unit_state(amps: np.ndarray) -> PureState:
+    """A PureState holding ``amps`` itself, without the constructor's copy and norm check.
+
+    For a vector its caller has just normalized: ``amps`` must be a 1-D
+    complex array of length at least 2 and |amps|^2 within NORM_ATOL of 1,
+    and nothing else may hold it, since it is frozen in place
+    (:func:`_freeze`). :func:`protocol.teleport_once` is the only caller.
+    """
+    state = object.__new__(PureState)
+    object.__setattr__(state, "amplitudes", _freeze(amps))
+    return state
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Square complex matrix acting on a d-level system.

@@ -24,7 +24,7 @@ from teleportsim import (
     standard_measurement,
     standard_protocol,
 )
-from teleportsim import haar
+from teleportsim import estimation, haar
 from teleportsim.cli import main
 from helpers import from_base64, loop_check_optimality, per_pair_verify_mkl, to_base64
 
@@ -267,6 +267,17 @@ class TestEstimate:
         assert res["estimation_bound"] == pytest.approx(1.64 / 3, abs=1e-12)
         assert res["exact"] == pytest.approx(1.64 / 3, abs=1e-12)
         assert abs(res["mc_estimate"] - res["exact"]) <= 4 * res["mc_std_error"]
+
+    def test_streams_share_one_form(self, capsys, monkeypatch):
+        # every substream scores the one strategy on the one (measurement, lambdas)
+        builds = []
+        build = estimation._estimation_form
+        monkeypatch.setattr(estimation, "_estimation_form",
+                            lambda *args: builds.append(args) or build(*args))
+        code, report = run_json(capsys, "estimate", "--d", "4", "--n", "3000", "--threads", "3",
+                                "--seed", "6")
+        assert code == 0 and report["results"]["n"] == 3000
+        assert len(builds) == 1
 
 
 class TestSweep:

@@ -14,8 +14,11 @@ from teleportsim import (
     make_rng,
     optimal_estimates,
     optimal_fidelity_given_measurement,
+    random_povm,
     standard_measurement,
 )
+from teleportsim import estimation
+from teleportsim.estimation import _estimation_form
 from teleportsim.protocol import AliceMeasurement
 from helpers import random_lambdas, random_optimal_measurement
 
@@ -123,6 +126,89 @@ class TestEstimationFidelityMc:
         meas = standard_measurement(2)
         with pytest.raises(ValueError, match="1000"):
             estimation_fidelity_mc(meas, [1.0, 0.0], optimal_estimates(meas), 5, make_rng(0))
+
+
+def memo_case(kind, d):
+    """(measurement, lambdas, strategy): standard, a random POVM, or one guess off the basis.
+
+    The last scores the standard measurement with its first guess moved off
+    the basis, so its form is d^2 wide while the effects stay diagonal.
+    """
+    gen = make_rng(40, stream=d)
+    meas = random_povm(d, d * d, gen) if kind == "random_povm" else standard_measurement(d)
+    guesses = np.array(optimal_estimates(meas).guesses)
+    if kind == "off_basis":
+        guesses[0] = (np.eye(d)[0] + np.eye(d)[1]) / np.sqrt(2)
+    return meas, random_lambdas(d, gen), EstimationStrategy(guesses)
+
+
+MEMO_CASES = ([("standard", d) for d in range(2, 17)]
+              + [("random_povm", 4), ("random_povm", 16), ("off_basis", 4)])
+
+
+def bits(est):
+    return np.array([est.value, est.std_error]).view(np.uint64).tolist(), est.n_samples
+
+
+@pytest.fixture
+def form_builds(monkeypatch):
+    """The list of (measurement, lambdas) each _estimation_form build was called with."""
+    calls = []
+
+    def counted(meas, lam, strategy):
+        calls.append((meas, lam.tobytes()))
+        return _estimation_form(meas, lam, strategy)
+
+    monkeypatch.setattr(estimation, "_estimation_form", counted)
+    return calls
+
+
+class TestFormMemo:
+    """A strategy keeps the form of its last (measurement, lambdas) and builds no other."""
+
+    @pytest.mark.parametrize("kind,d", MEMO_CASES)
+    def test_kept_form_is_the_built_form_bit_for_bit(self, kind, d):
+        meas, lam, strategy = memo_case(kind, d)
+        estimation_fidelity_mc(meas, lam, strategy, 1000, make_rng(41))
+        kept_meas, key, form = strategy._form
+        ref = _estimation_form(meas, lam, strategy)
+        assert kept_meas is meas and key == lam.tobytes()
+        assert form.shape == ref.shape and form.dtype == ref.dtype
+        assert np.array_equal(form.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("kind,d", [("standard", 4), ("random_povm", 4), ("off_basis", 4)])
+    def test_kept_form_is_read_only(self, kind, d):
+        meas, lam, strategy = memo_case(kind, d)
+        estimation_fidelity_mc(meas, lam, strategy, 1000, make_rng(42))
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            strategy._form[2].setflags(write=True)
+
+    @pytest.mark.parametrize("kind,d", [("standard", 8), ("random_povm", 4), ("off_basis", 4)])
+    def test_a_hit_gives_the_bits_and_stream_of_a_miss(self, kind, d):
+        meas, lam, strategy = memo_case(kind, d)
+        runs = []
+        for _ in range(2):  # a miss, then a hit
+            rng = make_rng(43)
+            runs.append((bits(estimation_fidelity_mc(meas, lam, strategy, 1500, rng)),
+                         rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
+    def test_each_new_input_gets_its_own_form(self, form_builds):
+        meas, lam, strategy = memo_case("standard", 4)
+        twin = AliceMeasurement(meas.phi)  # an equal phi in another object
+        other_lam = random_lambdas(4, make_rng(44))
+        inputs = [(meas, lam), (meas, lam), (meas, other_lam), (twin, other_lam),
+                  (twin, other_lam), (meas, lam)]
+        # each on a strategy that has never been scored, so built afresh
+        fresh = [bits(estimation_fidelity_mc(m, l, EstimationStrategy(strategy.guesses), 1000,
+                                             make_rng(45))) for m, l in inputs]
+        form_builds.clear()
+        for (m, l), want, builds in zip(inputs, fresh, [1, 1, 2, 3, 3, 4]):
+            assert bits(estimation_fidelity_mc(m, l, strategy, 1000, make_rng(45))) == want
+            assert len(form_builds) == builds and form_builds[-1] == (m, l.tobytes())
+            # one field holds the one form, with the input it was built for
+            assert set(vars(strategy)) == {"guesses", "_form"} and len(strategy._form) == 3
+            assert strategy._form[0] is m and strategy._form[1] == l.tobytes()
 
 
 EVALUATORS = {

@@ -4,6 +4,7 @@ import inspect
 import json
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from teleportsim import (
 )
 from teleportsim.cli import build_parser
 from teleportsim.protocol import CHECK_ATOL, _base64, _protocol_parts
+from teleportsim.qcore import NORM_ATOL
 from helpers import (
     choice_teleport_once,
     einsum_bob_unitaries,
@@ -903,6 +905,35 @@ class TestTeleportOnce:
             teleport_once(proto, PureState(amplitudes), rng)
         twin.random(2 * shots)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_outputs_are_read_only_unit_vectors(self, d):
+        # the protocols of test_matches_choice_reference_bit_for_bit
+        gen = make_rng(70, stream=d)
+        multi = multi_kraus_protocol(d, gen)
+        others = [make() for make in ONE_OPERATOR_PROTOCOLS.get(d, {}).values()]
+        for proto in (standard_protocol(random_lambdas(d, gen)), multi, *others):
+            rng = make_rng(71, stream=d)
+            for amplitudes in sample_haar_states(d, 50, make_rng(72, stream=d)):
+                out = teleport_once(proto, PureState(amplitudes), rng).output_state.amplitudes
+                assert out.shape == (d,) and out.dtype == complex
+                assert abs(np.vdot(out, out).real - 1.0) <= NORM_ATOL
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    out.setflags(write=True)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    @pytest.mark.parametrize("kind", ["standard", "multi_kraus"])
+    def test_a_branch_weight_that_is_not_positive_raises(self, kind, fill):
+        # effects read before the maps are overwritten, so the outcome draw still works
+        gen = make_rng(76)
+        proto = (standard_protocol(random_lambdas(3, gen)) if kind == "standard"
+                 else multi_kraus_protocol(3, gen))
+        proto.effects
+        vars(proto)["a"] = np.full_like(proto.a, fill)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="branch weight"):
+                teleport_once(proto, haar_input(3, gen), make_rng(77))
 
     def test_sampled_mean_fidelity_attains_bound(self):
         # single-shot average over Haar inputs ties the sampled path to the
