@@ -33,9 +33,10 @@ class EstimationStrategy:
     (:func:`estimation_fidelity_mc`), as one tuple of the measurement, the
     bytes of lambda and the read-only form, so that scoring it again against
     the same measurement object and spectrum builds nothing. The measurement
-    is compared by identity; both it and the strategy are immutable. Another
-    measurement or spectrum replaces the tuple, so a strategy holds at most
-    one form, and a reader sees either the old tuple or the new one whole.
+    is compared by identity; its blocks and the guesses are read-only, so a
+    kept form cannot go stale. Another measurement or spectrum replaces the
+    tuple, so a strategy holds at most one form, and a reader sees either
+    the old tuple or the new one whole.
     """
 
     guesses: np.ndarray

@@ -922,17 +922,21 @@ class TestTeleportOnce:
                     out.setflags(write=True)
 
     @pytest.mark.parametrize("fill", [0.0, np.nan])
-    @pytest.mark.parametrize("kind", ["standard", "multi_kraus"])
-    def test_a_branch_weight_that_is_not_positive_raises(self, kind, fill):
-        # effects read before the maps are overwritten, so the outcome draw still works
+    @pytest.mark.parametrize("kind,message", [("one", "branch weight"),
+                                              ("two", "branch weights sum to")])
+    def test_a_branch_weight_that_is_not_positive_raises(self, kind, message, fill):
+        # one or two Kraus operators on every outcome: each draw reaches the check of its path
         gen = make_rng(76)
-        proto = (standard_protocol(random_lambdas(3, gen)) if kind == "standard"
-                 else multi_kraus_protocol(3, gen))
+        proto = standard_protocol(random_lambdas(3, gen))
+        if kind == "two":
+            split = [np.stack([b, b]) / np.sqrt(2) for b in proto.corrections.stack]
+            proto = Protocol(proto.schmidt, proto.measurement, BobCorrections(split))
+        # effects read before the maps are overwritten, so the outcome draw still works
         proto.effects
         vars(proto)["a"] = np.full_like(proto.a, fill)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="branch weight"):
+            with pytest.raises(ValueError, match=message):
                 teleport_once(proto, haar_input(3, gen), make_rng(77))
 
     def test_sampled_mean_fidelity_attains_bound(self):
